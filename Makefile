@@ -7,7 +7,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench bench-report bench-smoke fuzz-smoke jit-smoke cluster-smoke verify-smoke examples experiments clean
+.PHONY: test bench bench-report bench-smoke bench-e2e-test fuzz-smoke jit-smoke cluster-smoke verify-smoke examples experiments clean
 
 test:
 	$(PYTHON) -m pytest tests/
@@ -23,6 +23,11 @@ bench-report:
 # Fast subset of the report for CI smoke runs.
 bench-smoke:
 	$(PYTHON) benchmarks/bench_report.py --smoke
+
+# The end-to-end benchmark harness's own tests (benchmarks/e2e):
+# workload plumbing, the span ledger, and the result-line contract.
+bench-e2e-test:
+	$(PYTHON) -m pytest benchmarks/e2e -q
 
 # Bounded fuzzing smoke: coverage growth + triage parse + determinism.
 fuzz-smoke:

@@ -25,6 +25,10 @@ on the same program and asserting the properties CI cares about:
 * RunResult, architectural state, dirty-page set, and the memory
   access counters are byte-identical to ``interp``.
 
+**Both phases — the process-wide code cache:** every compiled run after
+the first is served from the cache (hits, no new misses) with an outcome
+and ``jit_stats()`` byte-identical to the first, cold run.
+
 Used by the CI ``jit-smoke`` job and runnable by hand:
 
     python examples/jit_smoke.py
@@ -90,12 +94,14 @@ def _measure(program, repeats=REPEATS):
     """Interleaved best-of-N runs of ``program`` per backend."""
     from repro.isa import RV32IMC_ZICSR
     from repro.vp import Machine, MachineConfig
+    from repro.vp.jit import code_cache_stats
 
     best = {}
     outcome = {}
     extras = {}
-    for _ in range(repeats):
+    for repeat in range(repeats):
         for backend in ("interp", "compiled"):
+            cache_before = code_cache_stats()
             machine = Machine(MachineConfig(isa=RV32IMC_ZICSR,
                                             backend=backend))
             machine.load(program)
@@ -106,10 +112,28 @@ def _measure(program, repeats=REPEATS):
             digest = (tuple(machine.cpu.regs.snapshot()), machine.cpu.pc,
                       machine.cpu.csrs.instret, machine.cpu.csrs.cycle)
             best[backend] = min(best.get(backend, float("inf")), elapsed)
-            outcome[backend] = (result, digest, machine.mem_stats(),
-                                tuple(sorted(machine.ram.dirty_pages())))
+            run_outcome = (result, digest, machine.mem_stats(),
+                           tuple(sorted(machine.ram.dirty_pages())))
+            if backend == "compiled" and repeat:
+                _check_cache_hit(cache_before, code_cache_stats(),
+                                 (run_outcome, machine.jit_stats()),
+                                 (outcome[backend], extras[backend]))
+            outcome[backend] = run_outcome
             extras[backend] = machine.jit_stats()
     return best, outcome, extras
+
+
+def _check_cache_hit(before, after, warm, cold) -> None:
+    """A repeated compiled run reuses the code its first run compiled:
+    cache hits and no misses, with a byte-identical outcome."""
+    hits = after["hits"] - before["hits"]
+    misses = after["misses"] - before["misses"]
+    assert hits > 0 and misses == 0, (
+        f"repeated compiled run not served from the code cache: "
+        f"{hits} hits, {misses} misses")
+    assert warm == cold, (
+        f"cache-served run diverged from the cold run:\n"
+        f"  cold: {cold}\n  warm: {warm}")
 
 
 def compute_phase() -> None:

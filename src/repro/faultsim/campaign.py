@@ -31,7 +31,7 @@ from ..vp.cpu import STOP_EXIT
 from ..vp.machine import Machine, MachineConfig, STOP_UNHANDLED_TRAP
 from .checkpoint import CheckpointEngine
 from .faults import Fault, TARGET_CODE, TRANSIENT
-from .injector import InjectionError, inject
+from .injector import InjectionError, check_transient, inject
 
 OUTCOME_MASKED = "masked"
 OUTCOME_SDC = "sdc"
@@ -346,6 +346,10 @@ class FaultCampaign:
         golden = self.golden()
         if fault.kind == TRANSIENT and self._checkpoints_active:
             engine = self._ensure_engine()
+            try:
+                check_transient(engine.machine, fault)
+            except InjectionError:
+                return MutantResult(fault, OUTCOME_MASKED)
             result, early = engine.run_transient(
                 fault, self.instruction_budget)
             if early:

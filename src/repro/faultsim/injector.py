@@ -126,6 +126,23 @@ class StuckRamWrapper(Device):
         return getattr(self.inner, name)
 
 
+def _ram_offset(ram_size: int, address: int) -> int:
+    """``address`` as a RAM offset; a fault outside RAM (an MMIO address
+    taken from coverage, say) cannot be applied."""
+    offset = address - RAM_BASE
+    if not 0 <= offset < ram_size:
+        raise InjectionError(f"fault address {address:#x} outside RAM")
+    return offset
+
+
+def check_transient(machine: Machine, fault: Fault) -> None:
+    """Raise :class:`InjectionError` if ``fault`` could never be flipped
+    on ``machine`` — checked before a mutant runs, so the plugin and the
+    checkpoint engine classify it the same way (``masked``)."""
+    if fault.target == TARGET_MEMORY:
+        _ram_offset(machine.ram.size, fault.index)
+
+
 def apply_transient_flip(cpu, fault: Fault) -> None:
     """Flip the fault's target bit in ``cpu``'s architectural state *now*.
 
@@ -144,8 +161,8 @@ def apply_transient_flip(cpu, fault: Fault) -> None:
         cpu.csrs.raw_write(fault.index,
                            cpu.csrs.raw_read(fault.index) ^ fault.mask)
     elif fault.target == TARGET_MEMORY:
-        offset = fault.index - RAM_BASE
         ram = cpu.bus.ram()
+        offset = _ram_offset(ram.size, fault.index)
         byte = ram.load(offset, 1)
         ram.store(offset, 1, byte ^ fault.mask)
     else:
@@ -183,17 +200,14 @@ def inject(machine: Machine, fault: Fault) -> Optional[Plugin]:
     can check ``plugin.fired``), ``None`` for permanent faults.
     """
     if fault.kind == TRANSIENT:
+        check_transient(machine, fault)
         plugin = TransientInjectorPlugin(fault)
         machine.add_plugin(plugin)
         return plugin
 
     stuck_one = fault.kind == STUCK_AT_1
     if fault.target == TARGET_CODE or fault.target == TARGET_MEMORY:
-        offset = fault.index - RAM_BASE
-        if not 0 <= offset < machine.ram.size:
-            raise InjectionError(
-                f"fault address {fault.index:#x} outside RAM"
-            )
+        offset = _ram_offset(machine.ram.size, fault.index)
         if fault.target == TARGET_CODE:
             # Binary mutation: patch the byte in place, once.
             byte = machine.ram.load(offset, 1)

@@ -20,11 +20,17 @@ Layout:
 * :mod:`~repro.vp.jit.backend`   — the ``compiled``
   :class:`~repro.vp.backends.ExecutionBackend` with hot-block tiering.
 
+Compiled code objects are shared across machines through a process-wide
+cache keyed by the generated source; :func:`code_cache_stats` reports
+its counters.
+
 The determinism contract — identical architectural results to the
 interpreter, bit for bit — is documented in ``docs/performance.md`` and
 enforced by ``tests/vp/test_backend_parity.py``.
 """
 
 from .backend import DEFAULT_THRESHOLD, CompiledBackend, JitStats
+from .compiler import code_cache_stats
 
-__all__ = ["CompiledBackend", "JitStats", "DEFAULT_THRESHOLD"]
+__all__ = ["CompiledBackend", "JitStats", "DEFAULT_THRESHOLD",
+           "code_cache_stats"]

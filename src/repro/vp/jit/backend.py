@@ -60,6 +60,10 @@ class JitStats:
                  "trace_failures")
 
     def __init__(self) -> None:
+        #: Blocks given a compiled function, whether its code object came
+        #: from the process-wide code cache or a fresh ``compile()``.
+        #: Cache counters stay out of this class: they depend on what the
+        #: process ran before (see ``code_cache_stats``).
         self.blocks_compiled = 0
         #: Instructions retired by compiled functions / the interp tier.
         self.compiled_retired = 0

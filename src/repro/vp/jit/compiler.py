@@ -23,23 +23,37 @@ Every exit path replicates the interpreter's accounting contract: CSR
 ``instret``/``cycle`` updated and the bus ticked before any trap is
 taken or ``MachineExit`` unwinds, pc parked on the faulting instruction,
 chain links only planted on statically known successor exits.
+
+Compiled code objects are shared process-wide through :class:`CodeCache`,
+keyed by the exact generated source: a second machine running the same
+program executes the cached code in its own fresh namespace instead of
+paying :func:`compile` again.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+import os
+import threading
+from collections import OrderedDict
+from typing import Dict, List, Optional
 
+from ...isa import csr as csrdef
 from ...isa import semantics as sem
 from ..devices.clint import Clint
 from ..memory import PACK_HALF, PACK_WORD, UNPACK_HALF, UNPACK_WORD
 from ..trap import BusError, MachineExit, Trap
 from .templates import BRANCH_CONDS, CONTROL_EMITTERS, EMITTERS, MASK, Ctx
 
-__all__ = ["BlockCompiler", "CompileError", "TRACE_MAX_BLOCKS"]
+__all__ = ["BlockCompiler", "CompileError", "TRACE_MAX_BLOCKS",
+           "CODE_CACHE_MAX_ENTRIES", "CodeCache", "code_cache_stats"]
 
 #: Maximum member blocks per compiled trace (keeps generated functions
 #: and invalidation blast radius bounded).
 TRACE_MAX_BLOCKS = 8
+
+#: Code objects the process-wide cache keeps before evicting the least
+#: recently used one (the default ``tb_cache_max_blocks``).
+CODE_CACHE_MAX_ENTRIES = 4096
 
 #: Interrupt-check constants folded into fused-loop source.
 _MIP, _MSTATUS, _MIE, _MSTATUS_MIE = 0x344, 0x300, 0x304, 0x8
@@ -77,6 +91,45 @@ def _exit_flush(cpu, retired, cycles, tick_cycles, pc, fallthrough, decoded):
     cpu.pc = pc
     cpu.next_pc = fallthrough
     cpu._current = decoded
+
+
+def _bus_load(cpu, addr, width, retired, cycles, tick_cycles, pc,
+              fallthrough, decoded):
+    """Direct-shape load slow path: full bus dispatch for an access the
+    RAM window does not serve.  Returns the value masked to canonical
+    u32 (device models may return wider values, and the generated
+    register write skips its mask), or ``None`` once the access fault
+    has been taken — the caller then returns ``retired``."""
+    try:
+        value = cpu.bus.load(addr, width)
+    except BusError:
+        _trap_exit(cpu, csrdef.CAUSE_LOAD_ACCESS, addr, retired, cycles,
+                   tick_cycles, pc, fallthrough, decoded)
+        return None
+    except MachineExit:
+        _exit_flush(cpu, retired, cycles, tick_cycles, pc, fallthrough,
+                    decoded)
+        raise
+    cpu.mem_bus_loads += 1
+    return value & 0xFFFFFFFF
+
+
+def _bus_store(cpu, addr, width, value, retired, cycles, tick_cycles, pc,
+               fallthrough, decoded):
+    """Direct-shape store slow path; returns ``True`` once the access
+    fault has been taken (the caller then returns ``retired``)."""
+    try:
+        cpu.bus.store(addr, width, value)
+    except BusError:
+        _trap_exit(cpu, csrdef.CAUSE_STORE_ACCESS, addr, retired, cycles,
+                   tick_cycles, pc, fallthrough, decoded)
+        return True
+    except MachineExit:
+        _exit_flush(cpu, retired, cycles, tick_cycles, pc, fallthrough,
+                    decoded)
+        raise
+    cpu.mem_bus_stores += 1
+    return False
 
 
 def _batch_safe(cpu) -> bool:
@@ -135,6 +188,77 @@ class _Src:
         return "\n".join(self.lines) + "\n"
 
 
+class CodeCache:
+    """Process-wide LRU of compiled code objects keyed by
+    ``(filename, source)``.
+
+    Only immutable code objects are shared; every hit is executed in
+    the block's own fresh namespace, so functions, namespaces, blocks
+    and machines never are.  Everything a generated function
+    specializes on is folded into its source text (pcs, RAM window,
+    cycle costs, shape, hook presence) and everything object-valued is
+    looked up in the namespace, so equal sources are interchangeable.
+
+    Thread-safe: lookups and inserts hold a lock, :func:`compile` runs
+    outside it (two threads racing on one source both compile; the
+    first insert wins).
+    """
+
+    def __init__(self, max_entries: int = CODE_CACHE_MAX_ENTRIES) -> None:
+        self.max_entries = max_entries
+        self._entries: "OrderedDict[tuple, object]" = OrderedDict()
+        self._lock = threading.Lock()
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+
+    def code_for(self, source: str, filename: str):
+        """The code object for ``source``, compiled on a miss."""
+        key = (filename, source)
+        with self._lock:
+            code = self._entries.get(key)
+            if code is not None:
+                self._entries.move_to_end(key)
+                self.hits += 1
+                return code
+            self.misses += 1
+        code = compile(source, filename, "exec")
+        with self._lock:
+            if key not in self._entries:
+                self._entries[key] = code
+                if len(self._entries) > self.max_entries:
+                    self._entries.popitem(last=False)
+                    self.evictions += 1
+        return code
+
+    def stats(self) -> Dict[str, int]:
+        with self._lock:
+            return {"entries": len(self._entries), "hits": self.hits,
+                    "misses": self.misses, "evictions": self.evictions}
+
+    def reset_lock(self) -> None:
+        """Fresh lock in a forked child: the parent's may have been held
+        by a thread that does not exist there."""
+        self._lock = threading.Lock()
+
+
+_CODE_CACHE = CodeCache()
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=lambda: _CODE_CACHE.reset_lock())
+
+
+def code_cache_stats() -> Dict[str, int]:
+    """Counters of the process-wide code cache: ``entries``, ``hits``,
+    ``misses``, ``evictions``.
+
+    They depend on everything this process compiled before, so they are
+    kept out of :meth:`Machine.jit_stats` (which job results copy) and
+    published only as ``vp.jit.code_cache.*`` telemetry gauges.
+    """
+    return _CODE_CACHE.stats()
+
+
 class BlockCompiler:
     """Compiles blocks against one snapshot of the hook table and
     register-file shape; the backend rebuilds it whenever either
@@ -178,7 +302,7 @@ class BlockCompiler:
         else:
             src = self._emit_method(block)
         namespace = self._namespace(block)
-        code = compile(src, f"<jit:{block.start_pc:#x}>", "exec")
+        code = _CODE_CACHE.code_for(src, f"<jit:{block.start_pc:#x}>")
         exec(code, namespace)
         fn = namespace["_tb"]
         fn.__jit_source__ = src  # debugging / test introspection
@@ -189,6 +313,7 @@ class BlockCompiler:
             "Trap": Trap, "MachineExit": MachineExit,
             "BusError": BusError, "_trap_exit": _trap_exit,
             "_exit_flush": _exit_flush, "_batch_safe": _batch_safe,
+            "_bus_load": _bus_load, "_bus_store": _bus_store,
             "_horizon": _horizon, "HB": self.hb, "HI": self.hi,
             "_u4": UNPACK_WORD, "_u2": UNPACK_HALF,
             "_p4": PACK_WORD, "_p2": PACK_HALF,
@@ -223,10 +348,6 @@ class BlockCompiler:
         lines = []
         if direct:
             lines.append("R = cpu.regs._regs")
-            if "bload(" in body_text:
-                lines.append("bload = cpu.bus.load")
-            if "bstore(" in body_text:
-                lines.append("bstore = cpu.bus.store")
             if "_ramok" in body_text:
                 # The fast path is armed only while the CPU's current
                 # window buffer is the one this code was specialized
@@ -375,7 +496,8 @@ class BlockCompiler:
             body.extend(0, EMITTERS[ops[i][1]](ctx, i))
         cond = BRANCH_CONDS[ops[-1][1]](ctx, last_d)
         body_text = "\n".join(body.lines)
-        pure = "bload(" not in body_text and "bstore(" not in body_text
+        pure = ("_bus_load(" not in body_text
+                and "_bus_store(" not in body_text)
         if pure:
             return self._emit_fused_batched(
                 block, body.lines, cond, n, taken_total, base_total, last_ft)
@@ -507,7 +629,8 @@ class BlockCompiler:
             raise CompileError(f"unsupported trace length {len(blocks)}")
         src = self._emit_trace(blocks)
         namespace = self._trace_namespace(blocks)
-        code = compile(src, f"<jit-trace:{blocks[0].start_pc:#x}>", "exec")
+        code = _CODE_CACHE.code_for(
+            src, f"<jit-trace:{blocks[0].start_pc:#x}>")
         exec(code, namespace)
         fn = namespace["_tb"]
         fn.__jit_source__ = src

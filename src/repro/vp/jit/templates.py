@@ -118,15 +118,19 @@ class Ctx:
 
     def trap_exit(self, i: int, cause, tval: str) -> str:
         """``return _trap_exit(...)`` with instruction ``i``'s constants."""
-        return (f"return _trap_exit(cpu, {cause}, {tval}, {self.ret_at(i)}, "
-                f"{self.cyc_at(i)}, {self.tick_at(i)}, {self.pc_at(i):#x}, "
-                f"{self.ft_at(i):#x}, d_{self.base + i})")
+        return (f"return _trap_exit(cpu, {cause}, {tval}, "
+                f"{self.flush_args(i)})")
 
     def exit_flush(self, i: int) -> str:
         """Accounting flush before re-raising ``MachineExit``."""
-        return (f"_exit_flush(cpu, {self.ret_at(i)}, {self.cyc_at(i)}, "
-                f"{self.tick_at(i)}, {self.pc_at(i):#x}, {self.ft_at(i):#x}, "
-                f"d_{self.base + i})")
+        return f"_exit_flush(cpu, {self.flush_args(i)})"
+
+    def flush_args(self, i: int) -> str:
+        """Instruction ``i``'s trailing arguments to ``_trap_exit``,
+        ``_exit_flush``, ``_bus_load`` and ``_bus_store``: retired,
+        cycles, tick, pc, fallthrough, decoded."""
+        return (f"{self.ret_at(i)}, {self.cyc_at(i)}, {self.tick_at(i)}, "
+                f"{self.pc_at(i):#x}, {self.ft_at(i):#x}, d_{self.base + i}")
 
 
 Emitter = Callable[[Ctx, int], List[str]]
@@ -260,7 +264,10 @@ def emit_remu(ctx: Ctx, i: int) -> List[str]:
 # captured buffer — with the page-dirty update inlined on stores so
 # ``Ram.dirty_pages()`` stays exact — and everything else (MMIO, faults,
 # a swapped-out RAM detected via the ``_ramok`` binding) falls back to
-# the full bus dispatch with the interpreter's trap semantics.
+# the full bus dispatch with the interpreter's trap semantics.  That
+# slow path lives out of line in the compiler's ``_bus_load`` /
+# ``_bus_store`` helpers, keeping the generated source (and its compile
+# time) small.
 
 def _addr_lines(ctx: Ctx, d) -> List[str]:
     """Effective-address computation for the fast-path shape.
@@ -297,19 +304,11 @@ def _load_emitter(width: int, signed: bool) -> Emitter:
         if width > 1:
             lines += [f"if _a % {width}:",
                       f"    {ctx.trap_exit(i, csrdef.CAUSE_MISALIGNED_LOAD, _masked_a(ctx))}"]
-        slow = ["try:",
-                f"    _v = bload(_a, {width})",
-                "except BusError:",
-                f"    {ctx.trap_exit(i, csrdef.CAUSE_LOAD_ACCESS, '_a')}",
-                "except MachineExit:",
-                f"    {ctx.exit_flush(i)}",
-                "    raise",
-                "cpu.mem_bus_loads += 1",
-                # The register write below skips its mask (the fast path
-                # is canonical by construction), so the bus path masks
-                # here — device models may return unmasked values, and
-                # the interpreter's regs.write would canonicalize them.
-                "_v &= 0xFFFFFFFF"]
+        # The register write below skips its mask (the fast path is
+        # canonical by construction), so _bus_load masks the bus value.
+        slow = [f"_v = _bus_load(cpu, _a, {width}, {ctx.flush_args(i)})",
+                "if _v is None:",
+                f"    return {ctx.ret_at(i)}"]
         if ctx.win is not None:
             base, end, _shift = ctx.win
             if width == 4:
@@ -350,14 +349,9 @@ def _store_emitter(width: int) -> Emitter:
         if width > 1:
             lines += [f"if _a % {width}:",
                       f"    {ctx.trap_exit(i, csrdef.CAUSE_MISALIGNED_STORE, _masked_a(ctx))}"]
-        slow = ["try:",
-                f"    bstore(_a, {width}, {ctx.r(d.rs2)})",
-                "except BusError:",
-                f"    {ctx.trap_exit(i, csrdef.CAUSE_STORE_ACCESS, '_a')}",
-                "except MachineExit:",
-                f"    {ctx.exit_flush(i)}",
-                "    raise",
-                "cpu.mem_bus_stores += 1"]
+        slow = [f"if _bus_store(cpu, _a, {width}, {ctx.r(d.rs2)}, "
+                f"{ctx.flush_args(i)}):",
+                f"    return {ctx.ret_at(i)}"]
         if ctx.win is not None:
             base, end, shift = ctx.win
             # Register values are canonical u32, so only sub-word widths

@@ -458,8 +458,14 @@ class Machine:
             stats = self.jit_stats()
             metrics = telemetry.metrics
             if stats is not None:
+                from .jit import code_cache_stats
+
                 for key, value in stats.items():
                     metrics.gauge(f"vp.jit.{key}").set(value)
+                # Process-wide, history-dependent: gauges only, never
+                # part of jit_stats() (which job results copy).
+                for key, value in code_cache_stats().items():
+                    metrics.gauge(f"vp.jit.code_cache.{key}").set(value)
             for key, value in self.mem_stats().items():
                 metrics.gauge(f"vp.mem.{key}").set(value)
         return result

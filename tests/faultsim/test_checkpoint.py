@@ -13,11 +13,13 @@ from repro.faultsim import (
     STUCK_AT_0,
     TARGET_CODE,
     TARGET_GPR,
+    TARGET_MEMORY,
     TRANSIENT,
     generate_mutants,
 )
 from repro.isa import RV32IMC_ZICSR
 from repro.vp import ICacheConfig, Machine, MachineConfig
+from repro.vp.machine import RAM_BASE, UART_BASE
 
 EXIT = "\n    li a7, 93\n    ecall\n"
 
@@ -113,6 +115,27 @@ class TestParity:
         # restored it instead of replaying the prefix.
         assert stats["restores"] >= 7
         assert stats["instructions_skipped"] >= 7 * (trigger - 1)
+
+
+    def test_transient_flip_outside_ram_is_masked(self):
+        """A transient memory fault on an MMIO address (coverage records
+        UART stores as touched memory) cannot be applied: both engines
+        classify it masked instead of raising BusError mid-campaign."""
+        golden = make_campaign().golden()
+        faults = [
+            Fault(TARGET_MEMORY, UART_BASE, 0, TRANSIENT, trigger=3),
+            Fault(TARGET_MEMORY, UART_BASE + 4, 5, TRANSIENT,
+                  trigger=golden.instructions + 10),
+            Fault(TARGET_MEMORY, RAM_BASE + 0x40000, 1, TRANSIENT,
+                  trigger=golden.instructions // 2),
+            Fault(TARGET_GPR, 14, 0, TRANSIENT, trigger=5),
+        ]
+        results = [normalized_json(make_campaign(checkpoints=checkpoints)
+                                   .run(faults))
+                   for checkpoints in (True, False)]
+        assert results[0] == results[1]
+        outcomes = make_campaign().run(faults).results
+        assert [m.outcome for m in outcomes[:2]] == [OUTCOME_MASKED] * 2
 
 
 class TestEarlyClassification:

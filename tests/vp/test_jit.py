@@ -11,8 +11,10 @@ import pytest
 
 from repro.asm import assemble
 from repro.isa import RV32IMC_ZICSR
+from repro.isa import csr as csrdef
 from repro.vp import Machine, MachineConfig
-from repro.vp.jit import CompiledBackend, DEFAULT_THRESHOLD
+from repro.vp.jit import CompiledBackend, DEFAULT_THRESHOLD, code_cache_stats
+from repro.vp.jit import compiler as jit_compiler
 from repro.vp.jit.compiler import CompileError
 
 from ..conftest import run_asm
@@ -628,3 +630,321 @@ def test_flush_discards_trace_state():
     result = machine.run(max_instructions=1_000_000)
     assert result.stop_reason == "exit"
     assert machine.jit_stats()["traces_compiled"] == 2
+
+
+# ----------------------------------------------------------------------
+# Bus slow path (out-of-line _bus_load / _bus_store helpers)
+# ----------------------------------------------------------------------
+
+#: A fused polling loop whose load goes to the CLINT and whose store goes
+#: to the UART: both leave the RAM window for the bus slow path.
+MMIO_LOOP = """
+_start:
+    li t0, 0x0200BFF8
+    li t2, 0x10000000
+    li t1, 20
+loop:
+    lw a1, 0(t0)
+    lb a2, 0(t0)
+    sb t1, 0(t2)
+    addi t1, t1, -1
+    bnez t1, loop
+    li a0, 0
+    li a7, 93
+    ecall
+"""
+
+#: Walks a load (or store) off the end of RAM inside a compiled block:
+#: the bus slow path must take the access fault with exact accounting.
+WALK_OFF_RAM = """
+_start:
+    li s0, 0x803FFFD8
+walk:
+    {op} a0, 0(s0)
+    addi s0, s0, 4
+    j walk
+"""
+
+
+def _outcome(machine, result):
+    cpu = machine.cpu
+    return (result.stop_reason, result.exit_code, result.trap_cause,
+            result.instructions, result.cycles, cpu.regs.snapshot(), cpu.pc,
+            machine.mem_stats(), machine.uart.output,
+            tuple(sorted(machine.ram.dirty_pages())))
+
+
+def test_bus_slow_path_matches_interpreter():
+    compiled = _outcome(*run_asm(MMIO_LOOP, backend="compiled",
+                                 jit_threshold=1))
+    assert compiled == _outcome(*run_asm(MMIO_LOOP, backend="interp"))
+    mem = compiled[7]
+    assert mem["fastpath_fallback_loads"] == 40
+    assert mem["fastpath_fallback_stores"] == 20
+
+
+@pytest.mark.parametrize("op,cause", [
+    ("lw", csrdef.CAUSE_LOAD_ACCESS), ("sw", csrdef.CAUSE_STORE_ACCESS)])
+def test_bus_slow_path_access_fault_matches_interpreter(op, cause):
+    source = WALK_OFF_RAM.format(op=op)
+    compiled = _outcome(*run_asm(source, backend="compiled",
+                                 jit_threshold=1))
+    assert compiled == _outcome(*run_asm(source, backend="interp"))
+    assert compiled[0] == "unhandled_trap"
+    assert compiled[2] == cause
+
+
+# ----------------------------------------------------------------------
+# Process-wide code cache
+# ----------------------------------------------------------------------
+
+@pytest.fixture
+def code_cache(monkeypatch):
+    """A fresh, empty process-wide cache, with ``compile()`` counted."""
+    cache = jit_compiler.CodeCache()
+    monkeypatch.setattr(jit_compiler, "_CODE_CACHE", cache)
+    calls = []
+    real = compile
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(jit_compiler, "compile", counting, raising=False)
+    cache.compile_calls = calls
+    return cache
+
+
+def _run_multi_block(**kwargs):
+    machine = trace_machine(**kwargs)
+    result = machine.run(max_instructions=1_000_000)
+    return machine, result
+
+
+def test_second_machine_compiles_nothing(code_cache):
+    first_machine, first_result = _run_multi_block()
+    compiles = len(code_cache.compile_calls)
+    stats = first_machine.jit_stats()
+    assert stats["traces_compiled"] == 1
+    assert compiles == stats["blocks_compiled"] + stats["traces_compiled"]
+    assert code_cache_stats()["misses"] == compiles
+
+    second_machine, second_result = _run_multi_block()
+    assert len(code_cache.compile_calls) == compiles  # zero new compiles
+    assert code_cache_stats()["hits"] == compiles
+    def state(machine, result):
+        return (_outcome(machine, result), result,
+                machine.cpu.csrs.snapshot(), machine.jit_stats())
+
+    assert state(second_machine, second_result) == \
+        state(first_machine, first_result)
+    # History-dependent cache counters never leak into jit_stats().
+    assert not any("cache" in key for key in second_machine.jit_stats())
+
+
+def test_shared_code_gets_a_fresh_namespace(code_cache):
+    first, _ = _run_multi_block()
+    second, _ = _run_multi_block()
+    fn1 = next(iter(compiled_blocks(first).values())).compiled
+    fn2 = next(iter(compiled_blocks(second).values())).compiled
+    assert fn1.__code__ is fn2.__code__
+    assert fn1 is not fn2
+    assert fn1.__globals__ is not fn2.__globals__
+    assert fn1.__globals__["block"] is not fn2.__globals__["block"]
+
+
+def test_different_ram_size_misses(code_cache):
+    _run_multi_block()
+    before = len(code_cache.compile_calls)
+    # The RAM window bounds are folded into memory templates.
+    machine, result = _run_multi_block(ram_size=2 * 1024 * 1024)
+    assert result.stop_reason == "exit"
+    assert len(code_cache.compile_calls) - before == \
+        machine.jit_stats()["blocks_compiled"] \
+        + machine.jit_stats()["traces_compiled"]
+
+
+def test_hooked_machine_misses(code_cache):
+    from repro.vp import Plugin
+
+    class Hook(Plugin):
+        name = "cache-hook"
+
+        def on_insn_exec(self, cpu, decoded, pc):
+            pass
+
+    plain, plain_result = _run_multi_block()
+    before = len(code_cache.compile_calls)
+    hooked = trace_machine()
+    hooked.add_plugin(Hook())
+    result = hooked.run(max_instructions=1_000_000)
+    assert len(code_cache.compile_calls) - before == \
+        hooked.jit_stats()["blocks_compiled"] > 0
+    assert all("HI" in src for src in _sources(hooked))
+    assert (result.instructions, result.cycles, hooked.cpu.regs.snapshot()) \
+        == (plain_result.instructions, plain_result.cycles,
+            plain.cpu.regs.snapshot())
+
+
+def test_lru_bound_and_order():
+    cache = jit_compiler.CodeCache(max_entries=2)
+    a = cache.code_for("x = 1\n", "<a>")
+    cache.code_for("x = 2\n", "<b>")
+    assert cache.code_for("x = 1\n", "<a>") is a  # hit; <a> now newest
+    cache.code_for("x = 3\n", "<c>")              # evicts <b>
+    assert cache.stats() == {"entries": 2, "hits": 1, "misses": 3,
+                             "evictions": 1}
+    assert cache.code_for("x = 1\n", "<a>") is a
+    cache.code_for("x = 2\n", "<b>")              # re-compiled
+    assert cache.stats()["misses"] == 4
+    # The filename is part of the key: tracebacks stay attributable.
+    assert cache.code_for("x = 1\n", "<d>").co_filename == "<d>"
+
+
+def test_bound_holds_under_machine_load(monkeypatch):
+    monkeypatch.setattr(jit_compiler, "_CODE_CACHE",
+                        jit_compiler.CodeCache(max_entries=3))
+    for iters in (50, 60, 50):
+        source = MULTI_BLOCK_LOOP.format(iters=iters)
+        compiled = _outcome(*run_asm(source, backend="compiled",
+                                     jit_threshold=1, jit_trace_threshold=2))
+        assert compiled == _outcome(*run_asm(source, backend="interp"))
+        assert code_cache_stats()["entries"] <= 3
+    assert code_cache_stats()["evictions"] > 0
+
+
+def test_concurrent_compiles_stay_correct(code_cache):
+    """More threads than cores compile the same programs at once, with a
+    tiny switch interval to force interleavings inside the cache."""
+    import sys
+    import threading
+
+    programs = [HOT_LOOP, MEM_LOOP, MULTI_BLOCK_LOOP.format(iters=200),
+                MMIO_LOOP]
+    expected = [_outcome(*run_asm(src, backend="interp")) for src in programs]
+    results = {}
+    lookups = []
+
+    def worker(index):
+        outcomes = []
+        for source in programs[index:] + programs[:index]:
+            machine, result = run_asm(source, backend="compiled",
+                                      jit_threshold=1, jit_trace_threshold=2)
+            stats = machine.jit_stats()
+            lookups.append(stats["blocks_compiled"]
+                           + stats["traces_compiled"])
+            outcomes.append(_outcome(machine, result))
+        results[index] = outcomes
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,))
+                   for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for index in range(4):
+        assert results[index] == expected[index:] + expected[:index]
+    stats = code_cache_stats()
+    # No lost counter update: every lookup is exactly one hit or miss.
+    assert stats["hits"] + stats["misses"] == sum(lookups)
+    assert stats["hits"] > 0
+    assert stats["entries"] <= stats["misses"]
+
+
+def test_fork_child_gets_a_fresh_lock(code_cache):
+    import os
+    import threading
+    import time
+    import warnings
+
+    held = threading.Event()
+    release = threading.Event()
+
+    def hold():
+        with code_cache._lock:
+            held.set()
+            release.wait(30)
+
+    holder = threading.Thread(target=hold)
+    holder.start()
+    held.wait(10)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:  # child: the holder thread does not exist here
+            try:
+                _, result = run_asm(HOT_LOOP, backend="compiled",
+                                    jit_threshold=1)
+                os._exit(0 if result.stop_reason == "exit" else 1)
+            finally:
+                os._exit(2)
+        deadline = time.monotonic() + 30
+        status = None
+        while time.monotonic() < deadline:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            time.sleep(0.05)
+        else:
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+            pytest.fail("forked child deadlocked on the code cache lock")
+        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+    finally:
+        release.set()
+        holder.join()
+
+
+def test_vp_run_job_identical_cold_and_warm(code_cache):
+    from repro.serve.executors import execute_job
+
+    payload = {"source": MULTI_BLOCK_LOOP.format(iters=300),
+               "backend": "compiled"}
+    cold = execute_job("vp_run", payload)
+    misses = code_cache_stats()["misses"]
+    assert misses > 0
+    warm = execute_job("vp_run", payload)
+    assert code_cache_stats()["misses"] == misses
+    assert code_cache_stats()["hits"] > 0
+    assert warm == cold
+    assert set(warm["jit"]) == set(CompiledBackend(
+        Machine(MachineConfig(isa=RV32IMC_ZICSR)).cpu).stats.as_dict())
+
+
+def test_cache_counters_published_as_gauges(code_cache):
+    from repro.telemetry import Telemetry
+
+    telemetry = Telemetry()
+    machine = trace_machine()
+    machine.telemetry = telemetry
+    machine.run(max_instructions=1_000_000)
+    gauges = telemetry.metrics.to_dict()
+    for key, value in code_cache_stats().items():
+        assert gauges[f"vp.jit.code_cache.{key}"]["value"] == value
+
+
+def test_canary_caught_with_warm_cache(code_cache):
+    from repro.verify import DiffCampaign, VerifyCampaignConfig
+    from repro.verify.canary import perturbed_semantics
+
+    config = VerifyCampaignConfig(corpus="torture:2",
+                                  matrix="interp:compiled",
+                                  max_instructions=3000)
+    clean = DiffCampaign(RV32IMC_ZICSR, config).run()
+    assert clean.divergences == 0
+    warmed = code_cache_stats()["entries"]
+    assert warmed > 0
+    with perturbed_semantics(RV32IMC_ZICSR, mnemonic="add"):
+        result = DiffCampaign(RV32IMC_ZICSR, config).run()
+    assert code_cache_stats()["hits"] > 0
+    assert result.divergences > 0
+    record = result.escalations[0]
+    assert record["disasm"].split()[0] == "add"
+    assert 0 < len(record["words"]) < record["minimized_from"]
