@@ -7,7 +7,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench bench-report bench-smoke bench-e2e-test fuzz-smoke jit-smoke cluster-smoke verify-smoke examples experiments clean
+.PHONY: test bench bench-report bench-smoke bench-e2e-test fuzz-smoke jit-smoke cluster-smoke verify-smoke checkpoint-parity examples experiments clean
 
 test:
 	$(PYTHON) -m pytest tests/
@@ -48,6 +48,11 @@ cluster-smoke:
 # pinpointed, and minimized.
 verify-smoke:
 	$(PYTHON) examples/verify_smoke.py
+
+# Fault-campaign parity: one mixed campaign over {interp, compiled} x
+# {checkpoints on, off} x {jobs 1, 2}, all byte-identical.
+checkpoint-parity:
+	$(PYTHON) examples/checkpoint_parity.py
 
 # Run every example script (each asserts its own expected behaviour).
 examples:

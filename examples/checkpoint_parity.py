@@ -1,10 +1,11 @@
 """Checkpoint parity smoke: accelerated campaigns must classify identically.
 
-Runs one mixed-target campaign (transient + code + stuck-at mutants) four
-ways — {checkpoints on, off} x {sequential, jobs=2} — and asserts that
-every configuration serializes to byte-identical ``CampaignResult`` JSON
-once wall time is zeroed.  The checkpoint engine is a pure acceleration:
-any divergence here is a correctness bug, not a tuning issue.
+Runs one mixed-target campaign (transient + code + stuck-at mutants)
+eight ways — {interp, compiled} x {checkpoints on, off} x {sequential,
+jobs=2} — and asserts that every configuration serializes to
+byte-identical ``CampaignResult`` JSON once wall time is zeroed.  The
+checkpoint engine and the compiled tier are pure accelerations: any
+divergence here is a correctness bug, not a tuning issue.
 
 Self-checking; exits non-zero on any mismatch.  CI runs this under a hard
 timeout as part of the bench-smoke job.
@@ -52,9 +53,9 @@ scratch: .word 0
 """
 
 
-def run_campaign(faults, checkpoints, jobs):
+def run_campaign(faults, backend, checkpoints, jobs):
     program = assemble(PROGRAM, isa=RV32IMC_ZICSR)
-    campaign = FaultCampaign(program, isa=RV32IMC_ZICSR,
+    campaign = FaultCampaign(program, isa=RV32IMC_ZICSR, backend=backend,
                              checkpoints=checkpoints)
     result = campaign.run(faults, jobs=jobs)
     result.elapsed_seconds = 0.0  # wall time is the only allowed delta
@@ -74,16 +75,18 @@ def main() -> int:
     print(f"golden: {golden.instructions} instructions, "
           f"{len(faults)} mutants")
 
-    reference = run_campaign(faults, checkpoints=False, jobs=1)
-    configs = [("checkpoints=False jobs=2", False, 2),
-               ("checkpoints=True  jobs=1", True, 1),
-               ("checkpoints=True  jobs=2", True, 2)]
+    reference = run_campaign(faults, "interp", checkpoints=False, jobs=1)
     failures = 0
-    for label, checkpoints, jobs in configs:
-        got = run_campaign(faults, checkpoints=checkpoints, jobs=jobs)
-        ok = got == reference
-        print(f"  {label}: {'OK' if ok else 'MISMATCH'}")
-        failures += 0 if ok else 1
+    for backend in ("interp", "compiled"):
+        for checkpoints in (False, True):
+            for jobs in (1, 2):
+                if (backend, checkpoints, jobs) == ("interp", False, 1):
+                    continue  # the reference itself
+                got = run_campaign(faults, backend, checkpoints, jobs)
+                ok = got == reference
+                print(f"  backend={backend:<8} checkpoints={checkpoints!s:<5}"
+                      f" jobs={jobs}: {'OK' if ok else 'MISMATCH'}")
+                failures += 0 if ok else 1
     if failures:
         print(f"FAIL: {failures} configuration(s) diverged from the "
               "sequential baseline")

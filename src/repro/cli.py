@@ -104,7 +104,8 @@ def cmd_run(args) -> int:
                  + jit["trace_instructions"])
         compiled = jit["compiled_instructions"] + jit["trace_instructions"]
         share = compiled / total if total else 0.0
-        print(f"jit: {jit['blocks_compiled']} blocks compiled, "
+        print(f"jit: {jit['blocks_compiled']} blocks compiled "
+              f"({jit['method_blocks']} in the method shape), "
               f"{jit['traces_compiled']} traces, "
               f"{share:.1%} of instructions in the compiled tiers"
               + (f", {jit['compile_failures']} compile failures"
@@ -182,15 +183,17 @@ def cmd_coverage(args) -> int:
 
 
 def cmd_faults(args) -> int:
-    from .faultsim import FaultCampaign, default_campaign_mutants
+    from .faultsim import (CAMPAIGN_BACKEND, FaultCampaign,
+                           default_campaign_mutants)
     from .telemetry import current_telemetry
 
     isa = _isa(args)
     program = assemble(_read_source(args.source), isa=isa)
+    backend = args.backend or CAMPAIGN_BACKEND
     campaign = FaultCampaign(program, isa=isa,
                              checkpoints=not args.no_checkpoints,
                              digest_interval=args.digest_interval,
-                             backend=args.backend)
+                             backend=backend)
     golden = campaign.golden()
     print(f"golden: exit {golden.exit_code}, "
           f"{golden.instructions} instructions")
@@ -216,7 +219,7 @@ def cmd_faults(args) -> int:
         from .vp.machine import Machine, MachineConfig
 
         machine = Machine(MachineConfig(
-            isa=isa, backend=args.backend,
+            isa=isa, backend=backend,
             jit_threshold=args.jit_threshold,
             jit_trace_threshold=args.jit_trace_threshold))
         machine.load(program)
@@ -530,7 +533,8 @@ def cmd_submit(args) -> int:
                    "jobs": args.jobs}
     else:
         payload = {"source": _read_source(args.source), "isa": args.isa}
-    if args.kind in ("vp_run", "fault_campaign", "fuzz"):
+    if args.kind in ("vp_run", "fault_campaign", "fuzz") and args.backend:
+        # Only when given: the service applies its per-kind default.
         payload["backend"] = args.backend
     if args.kind == "fault_campaign":
         payload.update(mutants=args.mutants, seed=args.seed, jobs=args.jobs,
@@ -638,11 +642,15 @@ def build_parser() -> argparse.ArgumentParser:
                             "structured, otherwise collapsed stacks for "
                             "flamegraph tools)")
 
-    def backend_flags(p):
-        p.add_argument("--backend", default="fastpath",
+    def backend_flags(p, default="fastpath", default_help=None):
+        # Campaign commands pass default=None and resolve it to
+        # repro.faultsim.CAMPAIGN_BACKEND when they run, so building the
+        # parser does not import the fault simulator.
+        p.add_argument("--backend", default=default,
                        choices=("interp", "fastpath", "compiled"),
                        help="execution backend (compiled = tiered "
-                            "template JIT; see docs/performance.md)")
+                            "template JIT; see docs/performance.md; "
+                            f"default: {default_help or default})")
         p.add_argument("--jit-threshold", type=int, default=8, metavar="N",
                        help="block executions before the compiled backend "
                             "promotes a block (default: 8)")
@@ -723,7 +731,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "early mutant classification (default: "
                         "golden_instructions/256, floor 64)")
     profile_flag(p)
-    backend_flags(p)
+    backend_flags(p, default=None,
+                  default_help="compiled, the campaign default")
     p.set_defaults(func=cmd_faults)
 
     p = sub.add_parser("mutate", help="mutation-test a self-checking binary")
@@ -909,9 +918,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fault_campaign: disable checkpoint acceleration")
     p.add_argument("--digest-interval", type=int, default=None, metavar="K",
                    help="fault_campaign: golden digest spacing")
-    p.add_argument("--backend", default="fastpath",
+    p.add_argument("--backend", default=None,
                    choices=("interp", "fastpath", "compiled"),
-                   help="vp_run/fault_campaign/fuzz: execution backend")
+                   help="vp_run/fault_campaign/fuzz: execution backend "
+                        "(default: the service's per-kind default, "
+                        "compiled for fault_campaign, fastpath otherwise)")
     p.add_argument("--priority", type=int, default=0,
                    help="larger dispatches sooner")
     p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",

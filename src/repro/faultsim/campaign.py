@@ -40,6 +40,13 @@ OUTCOME_HANG = "hang"
 
 OUTCOMES = (OUTCOME_MASKED, OUTCOME_SDC, OUTCOME_TRAP, OUTCOME_HANG)
 
+#: Execution backend campaigns run on unless told otherwise: the
+#: ``FaultCampaign``/``CampaignSpec`` default, ``repro faults``, and the
+#: ``fault_campaign`` service executors.  Every mutant re-runs one
+#: binary, so the JIT's process-wide code cache absorbs the compile
+#: cost; classifications are identical on every backend.
+CAMPAIGN_BACKEND = "compiled"
+
 
 @dataclass
 class GoldenRun:
@@ -207,13 +214,13 @@ class FaultCampaign:
         checkpoints: bool = True,
         digest_interval: Optional[int] = None,
         telemetry=None,
-        backend: str = "fastpath",
+        backend: str = CAMPAIGN_BACKEND,
     ) -> None:
         self.program = program
         self.isa = isa or IsaConfig.from_string(program.isa_name)
         #: Execution backend for golden and mutant runs alike (see
         #: :mod:`repro.vp.backends`).  Classifications are backend-
-        #: independent; ``compiled`` buys throughput on long workloads.
+        #: independent; the default is :data:`CAMPAIGN_BACKEND`.
         self.backend = backend
         self.budget_multiplier = budget_multiplier
         self.min_budget = min_budget

@@ -16,25 +16,38 @@ Three cooperating mechanisms make per-mutant cost proportional to the
    the pages that can differ — O(pages touched), not O(RAM).
 
 3. **Golden-trace early classification.**  During the golden pass the
-   engine records a full architectural digest every ``digest_interval``
-   executed-instruction attempts (pc, GPRs, FPRs, CSRs including
-   cycle/instret, device state, and a hash of every page written since
-   reset).  A mutant that re-converges with the golden timeline at a
-   digest point is classified ``masked`` on the spot: the remainder of
-   its execution is deterministic and identical to the golden run, so
-   its final result *is* the golden result.
+   engine records a full architectural digest (pc, GPRs, FPRs, CSRs
+   including cycle/instret, device state, and a hash of every page
+   written since reset) at the first block start on or after every
+   ``digest_interval`` retired instructions, keyed by the retired count
+   at that block start.  A mutant that reaches a block start with the
+   same retired count and the same digest has re-converged with the
+   golden timeline and is classified ``masked`` on the spot: the
+   remainder of its execution is deterministic and identical to the
+   golden run, so its final result *is* the golden result.
 
 Equivalence contract: classifications are byte-identical to full-replay
-runs.  Attempt counting mirrors
-:class:`~repro.faultsim.injector.TransientInjectorPlugin` exactly (one
-count per ``on_insn_exec`` invocation, i.e. per attempted instruction);
-the digest compares complete architectural state plus every page either
-timeline has written, so a match implies the mutant's future equals the
-golden future; and resumed runs account instructions/cycles exactly like
-uninterrupted ones (:meth:`Machine.run` with ``resume=True``).  The
-engine refuses machines with an icache — its per-block fetch penalties
-depend on translation-block partitioning, which a mid-block resume point
-perturbs.
+runs.
+
+* Attempt counts position triggers.  The golden sweep's per-instruction
+  tracer counts one attempt per ``on_insn_exec`` invocation, exactly like
+  :class:`~repro.faultsim.injector.TransientInjectorPlugin`, and stops
+  the golden machine before the trigger's attempt executes.
+* Block-boundary digests keyed by retired instructions detect
+  re-convergence.  The mutant-side watcher is a block hook, so mutants
+  keep the compiled tier's direct shape (block hooks rule out only its
+  traces and fused loops).  The digest compares complete architectural
+  state plus every page either timeline has written, so a match implies
+  the mutant's future equals the golden future wherever the check runs.
+* Moving a check changes only speed.  Block boundaries after a resume
+  point can differ from the golden sweep's until the next control-flow
+  instruction, so a mutant may exit early later or not at all, but a
+  match is sound at any block start and a miss just runs to the end.
+
+Resumed runs account instructions/cycles exactly like uninterrupted ones
+(:meth:`Machine.run` with ``resume=True``).  The engine refuses machines
+with an icache — its per-block fetch penalties depend on
+translation-block partitioning, which a mid-block resume point perturbs.
 """
 
 from __future__ import annotations
@@ -55,6 +68,9 @@ from .injector import apply_transient_flip
 #: to just running the instructions, and early exits stop paying off.
 DIGEST_PAGE_LIMIT = 1024
 
+#: Next-check sentinel once no golden digest lies ahead.
+_NEVER = float("inf")
+
 
 @dataclass
 class Checkpoint:
@@ -73,7 +89,8 @@ class Checkpoint:
 
 class _GoldenTracer(Plugin):
     """Counts instruction attempts on the golden machine, stops the run
-    exactly at a requested attempt, and records periodic state digests."""
+    exactly at a requested attempt, and records state digests at block
+    starts."""
 
     name = "checkpoint-golden-tracer"
 
@@ -82,48 +99,44 @@ class _GoldenTracer(Plugin):
         self.count = 0
         self.stop_at: Optional[int] = None
 
+    def on_block_exec(self, cpu, block) -> None:
+        n = cpu.csrs.instret
+        engine = self._engine
+        if n >= engine._next_digest and engine._digests_enabled:
+            engine._record_digest(n)
+
     def on_insn_exec(self, cpu, decoded, pc) -> None:
         n = self.count
         if n == self.stop_at:
             # Stop *before* this instruction executes; on resume the hook
             # fires again for the same instruction and counting proceeds.
             raise StopRun
-        engine = self._engine
-        interval = engine.digest_interval
-        if (engine._digests_enabled and n % interval == 0
-                and n > engine._digest_watermark):
-            engine._record_digest(n)
         self.count = n + 1
 
 
 class _DigestWatcher(Plugin):
-    """Compares mutant state against golden digests at the same attempt
-    counts; a match means the mutant has re-converged — stop and classify
-    masked."""
+    """Compares mutant state against the golden digest keyed by the same
+    retired count at each block start; a match means the mutant has
+    re-converged — stop before the block runs and classify masked."""
 
     name = "checkpoint-digest-watcher"
 
     def __init__(self, engine: "CheckpointEngine", start: int,
                  cum_base: FrozenSet[int]) -> None:
         self._engine = engine
-        self.count = start
         self._cum_base = cum_base
-        interval = engine.digest_interval
-        self._next_check = (start // interval + 1) * interval
+        self._next_check = engine._digest_after(start)
         self.matched = False
 
-    def on_insn_exec(self, cpu, decoded, pc) -> None:
-        n = self.count
-        if n == self._next_check:
-            engine = self._engine
-            self._next_check = n + engine.digest_interval
-            expected = engine._digests.get(n)
-            if expected is not None:
-                cum = self._cum_base | engine.machine.ram.dirty_pages()
-                if engine._state_tuple(tuple(sorted(cum))) == expected:
-                    self.matched = True
-                    raise StopRun
-        self.count = n + 1
+    def on_block_exec(self, cpu, block) -> None:
+        n = cpu.csrs.instret
+        if n < self._next_check:
+            return
+        engine = self._engine
+        if n == self._next_check and engine._matches(n, self._cum_base):
+            self.matched = True
+            raise StopRun
+        self._next_check = engine._digest_after(n)
 
 
 class CheckpointEngine:
@@ -163,9 +176,15 @@ class CheckpointEngine:
         self._tracer = _GoldenTracer(self)
         self._checkpoints: Dict[int, Checkpoint] = {}
         self._sorted_triggers: List[int] = []
+        #: Golden digests keyed by the retired count at the block start
+        #: they were taken at, and those keys in ascending order.
         self._digests: Dict[int, tuple] = {}
+        self._digest_keys: List[int] = []
         self._digests_enabled = True
-        self._digest_watermark = -1
+        #: Retired count from which the next golden block start records
+        #: a digest.  Only ever grows, so a re-forwarded stretch of the
+        #: golden timeline is not hashed twice.
+        self._next_digest = digest_interval
         #: Attempt count the machine currently sits at on the *golden*
         #: timeline, or None when the state is mutant-polluted.
         self._positioned: Optional[int] = None
@@ -211,13 +230,33 @@ class CheckpointEngine:
         if checkpoint.snapshot.ram_pages is not None:
             self.stats["pages_copied"] += len(checkpoint.snapshot.ram_pages)
 
-    def _record_digest(self, attempt: int) -> None:
+    def _record_digest(self, retired: int) -> None:
         cum = self._dirty_cum_base | self.machine.ram.dirty_pages()
         if len(cum) > DIGEST_PAGE_LIMIT:
             self._digests_enabled = False
             return
-        self._digests[attempt] = self._state_tuple(tuple(sorted(cum)))
-        self._digest_watermark = attempt
+        self._digests[retired] = self._state_tuple(tuple(sorted(cum)))
+        self._digest_keys.append(retired)
+        interval = self.digest_interval
+        self._next_digest = (retired // interval + 1) * interval
+
+    def _matches(self, retired: int, cum_base: FrozenSet[int]) -> bool:
+        """Whether the machine's state equals the golden digest keyed by
+        ``retired``.  The pc and GPRs (the first two fields of
+        :meth:`_state_tuple`) are compared first: a diverged mutant
+        usually differs there, and they cost no page hashing."""
+        expected = self._digests[retired]
+        cpu = self.machine.cpu
+        if cpu.pc != expected[0] or cpu.regs.snapshot() != expected[1]:
+            return False
+        cum = cum_base | self.machine.ram.dirty_pages()
+        return self._state_tuple(tuple(sorted(cum))) == expected
+
+    def _digest_after(self, retired: int) -> float:
+        """The smallest digest key above ``retired`` (infinity if none)."""
+        keys = self._digest_keys
+        i = bisect_right(keys, retired)
+        return keys[i] if i < len(keys) else _NEVER
 
     def _state_tuple(self, cum_sorted: Tuple[int, ...]) -> tuple:
         """Complete architectural state, with memory reduced to a hash of
@@ -309,7 +348,8 @@ class CheckpointEngine:
 
         Incremental: later calls with new triggers restore the nearest
         stored checkpoint at or below each and fast-forward the gap; the
-        digest watermark keeps already-recorded ranges hash-free.
+        monotonic digest threshold keeps already-recorded ranges
+        hash-free.
         """
         for trigger in sorted(set(triggers)):
             if trigger == 0 or trigger in self._checkpoints:
@@ -368,7 +408,7 @@ class CheckpointEngine:
             0, machine.cpu.csrs.instret - forwarded)
         self._positioned = None  # the flip pollutes the golden timeline
         apply_transient_flip(machine.cpu, fault)
-        watcher = _DigestWatcher(self, trigger, cum_base)
+        watcher = _DigestWatcher(self, machine.cpu.csrs.instret, cum_base)
         machine.add_plugin(watcher)
         try:
             result = machine.run(max_instructions=budget, resume=True)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..isa.csr import CsrFile
-from ..isa.registers import FPRegisterFile, RegisterFile
+from ..isa.registers import FPRegisterFile, StuckRegisterFile
 from ..vp.machine import Machine, RAM_BASE
 from ..vp.memory import Device, Ram
 from ..vp.plugins import Plugin
@@ -37,29 +37,6 @@ class InjectionError(Exception):
 
 def _stuck(value: int, mask: int, stuck_one: bool) -> int:
     return (value | mask) if stuck_one else (value & ~mask)
-
-
-class StuckRegisterFile(RegisterFile):
-    """Register file whose read port forces one bit of one register."""
-
-    def __init__(self, reg: int, mask: int, stuck_one: bool,
-                 trace: bool = False) -> None:
-        super().__init__(trace=trace)
-        self._fault_reg = reg
-        self._fault_mask = mask
-        self._fault_one = stuck_one
-
-    def read(self, num: int) -> int:
-        value = super().read(num)
-        if num == self._fault_reg:
-            value = _stuck(value, self._fault_mask, self._fault_one)
-        return value
-
-    def raw_read(self, num: int) -> int:
-        value = super().raw_read(num)
-        if num == self._fault_reg:
-            value = _stuck(value, self._fault_mask, self._fault_one)
-        return value
 
 
 class StuckFPRegisterFile(FPRegisterFile):

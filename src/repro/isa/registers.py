@@ -136,6 +136,42 @@ class RegisterFile:
         return "\n".join(lines)
 
 
+class StuckRegisterFile(RegisterFile):
+    """Register file whose read port forces one bit of one register.
+
+    The permanent-GPR fault model: every read of register ``reg``
+    (``x0`` included) returns the stored value with ``mask`` set
+    (``stuck_one``) or cleared; writes store the value unchanged.
+    ``stuck`` holds ``(reg, mask, stuck_one)`` so the compiled tier can
+    fold the same forcing into its generated register reads.
+    """
+
+    def __init__(self, reg: int, mask: int, stuck_one: bool,
+                 trace: bool = False) -> None:
+        super().__init__(trace=trace)
+        self.stuck = (reg, mask, stuck_one)
+        self._fault_reg = reg
+        self._fault_mask = mask
+        self._fault_one = stuck_one
+
+    def _force(self, value: int) -> int:
+        if self._fault_one:
+            return value | self._fault_mask
+        return value & ~self._fault_mask
+
+    def read(self, num: int) -> int:
+        value = super().read(num)
+        if num == self._fault_reg:
+            value = self._force(value)
+        return value
+
+    def raw_read(self, num: int) -> int:
+        value = super().raw_read(num)
+        if num == self._fault_reg:
+            value = self._force(value)
+        return value
+
+
 class FPRegisterFile:
     """Floating-point register file.
 

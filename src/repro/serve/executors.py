@@ -160,10 +160,13 @@ def _int_field(payload: Dict[str, Any], name: str, default: int,
     return value
 
 
-def _backend_field(payload: Dict[str, Any]) -> str:
+def _backend_field(payload: Dict[str, Any],
+                   default: str = "fastpath") -> str:
+    """The payload's ``backend``; ``default`` when it names none (single
+    runs keep ``fastpath``, campaigns pass ``CAMPAIGN_BACKEND``)."""
     from ..vp.backends import BACKEND_NAMES
 
-    value = payload.get("backend", "fastpath")
+    value = payload.get("backend", default)
     if value not in BACKEND_NAMES:
         raise ExecutorError(
             f"payload field 'backend' must be one of {BACKEND_NAMES}")
@@ -221,7 +224,8 @@ def campaign_session_from_payload(payload: Dict[str, Any]):
     sharing it is what makes a sharded campaign byte-identical to a
     single-process one (same program, same deterministic fault list).
     """
-    from ..faultsim import FaultCampaign, default_campaign_mutants
+    from ..faultsim import (CAMPAIGN_BACKEND, FaultCampaign,
+                            default_campaign_mutants)
 
     isa = _isa_for(payload)
     program = _program_for(payload, isa)
@@ -231,9 +235,10 @@ def campaign_session_from_payload(payload: Dict[str, Any]):
     digest_interval = payload.get("digest_interval")
     if digest_interval is not None:
         digest_interval = _int_field(payload, "digest_interval", 0, minimum=1)
-    campaign = FaultCampaign(program, isa=isa, checkpoints=checkpoints,
-                             digest_interval=digest_interval,
-                             backend=_backend_field(payload))
+    campaign = FaultCampaign(
+        program, isa=isa, checkpoints=checkpoints,
+        digest_interval=digest_interval,
+        backend=_backend_field(payload, CAMPAIGN_BACKEND))
     golden = campaign.golden()
     faults = default_campaign_mutants(
         program, isa=isa, mutants=mutants, seed=seed,

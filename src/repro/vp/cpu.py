@@ -353,6 +353,20 @@ class Cpu:
             value = sign_extend(value, width * 8)
         return value
 
+    def load_window_bytes(self, addr: int, length: int) -> bytearray:
+        """The longest prefix of ``[addr, addr + length)`` inside the RAM
+        fast-path window, read in one slice and counted as fast loads
+        (empty when ``addr`` lies outside it).  Memory hooks do not see
+        these reads: callers use it only when none is attached."""
+        if self._ram_version != self.bus.version:
+            self._refresh_ram_window()
+        base = self._ram_base
+        if not base <= addr < self._ram_end:
+            return bytearray()
+        count = min(length, self._ram_end - addr)
+        self.mem_fast_loads += count
+        return self._ram_data[addr - base:addr - base + count]
+
     def store(self, addr: int, width: int, value: int) -> None:
         if addr % width:
             raise Trap(csrdef.CAUSE_MISALIGNED_STORE, addr)

@@ -5,8 +5,9 @@ tier threshold it is compiled by :class:`~repro.vp.jit.compiler.BlockCompiler`
 and the compiled function is cached on the block together with the
 specialization token it was generated for.  The token captures
 everything the generated code folded in — the hook-table version, the
-register-file shape, and whether block chaining is live — so any change
-recompiles instead of executing stale assumptions.
+register-file shape (including a stuck-at register file's forced bit),
+and whether block chaining is live — so any change recompiles instead
+of executing stale assumptions.
 
 Above the compiled tier sits **trace compilation**: a compiled block
 that keeps re-executing with a statically known successor (a hot chain
@@ -32,7 +33,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ...isa import semantics as sem
-from ...isa.registers import RegisterFile
+from ...isa.registers import RegisterFile, StuckRegisterFile
 from ..backends import ExecutionBackend
 from ..trap import MachineExit, Trap
 from .compiler import (TRACE_MAX_BLOCKS, BlockCompiler, CompileError)
@@ -55,9 +56,9 @@ DEFAULT_TRACE_THRESHOLD = 16
 class JitStats:
     """Tier observability counters maintained by :class:`CompiledBackend`."""
 
-    __slots__ = ("blocks_compiled", "compiled_retired", "interp_retired",
-                 "compile_failures", "traces_compiled", "trace_retired",
-                 "trace_failures")
+    __slots__ = ("blocks_compiled", "method_blocks", "compiled_retired",
+                 "interp_retired", "compile_failures", "traces_compiled",
+                 "trace_retired", "trace_failures")
 
     def __init__(self) -> None:
         #: Blocks given a compiled function, whether its code object came
@@ -65,6 +66,10 @@ class JitStats:
         #: Cache counters stay out of this class: they depend on what the
         #: process ran before (see ``code_cache_stats``).
         self.blocks_compiled = 0
+        #: Of those, blocks compiled in the method shape because
+        #: instruction/memory hooks or a traced or subclassed register
+        #: file ruled out the direct one.
+        self.method_blocks = 0
         #: Instructions retired by compiled functions / the interp tier.
         self.compiled_retired = 0
         self.interp_retired = 0
@@ -77,6 +82,7 @@ class JitStats:
 
     def as_dict(self) -> dict:
         return {"blocks_compiled": self.blocks_compiled,
+                "method_blocks": self.method_blocks,
                 "compiled_instructions": self.compiled_retired,
                 "interp_instructions": self.interp_retired,
                 "compile_failures": self.compile_failures,
@@ -138,17 +144,26 @@ class CompiledBackend(ExecutionBackend):
         """Recompute the specialization token (run start / hook change)."""
         cpu = self.cpu
         regs = cpu.regs
-        direct_ok = type(regs) is RegisterFile and not regs.trace
+        kind = type(regs)
+        # A stuck-at register file keeps the direct shape: its forced bit
+        # is folded into the generated reads, and its (reg, mask,
+        # stuck_one) stands for the register-file shape in the token.
+        stuck = None
+        if kind is StuckRegisterFile and not regs.trace:
+            stuck = regs.stuck
+        direct_ok = (kind is RegisterFile and not regs.trace
+                     or stuck is not None)
         # An icache charges per-fetch penalties the generated code does
         # not model, and a disabled block cache never re-executes the
         # same TranslationBlock object — both force the interp tier.
         self._compile_ok = cpu.icache is None and cpu.block_cache_enabled
-        token = (cpu.hooks.version, direct_ok, cpu.block_cache_enabled)
+        token = (cpu.hooks.version, stuck or direct_ok,
+                 cpu.block_cache_enabled)
         if token != self._token:
             self._token = token
             self._compiler = BlockCompiler(
                 cpu, chain_enabled=cpu.block_cache_enabled,
-                direct_ok=direct_ok)
+                direct_ok=direct_ok, stuck=stuck)
             self._no_compile.clear()
             self._no_trace.clear()
         # Traces are direct-shape only (no hooks of any kind: interior
@@ -210,6 +225,8 @@ class CompiledBackend(ExecutionBackend):
         block.compiled = fn
         block.compiled_version = self._token
         self.stats.blocks_compiled += 1
+        if not self._compiler.direct:
+            self.stats.method_blocks += 1
         return fn
 
     # -- trace formation -----------------------------------------------

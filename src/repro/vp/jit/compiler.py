@@ -5,19 +5,23 @@
 function ``_tb(cpu, remaining) -> retired`` compiled with
 :func:`compile`/``exec``.  Three shapes, picked per block:
 
-* **direct**  — no instruction/memory hooks and a plain untraced
-  register file: registers are raw-list accesses, per-instruction
+* **direct**  — no instruction/memory hooks and an untraced plain or
+  stuck-at register file: registers are raw-list accesses (a stuck bit
+  folded into reads of its register), per-instruction
   pc/next_pc bookkeeping disappears, retired/cycle accounting is
-  constant-folded into each exit path.
+  constant-folded into each exit path.  Block hooks keep this shape
+  but rule out the fused and trace shapes, which run several block
+  executions per call.
 * **fused**   — a direct-shape block whose final instruction is a
   conditional branch back to its own start (a single-block spin loop):
   the whole block becomes a native ``while`` loop that re-checks the
   instruction budget and pending interrupts between iterations, exactly
   where the interpreter's run loop would.
-* **method**  — instruction or memory hooks attached, or a traced /
-  fault-wrapped register file: an unrolled interpreter preserving the
-  per-instruction hook ordering, pc/next_pc visibility, and redirect
-  checks of :meth:`~repro.vp.cpu.Cpu.step_block` bit for bit.
+* **method**  — instruction or memory hooks attached, or a traced or
+  otherwise subclassed register file: an unrolled interpreter
+  preserving the per-instruction hook ordering, pc/next_pc visibility,
+  and redirect checks of :meth:`~repro.vp.cpu.Cpu.step_block` bit for
+  bit.
 
 Every exit path replicates the interpreter's accounting contract: CSR
 ``instret``/``cycle`` updated and the bus ticked before any trap is
@@ -264,7 +268,8 @@ class BlockCompiler:
     register-file shape; the backend rebuilds it whenever either
     changes (keyed by the specialization token)."""
 
-    def __init__(self, cpu, chain_enabled: bool, direct_ok: bool) -> None:
+    def __init__(self, cpu, chain_enabled: bool, direct_ok: bool,
+                 stuck=None) -> None:
         self.cpu = cpu
         hooks = cpu.hooks
         self.hb = tuple(hooks.block_exec)
@@ -273,6 +278,9 @@ class BlockCompiler:
         #: Direct raw-register shape is only sound when nothing needs to
         #: observe individual accesses or instruction boundaries.
         self.direct = direct_ok and not self.hi and not self.hm
+        #: ``(reg, mask, stuck_one)`` of a stuck-at register file, folded
+        #: into direct-shape reads of that register (``None``: plain).
+        self.stuck = stuck
         self.chain_enabled = chain_enabled
         # Capture the CPU's RAM fast-path window so direct-mode memory
         # templates can fold the bounds in as constants.  Generated code
@@ -415,7 +423,7 @@ class BlockCompiler:
         src.add(indent + 1, f"return {i + 1}")
 
     def _emit_direct(self, block) -> str:
-        ctx = Ctx(block, direct=True, win=self.win)
+        ctx = Ctx(block, direct=True, win=self.win, stuck=self.stuck)
         ops = block.ops
         n = len(ops)
         last_d, last_exec = ops[-1][0], ops[-1][1]
@@ -483,7 +491,8 @@ class BlockCompiler:
     # -- fused self-loop shape ------------------------------------------
 
     def _emit_fused(self, block) -> str:
-        ctx = Ctx(block, direct=True, fused=True, win=self.win)
+        ctx = Ctx(block, direct=True, fused=True, win=self.win,
+                  stuck=self.stuck)
         ops = block.ops
         n = len(ops)
         last_d = ops[-1][0]
@@ -706,7 +715,7 @@ class BlockCompiler:
         offset = 0
         for block in blocks:
             ctxs.append(Ctx(block, direct=True, fused=True, base=offset,
-                            win=self.win))
+                            win=self.win, stuck=self.stuck))
             offset += len(block.ops)
         last = blocks[-1]
         last_ops = last.ops

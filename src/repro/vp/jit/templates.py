@@ -9,12 +9,14 @@ execute *function object*, so every spec that reuses a base callback
 Two rendering modes, chosen per block by the compiler:
 
 * **direct** — registers are accessed as ``R[n]`` on the raw backing
-  list (only legal when the register file is a plain untraced
-  :class:`~repro.isa.registers.RegisterFile`); written values are masked
+  list (only legal when the register file is an untraced plain
+  :class:`~repro.isa.registers.RegisterFile` or
+  :class:`~repro.isa.registers.StuckRegisterFile`, whose stuck bit every
+  read of that register folds in); written values are masked
   to canonical 32-bit form exactly where ``RegisterFile.write`` would
   mask them, and ``x0`` writes are elided at compile time.
 * **method** — registers go through the bound ``read``/``write``
-  methods, preserving access tracing and fault-wrapper subclasses.
+  methods, preserving access tracing and other register-file subclasses.
 
 Semantics corner cases (division toward zero, ``INT_MIN / -1``,
 ``jalr``'s read-before-link ordering, sign extension after the bus
@@ -56,9 +58,18 @@ class Ctx:
     """
 
     def __init__(self, block, direct: bool, fused: bool = False,
-                 base: int = 0, win=None) -> None:
+                 base: int = 0, win=None, stuck=None) -> None:
         self.block = block
         self.direct = direct
+        #: Direct-mode reads of the stuck register (``stuck`` is a
+        #: StuckRegisterFile's ``(reg, mask, stuck_one)``) render with
+        #: the bit forced, the value its ``read`` returns; writes stay raw.
+        self._stuck_reg = None
+        if stuck is not None:
+            reg, mask, stuck_one = stuck
+            self._stuck_reg = reg
+            self._stuck_read = (f"(R[{reg}] | {mask:#x})" if stuck_one
+                                else f"(R[{reg}] & {~mask & MASK:#x})")
         #: In the fused self-loop shape, accounting is offset by the
         #: running ``ret``/``cyc`` locals and prior iterations have
         #: already ticked the bus.
@@ -82,7 +93,11 @@ class Ctx:
 
     def r(self, num: int) -> str:
         """Read of GPR ``num`` (x0 reads the raw slot, like the file)."""
-        return f"R[{num}]" if self.direct else f"_rd({num})"
+        if not self.direct:
+            return f"_rd({num})"
+        if num == self._stuck_reg:
+            return self._stuck_read
+        return f"R[{num}]"
 
     def w(self, num: int, expr: str, canonical: bool = False) -> List[str]:
         """Write ``expr`` to GPR ``num``; ``canonical`` skips the mask."""

@@ -517,7 +517,16 @@ class Machine:
             # write(fd=a0, buf=a1, len=a2) -> UART, returns length in a0.
             buf = cpu.regs.raw_read(11)
             length = cpu.regs.raw_read(12)
-            for i in range(length):
+            start = 0
+            if not cpu.hooks.mem_access and not self.uart.trace:
+                # Nothing observes the individual accesses: copy the part
+                # of the buffer inside the plain-RAM window in one slice.
+                # The byte loop below finishes from the first byte outside
+                # it (MMIO, or the load-access trap past the end of RAM).
+                chunk = cpu.load_window_bytes(buf, length)
+                self.uart.tx_log += chunk
+                start = len(chunk)
+            for i in range(start, length):
                 self.uart.store(0, 1, cpu.load(buf + i, 1))
             cpu.regs.raw_write(10, length)
             return

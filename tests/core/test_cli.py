@@ -56,6 +56,19 @@ class TestRunCommand:
         assert "stop: exit" in out
         assert "exit: 55" in out
 
+    def test_run_reports_method_shape_blocks(self, program_file, capsys):
+        main(["run", program_file, "--backend", "compiled",
+              "--jit-threshold", "1"])
+        err = capsys.readouterr().err
+        assert "(0 in the method shape)" in err
+        main(["run", program_file, "--backend", "compiled",
+              "--jit-threshold", "1", "--trace", "5"])
+        err = capsys.readouterr().err
+        # The execution tracer is an instruction hook: every block
+        # compiles in the method shape.
+        assert "in the method shape" in err
+        assert "(0 in the method shape)" not in err
+
     def test_run_with_trace(self, program_file, capsys):
         main(["run", program_file, "--trace", "5"])
         out = capsys.readouterr().out
@@ -124,6 +137,32 @@ class TestAnalysisCommands:
         assert "golden: exit 0" in out
         assert "mutants/s" in out
 
+    @pytest.mark.parametrize("argv,expected", [
+        ([], "compiled"), (["--backend", "interp"], "interp")])
+    def test_faults_backend_defaults_to_campaign_backend(
+            self, checked_file, capsys, monkeypatch, argv, expected):
+        from repro import faultsim
+
+        backends = []
+        init = faultsim.FaultCampaign.__init__
+
+        def spy(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            backends.append(self.backend)
+
+        monkeypatch.setattr(faultsim.FaultCampaign, "__init__", spy)
+        assert main(["faults", checked_file, "--mutants", "5"] + argv) == 0
+        assert backends == [expected]
+
+    def test_faults_help_names_the_campaign_default(self, capsys):
+        from repro.faultsim import CAMPAIGN_BACKEND
+
+        with pytest.raises(SystemExit):
+            main(["faults", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert f"default: {CAMPAIGN_BACKEND}, the campaign default" \
+            in help_text
+
     def test_mutate(self, checked_file, capsys):
         assert main(["mutate", checked_file, "--sample", "30"]) == 0
         assert "score" in capsys.readouterr().out
@@ -188,3 +227,27 @@ class TestWcetFlags:
         from repro.cli import main as cli_main
         assert cli_main(["gen", "unit", "--seed", "1"]) == 0
         assert "### unit-rr" in capsys.readouterr().out
+
+
+class TestSubmitBackend:
+    """``repro submit`` sends ``backend`` only when ``--backend`` is
+    given, so the service applies its per-kind default."""
+
+    @pytest.mark.parametrize("argv,expected", [
+        ([], None), (["--backend", "fastpath"], "fastpath")])
+    def test_backend_sent_only_when_given(self, checked_file, capsys,
+                                          monkeypatch, argv, expected):
+        from repro.serve.client import ServiceClient
+
+        sent = []
+
+        def submit(self, kind, payload, **kwargs):
+            sent.append(payload)
+            return {"id": "job-1", "kind": kind}
+
+        monkeypatch.setattr(ServiceClient, "submit", submit)
+        for kind in ("fault_campaign", "vp_run"):
+            assert main(["submit", checked_file, "--kind", kind,
+                         "--url", "http://127.0.0.1:1"] + argv) == 0
+        assert [payload.get("backend") for payload in sent] == \
+            [expected, expected]

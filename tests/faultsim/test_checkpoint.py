@@ -5,6 +5,7 @@ import pytest
 from repro.asm import assemble
 from repro.coverage import measure_coverage
 from repro.faultsim import (
+    CAMPAIGN_BACKEND,
     CheckpointEngine,
     Fault,
     FaultCampaign,
@@ -15,6 +16,7 @@ from repro.faultsim import (
     TARGET_GPR,
     TARGET_MEMORY,
     TRANSIENT,
+    default_campaign_mutants,
     generate_mutants,
 )
 from repro.isa import RV32IMC_ZICSR
@@ -84,22 +86,43 @@ def normalized_json(result):
     return result.to_json()
 
 
-class TestParity:
-    """The acceptance bar: byte-identical CampaignResult serialization
-    across {checkpoints on, off} x {sequential, jobs=4}."""
-
-    def test_mixed_campaign_byte_identical(self):
-        reference_campaign = make_campaign(checkpoints=False)
-        faults = mixed_faults(reference_campaign)
-        reference = normalized_json(reference_campaign.run(faults))
+def assert_configs_match(faults, source=PROGRAM):
+    """Every {interp, compiled} x {checkpoints on, off} x {jobs 1, 4}
+    campaign serializes like the plain interpreted full replay."""
+    reference = normalized_json(make_campaign(
+        source, checkpoints=False, backend="interp").run(faults))
+    for backend in ("interp", "compiled"):
         for checkpoints in (False, True):
             for jobs in (1, 4):
-                if not checkpoints and jobs == 1:
+                if (backend, checkpoints, jobs) == ("interp", False, 1):
                     continue
-                campaign = make_campaign(checkpoints=checkpoints)
+                campaign = make_campaign(source, checkpoints=checkpoints,
+                                         backend=backend)
                 got = normalized_json(campaign.run(faults, jobs=jobs))
                 assert got == reference, (
-                    f"checkpoints={checkpoints} jobs={jobs} diverged")
+                    f"backend={backend} checkpoints={checkpoints} "
+                    f"jobs={jobs} diverged")
+
+
+class TestParity:
+    """The acceptance bar: byte-identical CampaignResult serialization
+    across {interp, compiled} x {checkpoints on, off} x {sequential,
+    jobs=4}."""
+
+    def test_mixed_campaign_byte_identical(self):
+        assert_configs_match(mixed_faults(make_campaign()))
+
+    def test_default_campaign_mutants_byte_identical(self):
+        campaign = make_campaign()
+        faults = default_campaign_mutants(
+            campaign.program, isa=RV32IMC_ZICSR, mutants=100, seed=3,
+            golden_instructions=campaign.golden().instructions)
+        assert len(faults) == 100
+        assert_configs_match(faults)
+
+    def test_campaigns_default_to_the_compiled_tier(self):
+        assert CAMPAIGN_BACKEND == "compiled"
+        assert make_campaign().backend == CAMPAIGN_BACKEND
 
     def test_duplicate_triggers_restore_warm(self):
         campaign = make_campaign()
@@ -139,8 +162,17 @@ class TestParity:
 
 
 class TestEarlyClassification:
+    """Runs on the campaign default (compiled); the subclass below runs
+    the same tests on the interpreter."""
+
+    backend = CAMPAIGN_BACKEND
+
+    def make_campaign(self, source=PROGRAM, **kwargs):
+        kwargs.setdefault("backend", self.backend)
+        return make_campaign(source, **kwargs)
+
     def test_dead_register_flip_exits_early(self):
-        campaign = make_campaign(CONVERGENT, digest_interval=64)
+        campaign = self.make_campaign(CONVERGENT, digest_interval=64)
         golden = campaign.golden()
         # Flip t0 right after loop entry: the next `li t0, 5` kills it.
         fault = Fault(TARGET_GPR, 5, 4, TRANSIENT,
@@ -152,15 +184,17 @@ class TestEarlyClassification:
         assert campaign.checkpoint_stats()["early_exits"] == 1
 
     def test_early_exit_matches_full_replay(self):
-        golden = make_campaign(CONVERGENT).golden()
+        golden = self.make_campaign(CONVERGENT).golden()
         fault = Fault(TARGET_GPR, 5, 4, TRANSIENT,
                       trigger=golden.instructions // 2)
-        fast = make_campaign(CONVERGENT, digest_interval=64).run_one(fault)
-        slow = make_campaign(CONVERGENT, checkpoints=False).run_one(fault)
+        fast = self.make_campaign(CONVERGENT,
+                                  digest_interval=64).run_one(fault)
+        slow = self.make_campaign(CONVERGENT,
+                                  checkpoints=False).run_one(fault)
         assert fast == slow
 
     def test_trigger_beyond_exit_is_golden(self):
-        campaign = make_campaign()
+        campaign = self.make_campaign()
         golden = campaign.golden()
         fault = Fault(TARGET_GPR, 10, 0, TRANSIENT,
                       trigger=golden.instructions + 1000)
@@ -170,8 +204,47 @@ class TestEarlyClassification:
         assert result.instructions == golden.instructions
         stats = campaign.checkpoint_stats()
         assert stats["early_exits"] == 1
-        baseline = make_campaign(checkpoints=False).run_one(fault)
+        baseline = self.make_campaign(checkpoints=False).run_one(fault)
         assert result == baseline
+
+
+class TestEarlyClassificationInterp(TestEarlyClassification):
+    backend = "interp"
+
+
+class TestCompiledShape:
+    """Checkpointed transient mutants run on the compiled tier's direct
+    shape: the re-convergence watcher is a block hook, not an
+    instruction hook."""
+
+    def test_transient_mutants_compile_no_method_shape_blocks(self):
+        campaign = make_campaign(CONVERGENT, digest_interval=64)
+        golden = campaign.golden()
+        machine = Machine(MachineConfig(isa=RV32IMC_ZICSR,
+                                        backend="compiled"))
+        machine.load(campaign.program)
+        engine = CheckpointEngine(machine, golden.exit_code,
+                                  golden.instructions, digest_interval=64)
+        budget = campaign.instruction_budget
+        faults = [Fault(TARGET_GPR, reg, bit, TRANSIENT,
+                        trigger=golden.instructions * k // 8)
+                  for k in (1, 3, 5)
+                  for reg, bit in ((5, 4), (8, 1), (9, 30))]
+        engine.prepare([fault.trigger for fault in faults], budget)
+        # The golden sweep counts attempts with an instruction hook, so
+        # its blocks compile in the method shape; the mutants' must not.
+        before = machine.jit_stats()
+        outcomes = []
+        for fault in faults:
+            result, early = engine.run_transient(fault, budget)
+            outcomes.append(early or result.stop_reason)
+        after = machine.jit_stats()
+        assert after["method_blocks"] == before["method_blocks"]
+        assert after["blocks_compiled"] > before["blocks_compiled"]
+        assert after["compiled_instructions"] > before[
+            "compiled_instructions"]
+        assert True in outcomes  # the t0 flips re-converge
+        assert outcomes != [True] * len(faults)
 
 
 class TestStats:

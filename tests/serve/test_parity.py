@@ -74,6 +74,28 @@ class TestCampaignParity:
         assert json.dumps(campaign, sort_keys=True) == expected
 
 
+class TestBackendDefaults:
+    """Campaign payloads without a backend run on the campaign default;
+    single runs keep theirs; an explicit backend wins everywhere."""
+
+    def test_campaign_payload_defaults_to_campaign_backend(self, workload):
+        from repro.faultsim import CAMPAIGN_BACKEND
+        from repro.serve.executors import campaign_session_from_payload
+
+        payload = {"source": workload, "mutants": 2}
+        campaign = campaign_session_from_payload(payload)[0]
+        assert campaign.backend == CAMPAIGN_BACKEND
+        campaign = campaign_session_from_payload(
+            dict(payload, backend="interp"))[0]
+        assert campaign.backend == "interp"
+
+    def test_vp_run_keeps_its_default(self):
+        source = "_start:\n    li a0, 3\n    li a7, 93\n    ecall\n"
+        assert "jit" not in execute_job("vp_run", {"source": source})
+        assert "jit" in execute_job("vp_run", {"source": source,
+                                               "backend": "compiled"})
+
+
 class TestVpRunParity:
     def test_vp_run_matches_direct_machine(self):
         from repro.vp import Machine, MachineConfig

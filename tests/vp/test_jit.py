@@ -150,7 +150,55 @@ def test_method_shape_when_hooks_attached():
     # source carries the hook dispatch.
     stats = machine.jit_stats()
     assert stats["blocks_compiled"] >= 1
+    assert stats["method_blocks"] == stats["blocks_compiled"]
     assert all("HI" in src or "hook" in src for src in _sources(machine))
+
+
+def test_plain_machine_compiles_no_method_shape_blocks():
+    machine, _ = run_asm(MEM_LOOP, backend="compiled", jit_threshold=1)
+    stats = machine.jit_stats()
+    assert stats["blocks_compiled"] >= 1
+    assert stats["method_blocks"] == 0
+
+
+def test_block_hook_keeps_direct_shape_without_traces():
+    from repro.vp import Plugin
+
+    class BlockHook(Plugin):
+        name = "block-hook"
+
+        def __init__(self):
+            self.count = 0
+
+        def on_block_exec(self, cpu, block):
+            self.count += 1
+
+    def run(machine):
+        machine.load(assemble(HOT_LOOP, isa=RV32IMC_ZICSR))
+        hook = machine.add_plugin(BlockHook())
+        result = machine.run(max_instructions=100_000)
+        return result.instructions, result.cycles, hook.count
+
+    machine = compiled_machine()
+    assert run(machine) == run(Machine(MachineConfig(isa=RV32IMC_ZICSR,
+                                                     backend="interp")))
+    stats = machine.jit_stats()
+    assert stats["blocks_compiled"] >= 1
+    assert stats["method_blocks"] == 0
+    # Fused loops and traces would run several blocks per hook call.
+    assert stats["traces_compiled"] == 0
+    assert not any("while True" in src for src in _sources(machine))
+
+
+def test_method_blocks_published_as_gauge():
+    from repro.telemetry import Telemetry
+
+    telemetry = Telemetry()
+    machine, _ = run_asm(HOT_LOOP, backend="compiled", jit_threshold=1)
+    machine.telemetry = telemetry
+    machine.run(max_instructions=10)
+    gauges = telemetry.metrics.to_dict()
+    assert gauges["vp.jit.method_blocks"]["value"] == 0
 
 
 def test_jit_source_attached_for_introspection():
@@ -161,6 +209,81 @@ def test_jit_source_attached_for_introspection():
         # The code object's filename carries the block address, so
         # tracebacks through compiled code are attributable.
         assert f"{block.start_pc:#x}" in block.compiled.__code__.co_filename
+
+
+# ----------------------------------------------------------------------
+# Stuck-at register files on the direct shape
+# ----------------------------------------------------------------------
+
+def _every_register_loop():
+    """A hot loop that reads (and mostly writes) every GPR, x0 included
+    through ``bnez``, with sp-relative memory traffic."""
+    lines = ["_start:"]
+    lines += [f"    li x{n}, {(n * 0x01234567) & 0x7FFFFFFF:#x}"
+              for n in range(1, 31) if n != 2]
+    lines += ["    li x31, 12", "loop:", "    sw x3, -4(x2)",
+              "    lw x4, -4(x2)", "    xor x1, x1, x2"]
+    lines += [f"    add x{n}, x{n}, x{n + 1}"
+              for n in range(1, 31) if n != 2]
+    lines += ["    addi x31, x31, -1", "    bnez x31, loop",
+              "    li a7, 93", "    ecall"]
+    return "\n".join(lines) + "\n"
+
+
+EVERY_REGISTER_LOOP = _every_register_loop()
+
+
+def _stuck_run(backend, reg, stuck_one):
+    from repro.faultsim import (STUCK_AT_0, STUCK_AT_1, TARGET_GPR, Fault,
+                                inject)
+
+    machine = Machine(MachineConfig(isa=RV32IMC_ZICSR, backend=backend))
+    machine.load(assemble(EVERY_REGISTER_LOOP, isa=RV32IMC_ZICSR))
+    kind = STUCK_AT_1 if stuck_one else STUCK_AT_0
+    inject(machine, Fault(TARGET_GPR, reg, (3 * reg + 1) % 32, kind))
+    result = machine.run(max_instructions=5_000)
+    return machine, _outcome(machine, result) + (
+        machine.cpu.csrs.snapshot(),)
+
+
+@pytest.mark.parametrize("stuck_one", [False, True], ids=["sa0", "sa1"])
+@pytest.mark.parametrize("reg", range(32))
+def test_stuck_register_matches_interpreter_on_direct_shape(reg, stuck_one):
+    machine, compiled = _stuck_run("compiled", reg, stuck_one)
+    _, interpreted = _stuck_run("interp", reg, stuck_one)
+    assert compiled == interpreted
+    stats = machine.jit_stats()
+    assert stats["blocks_compiled"] >= 1
+    assert stats["method_blocks"] == 0
+
+
+def test_stuck_bit_is_folded_into_generated_reads():
+    machine, _ = _stuck_run("compiled", 7, True)
+    mask = 1 << 22
+    sources = [block.compiled.__jit_source__ for block in
+               machine.cpu._tb_cache.values() if block.compiled is not None]
+    sources += [block.trace.__jit_source__ for block in
+                machine.cpu._tb_cache.values() if block.trace is not None]
+    assert any(f"(R[7] | {mask:#x})" in src for src in sources)
+    assert not any("_rd(" in src for src in sources)
+
+
+def test_traced_stuck_register_file_keeps_method_shape():
+    from repro.faultsim import STUCK_AT_1, TARGET_GPR, Fault, inject
+
+    def run(backend):
+        machine = Machine(MachineConfig(isa=RV32IMC_ZICSR, backend=backend,
+                                        trace_registers=True))
+        machine.load(assemble(EVERY_REGISTER_LOOP, isa=RV32IMC_ZICSR))
+        inject(machine, Fault(TARGET_GPR, 9, 5, STUCK_AT_1))
+        result = machine.run(max_instructions=5_000)
+        return machine, _outcome(machine, result) + (
+            frozenset(machine.cpu.regs.reads),)
+
+    machine, compiled = run("compiled")
+    assert compiled == run("interp")[1]
+    stats = machine.jit_stats()
+    assert stats["method_blocks"] == stats["blocks_compiled"] >= 1
 
 
 # ----------------------------------------------------------------------

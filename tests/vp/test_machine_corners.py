@@ -1,5 +1,7 @@
 """Machine, plugin-table, and CPU corner-case tests."""
 
+import time
+
 import pytest
 
 from repro.asm import Program, assemble
@@ -13,6 +15,7 @@ from repro.vp import (
     RAM_BASE,
 )
 from repro.vp.cpu import LIVELOCK_LIMIT, STOP_LIVELOCK
+from repro.vp.machine import DEFAULT_RAM_SIZE
 from repro.vp.plugins import HookTable
 
 EXIT = "\n    li a7, 93\n    ecall\n"
@@ -171,3 +174,115 @@ class TestAssemblerCorners:
         assert program.segments == []
         with pytest.raises(ValueError):
             _ = program.text_segment
+
+
+class _MemHook(Plugin):
+    name = "mem-hook"
+
+    def on_mem_access(self, cpu, addr, width, value, is_store):
+        pass
+
+
+class TestSemihostingWrite:
+    """The write ecall copies the part of its buffer inside RAM in one
+    slice; results, UART bytes and counters match the per-byte path
+    (which any memory hook forces)."""
+
+    HUGE_WRITE = """
+    _start:
+        li a0, 1
+        li a1, 0x80000000
+        li a2, 0x7fffffff
+        li a7, 64
+    write:
+        ecall
+    """ + EXIT
+
+    MESSAGE = """
+    _start:
+        la t0, handler
+        csrw mtvec, t0
+        li a0, 1
+        la a1, msg
+        li a2, 5
+        li a7, 64
+        ecall
+        mv s0, a0
+        li a0, 1
+        la a1, msg
+        li a2, {length}
+        li a7, 64
+        ecall
+        li a0, 0
+        li a7, 93
+        ecall
+    handler:
+        csrr a0, mcause
+        li a7, 93
+        ecall
+    .data
+    msg: .ascii "hello"
+    """
+
+    @staticmethod
+    def _run(source, per_byte=False, ram_size=64 * 1024,
+             max_instructions=100_000, setup=None):
+        machine = Machine(MachineConfig(isa=RV32IMC_ZICSR,
+                                        ram_size=ram_size))
+        program = assemble(source, isa=RV32IMC_ZICSR)
+        machine.load(program)
+        if setup is not None:
+            setup(machine, program)
+        if per_byte:
+            machine.add_plugin(_MemHook())
+        result = machine.run(max_instructions=max_instructions)
+        return (result, bytes(machine.uart.tx_log), machine.cpu.pc,
+                machine.cpu.regs.snapshot(), machine.mem_stats())
+
+    def test_huge_length_matches_per_byte_path(self):
+        fast = self._run(self.HUGE_WRITE, max_instructions=100)
+        assert fast == self._run(self.HUGE_WRITE, per_byte=True,
+                                 max_instructions=100)
+        result, tx, pc, _regs, mem = fast
+        # Every RAM byte from the base went out, then the load past the
+        # end of RAM trapped on the ecall.
+        assert len(tx) == 64 * 1024
+        assert result.stop_reason == "unhandled_trap"
+        assert result.trap_cause == csrdef.CAUSE_LOAD_ACCESS
+        program = assemble(self.HUGE_WRITE, isa=RV32IMC_ZICSR)
+        assert result.trap_pc == pc == program.symbols["write"]
+        assert mem["fastpath_loads"] == 64 * 1024
+
+    def test_huge_length_stays_fast_on_the_default_ram(self):
+        start = time.perf_counter()
+        result, tx, _pc, _regs, mem = self._run(
+            self.HUGE_WRITE, ram_size=DEFAULT_RAM_SIZE, max_instructions=100)
+        assert time.perf_counter() - start < 1.0
+        assert result.instructions == 6
+        assert result.trap_cause == csrdef.CAUSE_LOAD_ACCESS
+        assert len(tx) == mem["fastpath_loads"] == DEFAULT_RAM_SIZE
+
+    @pytest.mark.parametrize("length", [5, 0, 0x7fffffff])
+    def test_writes_match_per_byte_path(self, length):
+        source = self.MESSAGE.format(length=length)
+        fast = self._run(source)
+        assert fast == self._run(source, per_byte=True)
+        result, tx = fast[0], fast[1]
+        assert tx.startswith(b"hello" + b"hello"[:length])
+        if length == 0x7fffffff:
+            # The handler saw the load-access fault and exited with it.
+            assert result.exit_code == csrdef.CAUSE_LOAD_ACCESS
+        else:
+            assert result.exit_code == 0
+            assert fast[3][8] == 5  # a0 returned the first length
+
+    def test_fault_wrapped_ram_keeps_per_byte_path(self):
+        from repro.faultsim import STUCK_AT_1, TARGET_MEMORY, Fault, inject
+
+        def stick(machine, program):
+            inject(machine, Fault(TARGET_MEMORY, program.symbols["msg"], 0,
+                                  STUCK_AT_1))
+
+        result, tx = self._run(self.MESSAGE.format(length=5), setup=stick)[:2]
+        assert result.exit_code == 0
+        assert tx == b"iello" * 2
