@@ -50,7 +50,8 @@ verify-smoke:
 	$(PYTHON) examples/verify_smoke.py
 
 # Fault-campaign parity: one mixed campaign over {interp, compiled} x
-# {checkpoints on, off} x {jobs 1, 2}, all byte-identical.
+# {checkpoints on, off} x {reuse on, off} x {jobs 1, 2}, all
+# byte-identical.
 checkpoint-parity:
 	$(PYTHON) examples/checkpoint_parity.py
 

@@ -20,7 +20,7 @@ Three cooperating mechanisms make per-mutant cost proportional to the
    including cycle/instret, device state, and a hash of every page
    written since reset) at the first block start on or after every
    ``digest_interval`` retired instructions, keyed by the retired count
-   at that block start.  A mutant that reaches a block start with the
+   at that block start.  A mutant that reaches a block boundary with the
    same retired count and the same digest has re-converged with the
    golden timeline and is classified ``masked`` on the spot: the
    remainder of its execution is deterministic and identical to the
@@ -34,15 +34,17 @@ runs.
   :class:`~repro.faultsim.injector.TransientInjectorPlugin`, and stops
   the golden machine before the trigger's attempt executes.
 * Block-boundary digests keyed by retired instructions detect
-  re-convergence.  The mutant-side watcher is a block hook, so mutants
-  keep the compiled tier's direct shape (block hooks rule out only its
-  traces and fused loops).  The digest compares complete architectural
-  state plus every page either timeline has written, so a match implies
-  the mutant's future equals the golden future wherever the check runs.
+  re-convergence.  The mutant side is an instruction-count watch in the
+  run loop (:meth:`~repro.vp.backends.ExecutionBackend.set_watch`), not
+  a plugin: the loop pauses at the first block boundary at or after each
+  digest key, and mutants keep every compiled shape, traces and fused
+  loops included.  The digest compares complete architectural state plus
+  every page either timeline has written, so a match implies the
+  mutant's future equals the golden future wherever the check runs.
 * Moving a check changes only speed.  Block boundaries after a resume
   point can differ from the golden sweep's until the next control-flow
   instruction, so a mutant may exit early later or not at all, but a
-  match is sound at any block start and a miss just runs to the end.
+  match is sound at any block boundary and a miss just runs to the end.
 
 Resumed runs account instructions/cycles exactly like uninterrupted ones
 (:meth:`Machine.run` with ``resume=True``).  The engine refuses machines
@@ -57,7 +59,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from ..vp.cpu import RunResult, STOP_EXIT, StopRun
+from ..vp.cpu import RunResult, STOP_EXIT, STOP_REQUESTED, StopRun
 from ..vp.machine import Machine, MachineSnapshot
 from ..vp.plugins import Plugin
 from .faults import Fault, TRANSIENT
@@ -112,31 +114,6 @@ class _GoldenTracer(Plugin):
             # fires again for the same instruction and counting proceeds.
             raise StopRun
         self.count = n + 1
-
-
-class _DigestWatcher(Plugin):
-    """Compares mutant state against the golden digest keyed by the same
-    retired count at each block start; a match means the mutant has
-    re-converged — stop before the block runs and classify masked."""
-
-    name = "checkpoint-digest-watcher"
-
-    def __init__(self, engine: "CheckpointEngine", start: int,
-                 cum_base: FrozenSet[int]) -> None:
-        self._engine = engine
-        self._cum_base = cum_base
-        self._next_check = engine._digest_after(start)
-        self.matched = False
-
-    def on_block_exec(self, cpu, block) -> None:
-        n = cpu.csrs.instret
-        if n < self._next_check:
-            return
-        engine = self._engine
-        if n == self._next_check and engine._matches(n, self._cum_base):
-            self.matched = True
-            raise StopRun
-        self._next_check = engine._digest_after(n)
 
 
 class CheckpointEngine:
@@ -407,16 +384,32 @@ class CheckpointEngine:
         self.stats["instructions_skipped"] += max(
             0, machine.cpu.csrs.instret - forwarded)
         self._positioned = None  # the flip pollutes the golden timeline
-        apply_transient_flip(machine.cpu, fault)
-        watcher = _DigestWatcher(self, machine.cpu.csrs.instret, cum_base)
-        machine.add_plugin(watcher)
+        cpu = machine.cpu
+        apply_transient_flip(cpu, fault)
+
+        def check(key):
+            """Stop on a match with the golden digest keyed ``key``;
+            otherwise wait for the next key."""
+            retired = cpu.csrs.instret
+            if retired == key:
+                # Golden digests are taken right after a block's interrupt
+                # poll, which fused loops and traces elide at the boundary
+                # they stop on: poll as the next step would (it writes the
+                # same mip value) before comparing.
+                cpu._pending_interrupt()
+                if self._matches(retired, cum_base):
+                    raise StopRun
+            return self._digest_after(retired)
+
+        backend = cpu.backend
+        backend.set_watch(check, self._digest_after(cpu.csrs.instret))
         try:
             result = machine.run(max_instructions=budget, resume=True)
         finally:
-            machine.remove_plugin(watcher)
-        if watcher.matched:
+            backend.set_watch()
+        if result.stop_reason == STOP_REQUESTED:
             self.stats["early_exits"] += 1
             self.stats["instructions_skipped"] += max(
-                0, self.golden_instructions - machine.cpu.csrs.instret)
+                0, self.golden_instructions - cpu.csrs.instret)
             return None, True
         return result, False

@@ -5,19 +5,24 @@ to a live :class:`~repro.vp.machine.Machine`.
   and flush the translation cache.
 * **Permanent register/CSR faults** interpose subclassed register files
   whose read ports force the stuck bit.
-* **Permanent memory faults** wrap the RAM device on the bus.
+* **Permanent memory faults** install a stuck bit in the RAM itself
+  (:meth:`~repro.vp.memory.Ram.install_stuck`), which the CPU's RAM fast
+  path honours.
 * **Transient faults** install a countdown plugin that flips the target
   bit after the configured number of retired instructions.
+
+:func:`remove_fault` undoes :func:`inject` on a machine that runs the
+next mutant too, after a snapshot restore.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 from ..isa.csr import CsrFile
 from ..isa.registers import FPRegisterFile, StuckRegisterFile
+from ..vp.cpu import StopRun
 from ..vp.machine import Machine, RAM_BASE
-from ..vp.memory import Device, Ram
 from ..vp.plugins import Plugin
 from .faults import (
     Fault,
@@ -75,34 +80,6 @@ class StuckCsrFile(CsrFile):
         return value
 
 
-class StuckRamWrapper(Device):
-    """Bus wrapper forcing one bit of one byte of the wrapped RAM."""
-
-    def __init__(self, inner: Ram, offset: int, mask: int,
-                 stuck_one: bool) -> None:
-        self.inner = inner
-        self._offset = offset
-        self._mask = mask
-        self._one = stuck_one
-
-    def load(self, offset: int, width: int) -> int:
-        value = self.inner.load(offset, width)
-        if offset <= self._offset < offset + width:
-            byte_shift = 8 * (self._offset - offset)
-            value = _stuck(value, self._mask << byte_shift, self._one)
-        return value
-
-    def store(self, offset: int, width: int, value: int) -> None:
-        self.inner.store(offset, width, value)
-
-    def tick(self, cycles: int) -> None:
-        self.inner.tick(cycles)
-
-    def __getattr__(self, name):
-        # Forward write_bytes/read_bytes etc. to the real RAM.
-        return getattr(self.inner, name)
-
-
 def _ram_offset(ram_size: int, address: int) -> int:
     """``address`` as a RAM offset; a fault outside RAM (an MMIO address
     taken from coverage, say) cannot be applied."""
@@ -120,13 +97,18 @@ def check_transient(machine: Machine, fault: Fault) -> None:
         _ram_offset(machine.ram.size, fault.index)
 
 
-def apply_transient_flip(cpu, fault: Fault) -> None:
+def apply_transient_flip(cpu, fault: Fault) -> bool:
     """Flip the fault's target bit in ``cpu``'s architectural state *now*.
 
     Shared by :class:`TransientInjectorPlugin` (which fires it after its
     countdown) and the checkpoint engine (which restores a warm snapshot
     at the trigger point and applies the flip immediately) — one
     implementation, so both paths produce identical mutants.
+
+    A memory flip into translated code flushes the translation cache, so
+    the flipped instruction runs as it now reads; returns ``True`` then.
+    A caller in the middle of a block must not finish it from its
+    already-decoded instructions.
     """
     if fault.target == TARGET_GPR:
         cpu.regs.raw_write(fault.index,
@@ -142,14 +124,24 @@ def apply_transient_flip(cpu, fault: Fault) -> None:
         offset = _ram_offset(ram.size, fault.index)
         byte = ram.load(offset, 1)
         ram.store(offset, 1, byte ^ fault.mask)
+        if cpu.translation_covers(fault.index):
+            cpu.flush_translation_cache()
+            return True
     else:
         raise InjectionError(
             f"transient fault target {fault.target} unsupported"
         )
+    return False
 
 
 class TransientInjectorPlugin(Plugin):
-    """Flips the target bit once, after ``trigger`` retired instructions."""
+    """Flips the target bit once, after ``trigger`` retired instructions.
+
+    A flip that rewrites translated code raises :class:`StopRun` before
+    the current instruction executes, so the rest of its block is not run
+    from stale decoded instructions: the run ends ``stop_requested`` and
+    the caller resumes it (``Machine.run(resume=True)``).
+    """
 
     name = "fault-injector"
 
@@ -167,14 +159,19 @@ class TransientInjectorPlugin(Plugin):
             self._remaining -= 1
             return
         self.fired = True
-        apply_transient_flip(cpu, self.fault)
+        if apply_transient_flip(cpu, self.fault):
+            raise StopRun
 
 
 def inject(machine: Machine, fault: Fault) -> Optional[Plugin]:
     """Apply ``fault`` to a loaded machine (before :meth:`Machine.run`).
 
     Returns the transient-injector plugin when one was installed (callers
-    can check ``plugin.fired``), ``None`` for permanent faults.
+    can check ``plugin.fired``), ``None`` for permanent faults.  A
+    transient flip into translated code ends the run ``stop_requested``
+    before the next instruction; resume it with
+    ``Machine.run(resume=True)``.  Callers that keep the machine for
+    another mutant undo the fault with :func:`remove_fault`.
     """
     if fault.kind == TRANSIENT:
         check_transient(machine, fault)
@@ -189,11 +186,10 @@ def inject(machine: Machine, fault: Fault) -> Optional[Plugin]:
             # Binary mutation: patch the byte in place, once.
             byte = machine.ram.load(offset, 1)
             machine.ram.store(offset, 1, _stuck(byte, fault.mask, stuck_one))
-            machine.cpu.flush_translation_cache()
         else:
-            wrapper = StuckRamWrapper(machine.ram, offset, fault.mask,
-                                      stuck_one)
-            machine.bus.replace(RAM_BASE, wrapper)
+            machine.ram.install_stuck(offset, fault.mask, stuck_one)
+            machine.cpu.invalidate_ram_window()
+        machine.cpu.flush_translation_cache()
         return None
 
     if fault.target == TARGET_GPR:
@@ -221,3 +217,22 @@ def inject(machine: Machine, fault: Fault) -> Optional[Plugin]:
         machine.cpu.csrs = faulty_csr
         return None
     raise InjectionError(f"unsupported fault: {fault}")
+
+
+def remove_fault(machine: Machine, plugin: Optional[Plugin],
+                 files: Tuple) -> None:
+    """Undo :func:`inject` so ``machine`` can run another mutant.
+
+    ``plugin`` is what :func:`inject` returned and ``files`` the CPU's
+    ``(regs, fregs, csrs)`` from before it, which stuck-at register and
+    CSR faults replaced.  A RAM stuck bit is released.  The bytes a fault
+    changed (a code patch, a flip, a stuck byte) stay as they are, in
+    pages marked dirty, for the caller's next snapshot restore.
+    """
+    if plugin is not None:
+        machine.remove_plugin(plugin)
+    cpu = machine.cpu
+    cpu.regs, cpu.fregs, cpu.csrs = files
+    if machine.ram.stuck is not None:
+        machine.ram.remove_stuck()
+        cpu.invalidate_ram_window()

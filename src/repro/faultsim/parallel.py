@@ -15,8 +15,9 @@ simulation is independent — so this module fans the fault list out to a
   each chunk covers a contiguous band of checkpoint triggers (mutants
   sharing a trigger land together, warm restores stay local), the spec
   carries the campaign's distinct triggers so every worker builds its
-  checkpoint chain in one golden sweep at init, and each chunk reports
-  the worker's ``faultsim.checkpoint.*`` counter deltas for the merge;
+  checkpoint chain in one golden sweep at init;
+* each chunk reports the worker's cumulative ``faultsim.checkpoint.*``
+  and ``faultsim.campaign.machines_*`` counters for the merge;
 * every chunk returns with its **original fault indices**, so the merged
   ``CampaignResult.results`` ordering is byte-identical to a sequential
   run;
@@ -124,11 +125,11 @@ def _run_chunk(
 ) -> Tuple[Tuple[int, ...], List, float, int, Dict[str, int]]:
     """Classify one chunk of faults.
 
-    Returns ``(indices, results, busy_seconds, worker_pid, ckpt_stats)``
+    Returns ``(indices, results, busy_seconds, worker_pid, counters)``
     — the original fault indices re-order the merged results, the pid
     attributes the chunk to its worker for the merged telemetry, and the
-    checkpoint stats are this worker's *cumulative* counters (the parent
-    diffs consecutive reports per pid).
+    counters are this worker's *cumulative* campaign counters by metric
+    name (the parent diffs consecutive reports per pid).
     """
     import os
 
@@ -136,7 +137,7 @@ def _run_chunk(
     started = time.perf_counter()
     results = [_WORKER_CAMPAIGN.run_one(fault) for fault in faults]
     return (indices, results, time.perf_counter() - started, os.getpid(),
-            _WORKER_CAMPAIGN.checkpoint_stats())
+            _WORKER_CAMPAIGN.counters())
 
 
 def default_chunk_size(total: int, jobs: int) -> int:
@@ -241,26 +242,26 @@ def run_parallel(
     }
     ordered: List = [None] * total
     worker_stats: Dict[int, Dict] = {}
-    # Per-pid last-seen cumulative checkpoint counters: chunk reports are
+    # Per-pid last-seen cumulative campaign counters: chunk reports are
     # cumulative, so the first delta also captures the worker-init
-    # checkpoint build.
-    ckpt_seen: Dict[int, Dict[str, int]] = {}
-    ckpt_totals: Dict[str, int] = {}
+    # machine and checkpoint build.
+    counters_seen: Dict[int, Dict[str, int]] = {}
+    counter_totals: Dict[str, int] = {}
     start = time.perf_counter()
     last_report = start
     done = 0
     try:
-        for indices, results, busy_seconds, pid, ckpt_stats in \
+        for indices, results, busy_seconds, pid, counters in \
                 pool.imap_unordered(_run_chunk, chunks):
             for index, mutant in zip(indices, results):
                 ordered[index] = mutant
             done += len(results)
-            previous = ckpt_seen.get(pid, {})
-            for key, value in ckpt_stats.items():
-                delta = value - previous.get(key, 0)
+            previous = counters_seen.get(pid, {})
+            for name, value in counters.items():
+                delta = value - previous.get(name, 0)
                 if delta:
-                    ckpt_totals[key] = ckpt_totals.get(key, 0) + delta
-            ckpt_seen[pid] = ckpt_stats
+                    counter_totals[name] = counter_totals.get(name, 0) + delta
+            counters_seen[pid] = counters
             done_counter.inc(len(results))
             chunk_timer.observe(busy_seconds)
             stats = worker_stats.setdefault(
@@ -303,10 +304,10 @@ def run_parallel(
                         busy_seconds=round(stats["seconds"], 3),
                         mutants_per_second=round(rate, 2),
                         outcomes=stats["outcomes"])
-        if ckpt_totals:
-            ckpt_metrics = telemetry.metrics.namespace("faultsim.checkpoint")
-            for key, value in sorted(ckpt_totals.items()):
-                ckpt_metrics.counter(key).inc(value)
+        for name, value in sorted(counter_totals.items()):
+            telemetry.metrics.counter(name).inc(value)
+        # The parent's own counters: its golden run's machine.
+        campaign.push_stats(telemetry)
     if track:
         final = campaign._progress(total, total, elapsed)
         if on_progress is not None:

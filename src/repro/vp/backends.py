@@ -2,7 +2,9 @@
 
 An :class:`ExecutionBackend` owns the run loop — budget accounting,
 livelock detection, WFI fast-forward, :class:`~repro.vp.cpu.StopRun`
-handling — and delegates the per-block step to a tier-specific strategy:
+handling and an optional instruction-count watch
+(:meth:`ExecutionBackend.set_watch`) — and delegates the per-block step
+to a tier-specific strategy:
 
 * ``interp``    — always the general :meth:`~repro.vp.cpu.Cpu.step_block`
   (instruction hooks honoured unconditionally),
@@ -20,7 +22,7 @@ single factory the machine layer, CLI, and tests go through.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from ..isa import csr as csrdef
 from .cpu import (LIVELOCK_LIMIT, STOP_LIVELOCK, STOP_MAX_INSNS,
@@ -28,6 +30,9 @@ from .cpu import (LIVELOCK_LIMIT, STOP_LIVELOCK, STOP_MAX_INSNS,
 
 __all__ = ["ExecutionBackend", "InterpBackend", "FastpathBackend",
            "create_backend", "BACKEND_NAMES"]
+
+#: Watch key meaning "no key ahead".
+_NEVER = float("inf")
 
 
 class ExecutionBackend:
@@ -46,6 +51,26 @@ class ExecutionBackend:
 
     def __init__(self, cpu: Cpu) -> None:
         self.cpu = cpu
+        self._watch: Optional[Callable[[float], float]] = None
+        self._watch_key: float = _NEVER
+
+    def set_watch(self, callback: Optional[Callable[[float], float]] = None,
+                  key: float = _NEVER) -> None:
+        """Install an instruction-count watch, or remove it (no callback).
+
+        :meth:`run` pauses at the first block boundary where
+        ``csrs.instret >= key`` and calls ``callback(key)`` there.  It
+        caps the budget it hands each step at the key, so fused loops
+        and traces, which run several blocks per step, stop at that
+        boundary too.  The callback raises :class:`StopRun` to end the
+        run (``stop_requested``) or returns the next key, which must lie
+        beyond the current count (infinity: none).  The watch stays
+        installed across runs until removed.  It is not a plugin: setting
+        it neither bumps the hook table version nor flushes translations,
+        so compiled code keeps all of its shapes.
+        """
+        self._watch = callback
+        self._watch_key = key
 
     def _refresh(self) -> None:
         raise NotImplementedError
@@ -63,35 +88,48 @@ class ExecutionBackend:
         hook_version = hooks.version
         self._refresh()
         start_instret = cpu.csrs.instret
+        watch = self._watch
+        # Steps run up to ``limit``: the budget, or the watch key when it
+        # comes first.  Without a watch the loop is the plain budget loop.
+        limit = budget
+        if watch is not None:
+            limit = min(budget, self._watch_key - start_instret)
         try:
-            while executed < budget:
-                if hooks.version != hook_version:  # plugin added/removed
-                    hook_version = hooks.version
-                    self._refresh()
-                retired = self._step(budget - executed)
-                executed += retired
-                if retired:
-                    zero_steps = 0
-                else:
-                    zero_steps += 1
-                    if zero_steps >= LIVELOCK_LIMIT:
-                        return RunResult(STOP_LIVELOCK, executed,
-                                         cpu.csrs.cycle,
-                                         trap_cause=cpu.csrs.raw_read(
-                                             csrdef.MCAUSE),
-                                         trap_pc=cpu.pc)
-                if cpu._wfi_pending:
-                    cpu._wfi_pending = False
-                    skip = cpu._wfi_wait()
-                    if skip is None:
-                        return RunResult(STOP_WFI, executed, cpu.csrs.cycle)
-                    if skip:
-                        cpu.csrs.cycle += skip
-                        cpu.bus.tick(skip)
+            while True:
+                while executed < limit:
+                    if hooks.version != hook_version:  # plugin added/removed
+                        hook_version = hooks.version
+                        self._refresh()
+                    retired = self._step(limit - executed)
+                    executed += retired
+                    if retired:
+                        zero_steps = 0
+                    else:
+                        zero_steps += 1
+                        if zero_steps >= LIVELOCK_LIMIT:
+                            return RunResult(STOP_LIVELOCK, executed,
+                                             cpu.csrs.cycle,
+                                             trap_cause=cpu.csrs.raw_read(
+                                                 csrdef.MCAUSE),
+                                             trap_pc=cpu.pc)
+                    if cpu._wfi_pending:
+                        cpu._wfi_pending = False
+                        skip = cpu._wfi_wait()
+                        if skip is None:
+                            return RunResult(STOP_WFI, executed,
+                                             cpu.csrs.cycle)
+                        if skip:
+                            cpu.csrs.cycle += skip
+                            cpu.bus.tick(skip)
+                if executed >= budget:
+                    break
+                key = self._watch_key = watch(self._watch_key)
+                limit = min(budget, executed + key - cpu.csrs.instret)
         except StopRun:
-            # The hook stopped mid-block; step_block's finally already
-            # flushed the partial block's accounting to the CSRs, so the
-            # retired count is the instret delta rather than `executed`.
+            # A hook stopped mid-block (step_block's finally already
+            # flushed the partial block's accounting to the CSRs) or the
+            # watch stopped between steps: either way the retired count
+            # is the instret delta rather than `executed`.
             return RunResult(STOP_REQUESTED,
                              cpu.csrs.instret - start_instret,
                              cpu.csrs.cycle)

@@ -216,10 +216,10 @@ class Cpu:
         self._current: Optional[Decoded] = None
         # Softmmu-style RAM fast-path window: direct references to the
         # first plain Ram region's buffer and dirty set, validated against
-        # ``bus.version`` before every use so device swaps (fault
-        # wrappers) are picked up instantly.  ``_ram_version = -1`` marks
-        # the cache stale; the sentinel base/end make the window check
-        # fail for every 32-bit address until refreshed.
+        # ``bus.version`` before every use so device swaps are picked up
+        # instantly.  ``_ram_version = -1`` marks the cache stale; the
+        # sentinel base/end make the window check fail for every 32-bit
+        # address until refreshed.
         self._ram_version = -1
         self._ram_base = 0x1_0000_0000
         self._ram_end = 0
@@ -295,7 +295,7 @@ class Cpu:
 
         Only a *plain* :class:`~repro.vp.memory.Ram` is eligible (exact
         type check, not ``isinstance``): anything that wraps or overrides
-        ``load``/``store`` — fault wrappers, coverage shims — must keep
+        ``load``/``store`` — coverage shims, test doubles — must keep
         observing every access through the bus-dispatch path.
         """
         self._ram_version = self.bus.version
@@ -320,9 +320,22 @@ class Cpu:
 
         ``bus.version`` already covers device swaps; this is the explicit
         hook for events the bus cannot see (snapshot restore rebinding
-        machine state, external mutation of the memory map).
+        machine state, a RAM stuck bit switching the dirty-page set,
+        external mutation of the memory map).
         """
         self._ram_version = -1
+
+    def translation_covers(self, addr: int) -> bool:
+        """Whether a translated block may hold decoded code from byte
+        ``addr``: a write there leaves that translation stale until the
+        cache is flushed.  Without a block cache the executing block is
+        not cached, so every address counts as covered."""
+        if not self.block_cache_enabled:
+            return True
+        for block in self._tb_cache.values():
+            if block.start_pc <= addr < block.start_pc + block.size:
+                return True
+        return False
 
     def load(self, addr: int, width: int, signed: bool = False) -> int:
         if addr % width:

@@ -286,8 +286,10 @@ class BlockCompiler:
         # templates can fold the bounds in as constants.  Generated code
         # re-validates at entry (``_ramok`` binding): the captured buffer
         # must still be the CPU's current window, otherwise every access
-        # takes the bus-dispatch fallback — so a fault wrapper swapped in
-        # front of RAM mid-campaign is honoured without recompilation.
+        # takes the bus-dispatch fallback — so a device swapped in front
+        # of RAM mid-run is honoured without recompilation.  The dirty
+        # set is bound as is; a RAM stuck bit, which switches it, is in
+        # the backend's specialization token instead.
         if cpu._ram_version != cpu.bus.version:
             cpu._refresh_ram_window()
         self.mem = cpu._ram_data
@@ -359,7 +361,7 @@ class BlockCompiler:
             if "_ramok" in body_text:
                 # The fast path is armed only while the CPU's current
                 # window buffer is the one this code was specialized
-                # against; a bus mutation (fault wrapper, remap) makes
+                # against; a bus mutation (device swap, remap) makes
                 # every access take the bus fallback until recompiled.
                 lines += ["if cpu._ram_version != cpu.bus.version:",
                           "    cpu._refresh_ram_window()",

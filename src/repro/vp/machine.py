@@ -77,8 +77,9 @@ class MachineSnapshot:
       architectural;
     * register/CSR access-trace sets and the UART ``access_log`` —
       measurement state owned by the coverage/analysis tooling;
-    * structural fault-injection wrappers (stuck-at register files,
-      wrapped RAM) — a snapshot cannot undo object replacement.
+    * injected permanent faults (stuck-at register files, a RAM stuck
+      bit) — a snapshot cannot undo object replacement, and a restore
+      keeps an installed stuck bit forced.
     """
 
     pc: int

@@ -202,6 +202,11 @@ class TestTelemetryMerge:
                        and key.endswith(".mutants")]
         assert worker_keys, "per-worker throughput metrics missing"
         assert sum(snap[key]["value"] for key in worker_keys) == len(faults)
+        # The parent's golden machine plus one shared machine per worker.
+        assert snap["faultsim.campaign.machines_reused"]["value"] == len(
+            faults)
+        assert snap["faultsim.campaign.machines_built"]["value"] == (
+            1 + len(worker_keys))
 
         started = [e for e in events if e["type"] == "campaign.started"]
         finished = [e for e in events if e["type"] == "campaign.finished"]

@@ -261,3 +261,106 @@ def test_lockstep_per_instruction(pair):
                                    jit_threshold=JIT_THRESHOLD)
     assert not outcome.diverged
     assert outcome.instructions > 0
+
+
+# ---------------------------------------------------------------------------
+# Instruction-count watch (ExecutionBackend.set_watch)
+# ---------------------------------------------------------------------------
+
+#: A single-block self-loop (the fused shape) and then a loop over two
+#: blocks joined by a jump (a trace).
+WATCH_SOURCE = """
+_start:
+    li a0, 1
+    li t0, 0
+    li t1, 300
+spin:
+    add a0, a0, t0
+    xor a0, a0, t1
+    addi t0, t0, 1
+    blt t0, t1, spin
+    li t0, 0
+outer:
+    addi a0, a0, 7
+    j inner
+inner:
+    slli t2, a0, 1
+    xor a0, a0, t2
+    addi t0, t0, 1
+    blt t0, t1, outer
+    andi a0, a0, 0xff
+    li a7, 93
+    ecall
+"""
+
+WATCH_EVERY = 37
+
+
+def watched_run(backend, stop_at=None):
+    """Run WATCH_SOURCE with a watch every WATCH_EVERY instructions;
+    returns the (key, instret, pc) of every call, the result, and the
+    machine."""
+    from repro.asm import assemble
+    from repro.vp import StopRun
+
+    machine = Machine(MachineConfig(isa=RV32IMC_ZICSR, backend=backend,
+                                    jit_threshold=JIT_THRESHOLD,
+                                    jit_trace_threshold=4))
+    machine.load(assemble(WATCH_SOURCE, isa=RV32IMC_ZICSR))
+    cpu = machine.cpu
+    calls = []
+
+    def watch(key):
+        retired = cpu.csrs.instret
+        calls.append((key, retired, cpu.pc))
+        if stop_at is not None and retired >= stop_at:
+            raise StopRun
+        return (retired // WATCH_EVERY + 1) * WATCH_EVERY
+
+    cpu.backend.set_watch(watch, WATCH_EVERY)
+    result = machine.run(max_instructions=100_000)
+    return calls, result, machine
+
+
+def test_watch_pauses_at_the_same_boundaries_on_every_backend():
+    """Fused loops and traces stop at the first block boundary at or
+    after each key, where the interpreter's per-block loop does; the
+    watch changes nothing architectural."""
+    runs = {backend: watched_run(backend) for backend in BACKEND_NAMES}
+    calls, result, machine = runs["interp"]
+    assert result.stop_reason == "exit"
+    assert len(calls) > 40
+    for key, retired, _pc in calls:
+        assert 0 <= retired - key < 32  # one block of overshoot at most
+    plain = Machine(MachineConfig(isa=RV32IMC_ZICSR, backend="interp"))
+    from repro.asm import assemble
+
+    plain.load(assemble(WATCH_SOURCE, isa=RV32IMC_ZICSR))
+    plain_result = plain.run(max_instructions=100_000)
+    assert result == plain_result
+    assert state_digest(machine) == state_digest(plain)
+    for backend in BACKEND_NAMES:
+        got_calls, got_result, got_machine = runs[backend]
+        assert got_calls == calls, backend
+        assert got_result == result, backend
+        assert state_digest(got_machine) == state_digest(machine), backend
+    compiled = runs["compiled"][2]
+    assert compiled.jit_stats()["traces_compiled"] >= 1
+    assert any("_horizon(" in block.compiled.__jit_source__
+               for block in compiled.cpu._tb_cache.values()
+               if block.compiled is not None)
+
+
+def test_watch_stops_the_run_and_resumes():
+    for backend in BACKEND_NAMES:
+        calls, result, machine = watched_run(backend, stop_at=500)
+        assert result.stop_reason == "stop_requested"
+        assert result.instructions == machine.cpu.csrs.instret
+        assert calls[-1][1] == result.instructions >= 500
+        hooks_version = machine.cpu.hooks.version
+        flushes = machine.cpu.tb_flushes
+        machine.cpu.backend.set_watch()
+        assert (machine.cpu.hooks.version, machine.cpu.tb_flushes) == (
+            hooks_version, flushes)
+        final = machine.run(max_instructions=100_000, resume=True)
+        assert final == watched_run("interp")[1]

@@ -276,13 +276,18 @@ class TestSemihostingWrite:
             assert result.exit_code == 0
             assert fast[3][8] == 5  # a0 returned the first length
 
-    def test_fault_wrapped_ram_keeps_per_byte_path(self):
+    def test_stuck_ram_bit_reaches_the_write_slice(self):
+        """A RAM stuck bit lives in the buffer, so the one-slice copy
+        sends the forced byte with no bus fallback."""
         from repro.faultsim import STUCK_AT_1, TARGET_MEMORY, Fault, inject
 
         def stick(machine, program):
             inject(machine, Fault(TARGET_MEMORY, program.symbols["msg"], 0,
                                   STUCK_AT_1))
 
-        result, tx = self._run(self.MESSAGE.format(length=5), setup=stick)[:2]
+        run = self._run(self.MESSAGE.format(length=5), setup=stick)
+        result, tx, mem = run[0], run[1], run[4]
         assert result.exit_code == 0
         assert tx == b"iello" * 2
+        assert mem["fastpath_fallback_loads"] == 0
+        assert mem["fastpath_loads"] >= 10

@@ -181,6 +181,90 @@ class TestDirtyPages:
         assert ram.dirty_pages() == set()
 
 
+class TestStuckBit:
+    """Ram.install_stuck: the buffer holds the forced bit, every write
+    path forces it again, and its page stays dirty until removal."""
+
+    def stuck_ram(self, stuck_one=True):
+        ram = Ram(1024, page_size=256)
+        ram.store(300, 4, 0x11223344)
+        ram.clear_dirty()
+        ram.install_stuck(301, 0x08 if stuck_one else 0x02, stuck_one)
+        return ram
+
+    def test_install_forces_the_buffer_and_marks_its_page(self):
+        ram = self.stuck_ram()
+        assert ram.stuck == (301, 0x08, True)
+        assert ram.load(300, 4) == 0x11223B44
+        assert ram.read_bytes(301, 1) == b"\x3b"
+        assert ram.dirty_pages() == {1}
+
+    def test_every_write_path_forces_it_again(self):
+        ram = self.stuck_ram()
+        ram.store(300, 4, 0)
+        assert ram.load(300, 4) == 0x0800
+        ram.store(301, 1, 0)
+        assert ram.load(301, 1) == 0x08
+        ram.store(300, 2, 0)
+        assert ram.load(300, 2) == 0x0800
+        ram.write_bytes(296, bytes(16))
+        assert ram.load(300, 4) == 0x0800
+        ram.fill(0)
+        assert ram.load(300, 4) == 0x0800
+
+    def test_stuck_at_zero(self):
+        ram = self.stuck_ram(stuck_one=False)
+        assert ram.load(301, 1) == 0x33 & ~0x02
+        ram.store(300, 4, 0xFFFFFFFF)
+        assert ram.load(300, 4) == 0xFFFFFDFF
+
+    def test_page_stays_dirty_and_restore_helpers_force(self):
+        ram = self.stuck_ram()
+        image = bytes(ram.data)
+        ram.clear_dirty()
+        assert ram.dirty_pages() == {1}
+        ram.write_page(1, bytes(256))
+        assert ram.load(301, 1) == 0x08
+        ram.load_image(bytes(1024))
+        assert ram.load(301, 1) == 0x08
+        ram.load_image(image)
+        assert ram.load(300, 4) == 0x11223B44
+
+    def test_remove_keeps_the_byte_and_its_dirty_page(self):
+        ram = self.stuck_ram()
+        ram.store(0, 4, 5)
+        ram.remove_stuck()
+        assert ram.stuck is None
+        assert ram.dirty_pages() == {0, 1}
+        assert ram.load(301, 1) == 0x3B  # rewritten by the next restore
+        ram.store(300, 4, 0)
+        assert ram.load(300, 4) == 0
+        ram.clear_dirty()
+        assert ram.dirty_pages() == set()
+        ram.remove_stuck()  # no-op without a stuck bit
+
+    def test_reinstall_rebinds_the_same_page_sets(self):
+        ram = Ram(1024, page_size=256)
+        plain = ram._dirty
+        ram.install_stuck(5, 1, True)
+        stuck = ram._dirty
+        ram.remove_stuck()
+        assert ram._dirty is plain
+        ram.install_stuck(700, 0x80, False)
+        assert ram._dirty is stuck
+        ram.store(700, 1, 0xFF)
+        assert ram.load(700, 1) == 0x7F
+        assert ram.load(5, 1) == 1  # the old bit is released
+
+    def test_bad_installs_are_rejected(self):
+        ram = Ram(64)
+        with pytest.raises(BusError):
+            ram.install_stuck(64, 1, True)
+        ram.install_stuck(0, 1, True)
+        with pytest.raises(ValueError, match="already"):
+            ram.install_stuck(1, 1, True)
+
+
 class TestBisectDispatch:
     def test_many_regions_dispatch_correctly(self):
         bus = SystemBus()
