@@ -7,7 +7,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench bench-report bench-smoke bench-e2e-test fuzz-smoke jit-smoke cluster-smoke verify-smoke checkpoint-parity examples experiments clean
+.PHONY: test bench bench-report bench-smoke bench-e2e-test fuzz-smoke jit-smoke cluster-smoke verify-smoke verify-matrix checkpoint-parity examples experiments clean
 
 test:
 	$(PYTHON) -m pytest tests/
@@ -48,6 +48,12 @@ cluster-smoke:
 # pinpointed, and minimized.
 verify-smoke:
 	$(PYTHON) examples/verify_smoke.py
+
+# The oracle that accepts a JIT change: 200 fuzzed programs across the
+# backends and block-cache axes must report zero divergences (exit 1
+# on any).
+verify-matrix:
+	$(PYTHON) -m repro verify --corpus fuzz:200 --matrix backends,cache
 
 # Fault-campaign parity: one mixed campaign over {interp, compiled} x
 # {checkpoints on, off} x {reuse on, off} x {jobs 1, 2}, all

@@ -25,9 +25,12 @@ on the same program and asserting the properties CI cares about:
 * RunResult, architectural state, dirty-page set, and the memory
   access counters are byte-identical to ``interp``.
 
-**Both phases — the process-wide code cache:** every compiled run after
-the first is served from the cache (hits, no new misses) with an outcome
-and ``jit_stats()`` byte-identical to the first, cold run.
+**Both phases — translation is reused across machines:** every run
+after the first, each on a fresh machine, decodes no new word (the
+shared decode memo's miss count does not move), and every compiled run
+after the first is served from the code cache (hits, no misses, so no
+source is emitted) with an outcome and ``jit_stats()`` byte-identical
+to the first, cold run.
 
 Used by the CI ``jit-smoke`` job and runnable by hand:
 
@@ -92,7 +95,7 @@ scratch: .word 0, 0, 0, 0, 0, 0, 0, 0
 
 def _measure(program, repeats=REPEATS):
     """Interleaved best-of-N runs of ``program`` per backend."""
-    from repro.isa import RV32IMC_ZICSR
+    from repro.isa import RV32IMC_ZICSR, decode_cache_stats
     from repro.vp import Machine, MachineConfig
     from repro.vp.jit import code_cache_stats
 
@@ -101,6 +104,7 @@ def _measure(program, repeats=REPEATS):
     extras = {}
     for repeat in range(repeats):
         for backend in ("interp", "compiled"):
+            decode_misses = decode_cache_stats()["misses"]
             cache_before = code_cache_stats()
             machine = Machine(MachineConfig(isa=RV32IMC_ZICSR,
                                             backend=backend))
@@ -114,6 +118,11 @@ def _measure(program, repeats=REPEATS):
             best[backend] = min(best.get(backend, float("inf")), elapsed)
             run_outcome = (result, digest, machine.mem_stats(),
                            tuple(sorted(machine.ram.dirty_pages())))
+            if repeat:
+                new_words = decode_cache_stats()["misses"] - decode_misses
+                assert new_words == 0, (
+                    f"repeated {backend} run decoded {new_words} words "
+                    f"the decode memo should have served")
             if backend == "compiled" and repeat:
                 _check_cache_hit(cache_before, code_cache_stats(),
                                  (run_outcome, machine.jit_stats()),

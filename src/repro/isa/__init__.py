@@ -3,7 +3,8 @@
 Public surface:
 
 * :class:`IsaConfig` / :class:`Decoder` — ISA subset configuration and the
-  decodetree-style decoder built from it.
+  decodetree-style decoder built from it; :func:`decode_cache_stats`
+  reports the decode memo its instances share.
 * :class:`RegisterFile` / :class:`FPRegisterFile` / :class:`CsrFile` — the
   architectural state with access tracing for the coverage metric.
 * :func:`encode` / :func:`disassemble` — mnemonic-level encode and decode.
@@ -25,6 +26,7 @@ from .decoder import (
     IllegalInstructionError,
     IsaConfig,
     available_modules,
+    decode_cache_stats,
     register_extension,
 )
 from .disasm import disassemble
@@ -63,6 +65,7 @@ __all__ = [
     "WORD_MASK",
     "XLEN",
     "available_modules",
+    "decode_cache_stats",
     "disassemble",
     "encode",
     "gpr_name",

@@ -8,6 +8,11 @@ mask first, so overlapping encodings (``c.ebreak`` / ``c.jalr`` / ``c.add``)
 resolve deterministically.  Additional ISA modules (such as the Scale4Edge
 BMI extension, :mod:`repro.bmi`) register their tables at import time via
 :func:`register_extension`.
+
+Decoding is pure in the word, so every :class:`Decoder` of one module set
+shares a single decode memo (see :data:`DECODE_MEMO_MAX_ENTRIES` and
+:func:`decode_cache_stats`): a word any machine, assembler or corpus
+builder of the process has decoded is a dict lookup for all the others.
 """
 
 from __future__ import annotations
@@ -32,13 +37,45 @@ _CONDITIONAL_TABLES: List[Tuple[FrozenSet[str], List[InstructionSpec]]] = [
     (frozenset({"C", "F"}), RV32CF_SPECS),
 ]
 
+#: Entries one shared decode memo keeps before it is cleared, the way a
+#: full TB cache is: above the verify working set (``torture:150``
+#: decodes about 18k distinct words), yet bounded for long fuzz sessions
+#: and ``repro serve``.
+DECODE_MEMO_MAX_ENTRIES = 65536
+
+#: The decode memo of each module set, shared by every :class:`Decoder`
+#: built for it: word (or compressed low halfword) -> :class:`Decoded`.
+#: Entries are shared, so nothing may change a ``Decoded`` after decode.
+#: No lock: a dict get or set is atomic under the GIL, two threads racing
+#: on one word store equal objects, and forked workers inherit the memo.
+_MEMOS: Dict[FrozenSet[str], Dict[int, Decoded]] = {}
+_memo_misses = 0
+_memo_evictions = 0
+
 
 def register_extension(name: str, specs: List[InstructionSpec]) -> None:
     """Register an additional ISA module's spec table under ``name``.
 
     Re-registering the same name replaces the table (useful in tests).
+    Registration starts a new memo generation: decoders built before it
+    keep their memo, decoders built after it share a fresh one, so a
+    word decoded under the old tables never answers for the new ones.
     """
     _EXTENSION_TABLES[name] = list(specs)
+    _MEMOS.clear()
+
+
+def decode_cache_stats() -> Dict[str, int]:
+    """Counters of the shared decode memos: ``entries`` (current
+    generation), ``misses`` and ``evictions``.
+
+    They depend on everything this process decoded before, so they are
+    kept out of job results and published only as
+    ``vp.isa.decode_cache.*`` telemetry gauges.  Like the memo they take
+    no lock: threads decoding new words at once may lose an increment.
+    """
+    return {"entries": sum(len(memo) for memo in list(_MEMOS.values())),
+            "misses": _memo_misses, "evictions": _memo_evictions}
 
 
 def available_modules() -> List[str]:
@@ -167,23 +204,30 @@ class Decoder:
             bucket.sort(key=_mask_popcount, reverse=True)
         for bucket in self._buckets16.values():
             bucket.sort(key=_mask_popcount, reverse=True)
-        self._cache: Dict[int, Decoded] = {}
+        self._memo = _MEMOS.setdefault(config.modules, {})
 
     def decode(self, word: int, pc: Optional[int] = None) -> Decoded:
         """Decode ``word`` (32 bits fetched; low 16 used if compressed).
 
         Raises :class:`IllegalInstructionError` when nothing matches.
-        Results are cached: decoding is pure in the word value.
+        Results are memoized process-wide per module set: decoding is
+        pure in the word value, so ``pc`` only labels the error.
         """
+        global _memo_misses, _memo_evictions
         if word & 0x3 == 0x3:
             key = word
         else:
             key = word & 0xFFFF
-        cached = self._cache.get(key)
+        memo = self._memo
+        cached = memo.get(key)
         if cached is not None:
             return cached
+        _memo_misses += 1
         decoded = self._decode_uncached(key, pc)
-        self._cache[key] = decoded
+        if len(memo) >= DECODE_MEMO_MAX_ENTRIES:
+            _memo_evictions += len(memo)
+            memo.clear()
+        memo[key] = decoded
         return decoded
 
     def _decode_uncached(self, word: int, pc: Optional[int]) -> Decoded:
@@ -216,7 +260,8 @@ class Decoder:
             return None
 
     def clear_cache(self) -> None:
-        self._cache.clear()
+        """Empty the memo this decoder shares with its module set."""
+        self._memo.clear()
 
     def __repr__(self) -> str:
         return f"Decoder({self.config.name}, {len(self.specs)} specs)"

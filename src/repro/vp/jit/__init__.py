@@ -21,8 +21,9 @@ Layout:
   :class:`~repro.vp.backends.ExecutionBackend` with hot-block tiering.
 
 Compiled code objects are shared across machines through a process-wide
-cache keyed by the generated source; :func:`code_cache_stats` reports
-its counters.
+cache keyed on everything the emitters read, so a hit skips source
+emission as well as ``compile()``; :func:`code_cache_stats` reports its
+counters.
 
 The determinism contract — identical architectural results to the
 interpreter, bit for bit — is documented in ``docs/performance.md`` and

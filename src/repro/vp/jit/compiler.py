@@ -29,9 +29,9 @@ taken or ``MachineExit`` unwinds, pc parked on the faulting instruction,
 chain links only planted on statically known successor exits.
 
 Compiled code objects are shared process-wide through :class:`CodeCache`,
-keyed by the exact generated source: a second machine running the same
+keyed on everything the emitters read: a second machine running the same
 program executes the cached code in its own fresh namespace instead of
-paying :func:`compile` again.
+paying source emission and :func:`compile` again.
 """
 
 from __future__ import annotations
@@ -193,47 +193,51 @@ class _Src:
 
 
 class CodeCache:
-    """Process-wide LRU of compiled code objects keyed by
-    ``(filename, source)``.
+    """Process-wide LRU of compiled code objects keyed on the emitters'
+    inputs (see :meth:`BlockCompiler.compile`).
 
-    Only immutable code objects are shared; every hit is executed in
-    the block's own fresh namespace, so functions, namespaces, blocks
-    and machines never are.  Everything a generated function
-    specializes on is folded into its source text (pcs, RAM window,
-    cycle costs, shape, hook presence) and everything object-valued is
-    looked up in the namespace, so equal sources are interchangeable.
+    Each entry holds ``(code, source)``.  The key is everything the
+    emitters read — the compiler's shape and each block's pcs, sizes,
+    cycle costs, execute functions and operand fields — so equal keys
+    render equal sources, and a hit skips emission as well as
+    :func:`compile`.  Everything object-valued is looked up in the
+    namespace, and only immutable code objects are shared: every hit is
+    executed in the block's own fresh namespace, so functions,
+    namespaces, blocks and machines never are.  The key holds execute
+    functions, not their emitters (see ``templates.EMITTERS``).
 
-    Thread-safe: lookups and inserts hold a lock, :func:`compile` runs
-    outside it (two threads racing on one source both compile; the
-    first insert wins).
+    Thread-safe: lookups and inserts hold a lock; emission and
+    :func:`compile` run outside it (two threads racing on one key both
+    compile; the first insert wins).
     """
 
     def __init__(self, max_entries: int = CODE_CACHE_MAX_ENTRIES) -> None:
         self.max_entries = max_entries
-        self._entries: "OrderedDict[tuple, object]" = OrderedDict()
+        self._entries: "OrderedDict[tuple, tuple]" = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
 
-    def code_for(self, source: str, filename: str):
-        """The code object for ``source``, compiled on a miss."""
-        key = (filename, source)
+    def code_for(self, key: tuple, filename: str, emit) -> tuple:
+        """``(code, source)`` for ``key``; on a miss ``emit()`` renders
+        the source, which is compiled under ``filename``."""
         with self._lock:
-            code = self._entries.get(key)
-            if code is not None:
+            entry = self._entries.get(key)
+            if entry is not None:
                 self._entries.move_to_end(key)
                 self.hits += 1
-                return code
+                return entry
             self.misses += 1
-        code = compile(source, filename, "exec")
+        source = emit()
+        entry = (compile(source, filename, "exec"), source)
         with self._lock:
             if key not in self._entries:
-                self._entries[key] = code
+                self._entries[key] = entry
                 if len(self._entries) > self.max_entries:
                     self._entries.popitem(last=False)
                     self.evictions += 1
-        return code
+        return entry
 
     def stats(self) -> Dict[str, int]:
         with self._lock:
@@ -261,6 +265,17 @@ def code_cache_stats() -> Dict[str, int]:
     published only as ``vp.jit.code_cache.*`` telemetry gauges.
     """
     return _CODE_CACHE.stats()
+
+
+def _block_key(block) -> tuple:
+    """The block half of a code-cache key: start pc, ``chain_pc``, size,
+    then per op its execute function, pc, fallthrough, base and taken
+    cost and the ``rd``/``rs1``/``rs2``/``imm`` operand fields (one flat
+    tuple: it outlives the block in the cache)."""
+    key = [block.start_pc, block.chain_pc, block.size]
+    for d, execute, pc, ft, base, taken in block.ops:
+        key += (execute, pc, ft, base, taken, d.rd, d.rs1, d.rs2, d.imm)
+    return tuple(key)
 
 
 class BlockCompiler:
@@ -298,6 +313,10 @@ class BlockCompiler:
             self.win = (cpu._ram_base, cpu._ram_end, cpu._ram_shift)
         else:
             self.win = None
+        #: The compiler half of every code-cache key: all of this
+        #: snapshot the emitters read.
+        self.shape = (self.direct, bool(self.hb), bool(self.hi),
+                      bool(self.hm), stuck, chain_enabled, self.win)
 
     # ------------------------------------------------------------------
 
@@ -305,18 +324,22 @@ class BlockCompiler:
         """Return the compiled step function for ``block``."""
         if not block.ops:
             raise CompileError("empty block")
-        if self.direct and self._fusable(block):
-            src = self._emit_fused(block)
-        elif self.direct:
-            src = self._emit_direct(block)
-        else:
-            src = self._emit_method(block)
+        code, src = _CODE_CACHE.code_for(
+            (self.shape, _block_key(block)), f"<jit:{block.start_pc:#x}>",
+            lambda: self._emit(block))
         namespace = self._namespace(block)
-        code = _CODE_CACHE.code_for(src, f"<jit:{block.start_pc:#x}>")
         exec(code, namespace)
         fn = namespace["_tb"]
         fn.__jit_source__ = src  # debugging / test introspection
         return fn
+
+    def _emit(self, block) -> str:
+        """The generated source for ``block`` in this compiler's shape."""
+        if self.direct and self._fusable(block):
+            return self._emit_fused(block)
+        if self.direct:
+            return self._emit_direct(block)
+        return self._emit_method(block)
 
     def _base_namespace(self) -> dict:
         return {
@@ -638,10 +661,13 @@ class BlockCompiler:
                 "trace shape requires direct mode without block hooks")
         if len(blocks) < 2 or len(blocks) > TRACE_MAX_BLOCKS:
             raise CompileError(f"unsupported trace length {len(blocks)}")
-        src = self._emit_trace(blocks)
+        # A tuple of member keys never equals a block key (whose first
+        # item is an int), so traces and blocks share one cache.
+        code, src = _CODE_CACHE.code_for(
+            (self.shape, tuple([_block_key(block) for block in blocks])),
+            f"<jit-trace:{blocks[0].start_pc:#x}>",
+            lambda: self._emit_trace(blocks))
         namespace = self._trace_namespace(blocks)
-        code = _CODE_CACHE.code_for(
-            src, f"<jit-trace:{blocks[0].start_pc:#x}>")
         exec(code, namespace)
         fn = namespace["_tb"]
         fn.__jit_source__ = src

@@ -449,6 +449,10 @@ def emit_jalr(ctx: Ctx, i: int) -> List[str]:
 # ---------------------------------------------------------------------------
 
 #: execute function -> emitter for straight-line (non-control) bodies.
+#: The JIT code cache keys on the execute function, not the emitter:
+#: code that rebinds the emitter of a function already here must start a
+#: fresh ``compiler.CodeCache``, or blocks keep running source the old
+#: emitter rendered.
 EMITTERS: Dict[Callable, Emitter] = {
     sem.exec_add: emit_add, sem.exec_sub: emit_sub, sem.exec_sll: emit_sll,
     sem.exec_slt: emit_slt, sem.exec_sltu: emit_sltu, sem.exec_xor: emit_xor,

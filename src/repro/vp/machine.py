@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from ..isa import csr as csrdef
-from ..isa.decoder import Decoder, IsaConfig, RV32IMC_ZICSR
+from ..isa.decoder import (Decoder, IsaConfig, RV32IMC_ZICSR,
+                           decode_cache_stats)
 from .backends import create_backend
 from .cpu import Cpu, RunResult, STOP_EXIT, STOP_MAX_INSNS
 from .devices.clint import Clint, WINDOW_SIZE as CLINT_SIZE
@@ -467,6 +468,8 @@ class Machine:
                 # part of jit_stats() (which job results copy).
                 for key, value in code_cache_stats().items():
                     metrics.gauge(f"vp.jit.code_cache.{key}").set(value)
+            for key, value in decode_cache_stats().items():
+                metrics.gauge(f"vp.isa.decode_cache.{key}").set(value)
             for key, value in self.mem_stats().items():
                 metrics.gauge(f"vp.mem.{key}").set(value)
         return result

@@ -64,6 +64,19 @@ class TestRegistry:
         with pytest.raises(IllegalInstructionError):
             decoder.decode(0x0000400B | (10 << 7))
 
+    @pytest.mark.parametrize("first", ["before", "after"])
+    def test_reregistration_starts_a_new_decode_memo(self, registered,
+                                                     first):
+        word = 0x0000400B | (10 << 7)
+        isa = IsaConfig({"I", "Xtest"})
+        decoders = {"before": Decoder(isa)}
+        register_extension("Xtest", [make_spec(name="frob2")])
+        decoders["after"] = Decoder(isa)
+        order = ["before", "after"] if first == "before" \
+            else ["after", "before"]
+        names = {when: decoders[when].decode(word).name for when in order}
+        assert names == {"before": "frob", "after": "frob2"}
+
     def test_reregistration_replaces_table(self, registered):
         register_extension("Xtest", [make_spec(name="frob2")])
         decoder = Decoder(IsaConfig({"I", "Xtest"}))

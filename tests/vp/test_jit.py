@@ -911,17 +911,26 @@ def test_hooked_machine_misses(code_cache):
 
 def test_lru_bound_and_order():
     cache = jit_compiler.CodeCache(max_entries=2)
-    a = cache.code_for("x = 1\n", "<a>")
-    cache.code_for("x = 2\n", "<b>")
-    assert cache.code_for("x = 1\n", "<a>") is a  # hit; <a> now newest
-    cache.code_for("x = 3\n", "<c>")              # evicts <b>
+    emitted = []
+
+    def lookup(key):
+        def emit():
+            emitted.append(key)
+            return f"x = {key!r}\n"
+        return cache.code_for((key,), f"<{key}>", emit)
+
+    a = lookup("a")
+    assert a[1] == "x = 'a'\n" and a[0].co_filename == "<a>"
+    lookup("b")
+    assert lookup("a") is a                    # hit; "a" now newest
+    lookup("c")                                # evicts "b"
     assert cache.stats() == {"entries": 2, "hits": 1, "misses": 3,
                              "evictions": 1}
-    assert cache.code_for("x = 1\n", "<a>") is a
-    cache.code_for("x = 2\n", "<b>")              # re-compiled
+    assert lookup("a") is a
+    lookup("b")                                # emitted and compiled again
     assert cache.stats()["misses"] == 4
-    # The filename is part of the key: tracebacks stay attributable.
-    assert cache.code_for("x = 1\n", "<d>").co_filename == "<d>"
+    # A hit skips emission: only misses rendered source.
+    assert emitted == ["a", "b", "c", "b"]
 
 
 def test_bound_holds_under_machine_load(monkeypatch):
@@ -1042,6 +1051,7 @@ def test_vp_run_job_identical_cold_and_warm(code_cache):
 
 
 def test_cache_counters_published_as_gauges(code_cache):
+    from repro.isa import decode_cache_stats
     from repro.telemetry import Telemetry
 
     telemetry = Telemetry()
@@ -1051,9 +1061,13 @@ def test_cache_counters_published_as_gauges(code_cache):
     gauges = telemetry.metrics.to_dict()
     for key, value in code_cache_stats().items():
         assert gauges[f"vp.jit.code_cache.{key}"]["value"] == value
+    assert set(decode_cache_stats()) == {"entries", "misses", "evictions"}
+    for key, value in decode_cache_stats().items():
+        assert gauges[f"vp.isa.decode_cache.{key}"]["value"] == value
 
 
 def test_canary_caught_with_warm_cache(code_cache):
+    from repro.isa import decode_cache_stats
     from repro.verify import DiffCampaign, VerifyCampaignConfig
     from repro.verify.canary import perturbed_semantics
 
@@ -1064,6 +1078,9 @@ def test_canary_caught_with_warm_cache(code_cache):
     assert clean.divergences == 0
     warmed = code_cache_stats()["entries"]
     assert warmed > 0
+    # The clean pass warmed the decode memo too: the perturbed pass
+    # decodes the same corpus words from it.
+    assert decode_cache_stats()["entries"] > 0
     with perturbed_semantics(RV32IMC_ZICSR, mnemonic="add"):
         result = DiffCampaign(RV32IMC_ZICSR, config).run()
     assert code_cache_stats()["hits"] > 0
@@ -1071,3 +1088,106 @@ def test_canary_caught_with_warm_cache(code_cache):
     record = result.escalations[0]
     assert record["disasm"].split()[0] == "add"
     assert 0 < len(record["words"]) < record["minimized_from"]
+
+
+# ----------------------------------------------------------------------
+# The code-cache key: equal keys always carry equal sources
+# ----------------------------------------------------------------------
+
+class _CheckingCache(jit_compiler.CodeCache):
+    """A code cache that re-emits on every lookup, hit or miss, and
+    records each source that differs from the one cached, or first seen,
+    under the same key."""
+
+    def __init__(self):
+        super().__init__(max_entries=1 << 20)
+        self.sources = {}
+        self.lookups = 0
+        self.mismatches = []
+
+    def code_for(self, key, filename, emit):
+        fresh = emit()
+        code, source = super().code_for(key, filename, lambda: fresh)
+        first = self.sources.setdefault(key, fresh)
+        self.lookups += 1
+        if source != fresh or first != fresh:
+            self.mismatches.append((filename, first, fresh))
+        return code, source
+
+
+@pytest.fixture
+def checking_cache(monkeypatch):
+    cache = _CheckingCache()
+    monkeypatch.setattr(jit_compiler, "_CODE_CACHE", cache)
+    return cache
+
+
+def _assert_sources_agree(cache, machine=None):
+    assert cache.lookups > 0
+    assert not cache.mismatches, cache.mismatches[0]
+    if machine is not None:
+        compiler = machine.cpu.backend._compiler
+        for block in compiled_blocks(machine).values():
+            assert block.compiled.__jit_source__ == compiler._emit(block)
+
+
+def test_verify_corpus_keys_carry_one_source(checking_cache):
+    from repro.verify import DiffCampaign, VerifyCampaignConfig
+    from repro.verify.campaign import build_corpus
+
+    corpus = build_corpus(RV32IMC_ZICSR, "torture:150", 0)
+    for matrix in ("interp:compiled", "backends", "traces"):
+        campaign = DiffCampaign(RV32IMC_ZICSR, VerifyCampaignConfig(
+            corpus="torture:150", matrix=matrix))
+        campaign._corpus = corpus
+        assert campaign.run().divergences == 0
+    stats = checking_cache.stats()
+    assert stats["misses"] == len(checking_cache.sources)
+    assert stats["hits"] > 0
+    _assert_sources_agree(checking_cache)
+
+
+def test_hooked_and_traced_keys_carry_one_source(checking_cache):
+    """The method shape (an instruction hook, a traced register file)
+    next to the direct, fused and trace shapes of the same programs."""
+    from repro.vp import Plugin
+
+    class Hook(Plugin):
+        name = "key-hook"
+
+        def on_insn_exec(self, cpu, decoded, pc):
+            pass
+
+    for _ in range(2):
+        for source in (HOT_LOOP, MEM_LOOP, MULTI_BLOCK_LOOP.format(iters=50)):
+            hooked = compiled_machine()
+            hooked.load(assemble(source, isa=RV32IMC_ZICSR))
+            hooked.add_plugin(Hook())
+            hooked.run(max_instructions=100_000)
+            traced, _ = run_asm(source, backend="compiled",
+                                jit_threshold=1, trace_registers=True)
+            plain, _ = run_asm(source, backend="compiled", jit_threshold=1)
+            for machine in (hooked, traced):
+                stats = machine.jit_stats()
+                assert stats["method_blocks"] == stats["blocks_compiled"] > 0
+                _assert_sources_agree(checking_cache, machine)
+            _assert_sources_agree(checking_cache, plain)
+    assert checking_cache.hits > 0
+    sources = list(checking_cache.sources.values())
+    assert any("HI" in src for src in sources)
+    assert any("_rd(" in src and "HI" not in src for src in sources)
+    assert any("while True" in src and "b_1" not in src for src in sources)
+    assert any("b_1.exec_count" in src for src in sources)
+
+
+def test_stuck_register_keys_carry_one_source(checking_cache):
+    sources = {}
+    for reg, stuck_one in ((7, True), (7, False), (9, True), (7, True)):
+        machine, _ = _stuck_run("compiled", reg, stuck_one)
+        assert machine.jit_stats()["blocks_compiled"] > 0
+        _assert_sources_agree(checking_cache, machine)
+        sources.setdefault((reg, stuck_one), set()).update(
+            _sources(machine))
+    assert checking_cache.hits > 0
+    # Each stuck bit folds into its own source.
+    assert len({frozenset(srcs) for srcs in sources.values()}) == 3
