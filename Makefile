@@ -7,22 +7,13 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench bench-report bench-smoke bench-e2e-test fuzz-smoke jit-smoke cluster-smoke verify-smoke verify-matrix checkpoint-parity examples experiments clean
+.PHONY: test bench bench-e2e-test fuzz-smoke jit-smoke cluster-smoke verify-smoke verify-matrix checkpoint-parity examples experiments clean
 
 test:
 	$(PYTHON) -m pytest tests/
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-# Headline performance numbers (MIPS, mutants/s, QTA overhead) written
-# to BENCH_emulator.json at the repo root.
-bench-report:
-	$(PYTHON) benchmarks/bench_report.py
-
-# Fast subset of the report for CI smoke runs.
-bench-smoke:
-	$(PYTHON) benchmarks/bench_report.py --smoke
 
 # The end-to-end benchmark harness's own tests (benchmarks/e2e):
 # workload plumbing, the span ledger, and the result-line contract.
@@ -50,10 +41,10 @@ verify-smoke:
 	$(PYTHON) examples/verify_smoke.py
 
 # The oracle that accepts a JIT change: 200 fuzzed programs across the
-# backends and block-cache axes must report zero divergences (exit 1
-# on any).
+# backends, block-cache, trace and checkpoint axes must report zero
+# divergences (exit 1 on any).
 verify-matrix:
-	$(PYTHON) -m repro verify --corpus fuzz:200 --matrix backends,cache
+	$(PYTHON) -m repro verify --corpus fuzz:200 --matrix backends,cache,traces,checkpoint
 
 # Fault-campaign parity: one mixed campaign over {interp, compiled} x
 # {checkpoints on, off} x {reuse on, off} x {jobs 1, 2}, all

@@ -19,7 +19,8 @@ the exit code.  The script refuses to pass if every stuck-at mutant on
 either target is masked.
 
 Self-checking; exits non-zero on any mismatch.  CI runs this under a hard
-timeout as part of the bench-smoke job.
+timeout in the bench-checks job (``make checkpoint-parity`` runs it
+locally).
 """
 
 import pathlib

@@ -56,7 +56,7 @@ def main() -> int:
     assert triage["classes"] == len(triage["findings"])
     assert sum(triage["counts"].values()) == triage["classes"]
     for finding in triage["findings"]:
-        assert finding["outcome"] in ("trap", "hang", "divergence")
+        assert finding["outcome"] in ("trap", "hang")
         assert finding["count"] >= 1
         bytes.fromhex(finding["code_hex"])   # witness must decode as hex
     print(f"triage parses: {triage['classes']} distinct classes "

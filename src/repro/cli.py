@@ -254,7 +254,6 @@ def cmd_fuzz(args) -> int:
         batch_size=args.batch_size,
         max_instructions=args.max_instructions,
         minimize=not args.no_minimize,
-        lockstep=args.lockstep,
         time_budget=args.time_budget,
         backend=args.backend,
     )
@@ -610,7 +609,19 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _backend_arg(name: str) -> str:
+    """``--backend`` values: the canonical backend ``name`` selects."""
+    from .vp.backends import canonical_backend
+
+    try:
+        return canonical_backend(name)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
+    from .vp.backends import BACKEND_NAMES
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Scale4Edge RISC-V ecosystem tools",
@@ -642,12 +653,12 @@ def build_parser() -> argparse.ArgumentParser:
                             "structured, otherwise collapsed stacks for "
                             "flamegraph tools)")
 
-    def backend_flags(p, default="fastpath", default_help=None):
+    def backend_flags(p, default="interp", default_help=None):
         # Campaign commands pass default=None and resolve it to
         # repro.faultsim.CAMPAIGN_BACKEND when they run, so building the
         # parser does not import the fault simulator.
-        p.add_argument("--backend", default=default,
-                       choices=("interp", "fastpath", "compiled"),
+        p.add_argument("--backend", default=default, type=_backend_arg,
+                       choices=BACKEND_NAMES,
                        help="execution backend (compiled = tiered "
                             "template JIT; see docs/performance.md; "
                             f"default: {default_help or default})")
@@ -763,9 +774,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-execution budget; exhaustion triages as hang")
     p.add_argument("--no-minimize", action="store_true",
                    help="skip corpus input minimization")
-    p.add_argument("--lockstep", action="store_true",
-                   help="cross-check corpus adds with the lockstep "
-                        "differential oracle (cache on vs off)")
     p.add_argument("--time-budget", type=float, default=None,
                    metavar="SECONDS",
                    help="wall-clock stop; trades the --jobs reproducibility "
@@ -918,11 +926,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fault_campaign: disable checkpoint acceleration")
     p.add_argument("--digest-interval", type=int, default=None, metavar="K",
                    help="fault_campaign: golden digest spacing")
-    p.add_argument("--backend", default=None,
-                   choices=("interp", "fastpath", "compiled"),
+    p.add_argument("--backend", default=None, type=_backend_arg,
+                   choices=BACKEND_NAMES,
                    help="vp_run/fault_campaign/fuzz: execution backend "
                         "(default: the service's per-kind default, "
-                        "compiled for fault_campaign, fastpath otherwise)")
+                        "compiled for fault_campaign, interp otherwise)")
     p.add_argument("--priority", type=int, default=0,
                    help="larger dispatches sooner")
     p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",

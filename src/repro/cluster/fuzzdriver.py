@@ -14,9 +14,9 @@ and restores submission order before the corpus sees anything.
 Determinism contract: the corpus trajectory is a pure function of
 ``(seeds, seed, iterations)`` exactly as in-process, because the only
 thing that changed is *where* the pure evaluations ran.  Minimization
-and the lockstep oracle evaluate single inputs on the coordinator's own
-evaluator — deterministic, so identical to node-side evaluation, and
-free of per-input network round trips.  ``FuzzResult.jobs`` stays 1 so
+evaluates single inputs on the coordinator's own evaluator —
+deterministic, so identical to node-side evaluation, and free of
+per-input network round trips.  ``FuzzResult.jobs`` stays 1 so
 the result envelope matches a ``jobs=1`` single-process run.
 """
 

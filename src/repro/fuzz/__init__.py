@@ -20,7 +20,6 @@ from .engine import (
 from .executor import (
     EvalResult,
     FINDING_OUTCOMES,
-    OUTCOME_DIVERGENCE,
     OUTCOME_EXIT,
     OUTCOME_EXIT_NONZERO,
     OUTCOME_HANG,
@@ -46,7 +45,6 @@ __all__ = [
     "FuzzResult",
     "IsaMutator",
     "MAX_BODY_WORDS",
-    "OUTCOME_DIVERGENCE",
     "OUTCOME_EXIT",
     "OUTCOME_EXIT_NONZERO",
     "OUTCOME_HANG",

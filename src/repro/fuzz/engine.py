@@ -35,7 +35,6 @@ from .corpus import Corpus, CorpusEntry
 from .executor import (
     EvalResult,
     FINDING_OUTCOMES,
-    OUTCOME_DIVERGENCE,
     ProgramEvaluator,
     words_from_program,
 )
@@ -64,9 +63,8 @@ class FuzzConfig:
     max_body_words: int = MAX_BODY_WORDS
     minimize: bool = True           # trim corpus adds to minimal inputs
     minimize_evals: int = 24        # extra executions per minimization
-    lockstep: bool = False          # differential oracle on corpus adds
     time_budget: Optional[float] = None  # wall-clock stop (breaks jobs parity)
-    backend: str = "fastpath"       # execution backend for evaluators
+    backend: str = "interp"         # execution backend for evaluators
 
 
 # ----------------------------------------------------------------------
@@ -120,7 +118,7 @@ class FuzzSpec:
 
     isa_name: str
     max_instructions: int
-    backend: str = "fastpath"
+    backend: str = "interp"
 
 
 _WORKER_EVALUATOR: Optional[ProgramEvaluator] = None
@@ -340,10 +338,9 @@ class FuzzEngine:
                  name: str = "") -> bool:
         """Fold one execution's result into feedback/triage/corpus."""
         new = self.feedback.observe(result.signature)
-        if result.outcome in FINDING_OUTCOMES \
-                and result.outcome != OUTCOME_DIVERGENCE:
-            if self.triage.record(words, result, self.mutant_execs):
-                self.metrics.counter(f"findings.{result.outcome}").inc()
+        if (result.outcome in FINDING_OUTCOMES
+                and self.triage.record(words, result, self.mutant_execs)):
+            self.metrics.counter(f"findings.{result.outcome}").inc()
         if not new:
             return False
         admitted_words = words
@@ -362,13 +359,6 @@ class FuzzEngine:
         if not self.corpus.add(entry):
             return False
         self.metrics.counter("corpus_adds").inc()
-        if self.config.lockstep:
-            detail = self.evaluator.check_divergence(admitted_words)
-            if detail is not None:
-                if self.triage.record_divergence(
-                        admitted_words, detail, instructions,
-                        self.mutant_execs):
-                    self.metrics.counter("findings.divergence").inc()
         if self.telemetry.enabled:
             self.telemetry.events.emit(
                 "fuzz.coverage",

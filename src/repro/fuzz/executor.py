@@ -41,10 +41,9 @@ OUTCOME_EXIT = "exit"                  # clean guest exit, code 0
 OUTCOME_EXIT_NONZERO = "exit_nonzero"  # clean guest exit, code != 0
 OUTCOME_TRAP = "trap"                  # unhandled trap (finding)
 OUTCOME_HANG = "hang"                  # budget exhausted / wfi-asleep (finding)
-OUTCOME_DIVERGENCE = "divergence"      # lockstep oracle mismatch (finding)
 
 #: Outcomes the triage layer treats as findings.
-FINDING_OUTCOMES = (OUTCOME_TRAP, OUTCOME_HANG, OUTCOME_DIVERGENCE)
+FINDING_OUTCOMES = (OUTCOME_TRAP, OUTCOME_HANG)
 
 
 @dataclass(frozen=True)
@@ -180,10 +179,8 @@ class ProgramEvaluator:
     """
 
     def __init__(self, isa: IsaConfig, max_instructions: int = 5000,
-                 backend: str = "fastpath") -> None:
-        self.isa = isa
+                 backend: str = "interp") -> None:
         self.max_instructions = max_instructions
-        self.backend = backend
         self.builder = ProgramBuilder(isa)
         self.machine = Machine(MachineConfig(isa=isa, trace_registers=True,
                                              backend=backend))
@@ -225,23 +222,3 @@ class ProgramEvaluator:
             trap_cause=result.trap_cause,
             instructions=result.instructions,
         )
-
-    def check_divergence(self, words: Sequence[int]) -> Optional[str]:
-        """Differential oracle: block cache on vs. off, lockstep-compared.
-
-        Returns the divergence detail string, or ``None`` when both
-        machines agree — the software analogue of the dual-core lockstep
-        check, reusing :func:`repro.vp.lockstep.run_lockstep`.
-        """
-        from ..vp.lockstep import run_lockstep
-
-        program = self.builder.build(words)
-        primary = Machine(MachineConfig(isa=self.isa, backend=self.backend))
-        secondary = Machine(MachineConfig(
-            isa=self.isa, block_cache_enabled=False))
-        outcome = run_lockstep(primary, secondary, program,
-                               max_instructions=self.max_instructions,
-                               raise_on_divergence=False)
-        if outcome.diverged:
-            return outcome.divergence.detail
-        return None

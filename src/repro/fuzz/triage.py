@@ -8,7 +8,7 @@ readable and machine-parsable regardless of campaign length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .executor import EvalResult, ProgramBuilder
@@ -80,21 +80,10 @@ class TriageReport:
             instructions=result.instructions,
             found_at=found_at,
         )
-        return self._fold(finding)
+        return self.fold(finding)
 
-    def record_divergence(self, words: Sequence[int], detail: str,
-                          instructions: int, found_at: int) -> bool:
-        """Fold one lockstep-oracle divergence in; True if new."""
-        return self._fold(FuzzFinding(
-            outcome="divergence",
-            trap_cause=None,
-            detail=detail,
-            words=tuple(words),
-            instructions=instructions,
-            found_at=found_at,
-        ))
-
-    def _fold(self, finding: FuzzFinding) -> bool:
+    def fold(self, finding: FuzzFinding) -> bool:
+        """Fold one finding in; True if its class is new."""
         existing = self.findings.get(finding.key())
         if existing is not None:
             existing.count += 1

@@ -160,17 +160,16 @@ def _int_field(payload: Dict[str, Any], name: str, default: int,
     return value
 
 
-def _backend_field(payload: Dict[str, Any],
-                   default: str = "fastpath") -> str:
-    """The payload's ``backend``; ``default`` when it names none (single
-    runs keep ``fastpath``, campaigns pass ``CAMPAIGN_BACKEND``)."""
-    from ..vp.backends import BACKEND_NAMES
+def _backend_field(payload: Dict[str, Any], default: str = "interp") -> str:
+    """The payload's ``backend``, canonical; ``default`` when it names
+    none (single runs use ``interp``, campaigns pass
+    ``CAMPAIGN_BACKEND``)."""
+    from ..vp.backends import canonical_backend
 
-    value = payload.get("backend", default)
-    if value not in BACKEND_NAMES:
-        raise ExecutorError(
-            f"payload field 'backend' must be one of {BACKEND_NAMES}")
-    return value
+    try:
+        return canonical_backend(payload.get("backend", default))
+    except ValueError as exc:
+        raise ExecutorError(f"payload field 'backend': {exc}") from None
 
 
 # ----------------------------------------------------------------------
@@ -356,6 +355,11 @@ def fuzz_session_from_payload(payload: Dict[str, Any]):
     """
     from ..fuzz import FuzzConfig, suite_seeds, trivial_seed
 
+    if payload.get("lockstep"):
+        raise ExecutorError(
+            "payload field 'lockstep' is no longer supported; the block "
+            "cache on/off oracle is `repro verify --corpus fuzz:N "
+            "--matrix cache`")
     isa = _isa_for(payload)
     config = FuzzConfig(
         iterations=_int_field(payload, "iterations", 2000, minimum=1),
@@ -367,7 +371,6 @@ def fuzz_session_from_payload(payload: Dict[str, Any]):
         max_instructions=_int_field(payload, "max_instructions", 5000,
                                     minimum=1),
         minimize=bool(payload.get("minimize", True)),
-        lockstep=bool(payload.get("lockstep", False)),
         backend=_backend_field(payload),
     )
     kind = payload.get("seeds", "suites")

@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 from typing import Dict, List, Sequence, Tuple
 
-from ..fuzz.triage import TriageReport
+from ..fuzz.triage import FuzzFinding, TriageReport
 
 __all__ = ["corpus_digest", "render_verify", "verify_report_dict"]
 
@@ -53,10 +53,11 @@ def verify_report_dict(meta: Dict[str, object],
     for record in escalations:
         detail = f"{record['pair']} {record['signature']}"
         first_by_detail.setdefault(detail, record)
-        triage.record_divergence(
-            record["words"], detail=detail,
+        triage.fold(FuzzFinding(
+            outcome="divergence", trap_cause=None, detail=detail,
+            words=tuple(record["words"]),
             instructions=record.get("instruction_index") or 0,
-            found_at=record["program_index"])
+            found_at=record["program_index"]))
     findings: List[Dict[str, object]] = []
     for finding in triage.ordered():
         entry = finding.to_dict()

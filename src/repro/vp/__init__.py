@@ -23,10 +23,10 @@ from .machine import (
     STOP_UNHANDLED_TRAP,
     UART_BASE,
 )
-from .backends import BACKEND_NAMES, ExecutionBackend, create_backend
+from .backends import (BACKEND_NAMES, ExecutionBackend, canonical_backend,
+                       create_backend)
 from .icache import ICache, ICacheConfig
-from .lockstep import (LockstepDivergence, LockstepResult,
-                       run_backend_lockstep, run_lockstep)
+from .lockstep import LockstepDivergence, LockstepResult, run_lockstep
 from .memory import Device, Ram, SystemBus
 from .plugins import HookTable, Plugin
 from .timing import TimingModel, classify
@@ -45,8 +45,8 @@ __all__ = [
     "CLINT_BASE",
     "Cpu",
     "ExecutionBackend",
+    "canonical_backend",
     "create_backend",
-    "run_backend_lockstep",
     "DEFAULT_RAM_SIZE",
     "Device",
     "EXIT_BASE",

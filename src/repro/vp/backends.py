@@ -6,18 +6,17 @@ handling and an optional instruction-count watch
 (:meth:`ExecutionBackend.set_watch`) — and delegates the per-block step
 to a tier-specific strategy:
 
-* ``interp``    — always the general :meth:`~repro.vp.cpu.Cpu.step_block`
-  (instruction hooks honoured unconditionally),
-* ``fastpath``  — the historical default: pick
-  :meth:`~repro.vp.cpu.Cpu._step_block_fast` while no instruction hooks
-  are attached, re-selecting when the hook table version changes,
+* ``interp``    — :meth:`~repro.vp.cpu.Cpu.step_block` for every block,
+  instruction hooks honoured,
 * ``compiled``  — the template JIT tier (:mod:`repro.vp.jit`): interpret
-  a block until its ``exec_count`` crosses a threshold, then execute a
-  specialized compiled function cached on the block.
+  a block with the same loop until its ``exec_count`` crosses a
+  threshold, then execute a specialized compiled function cached on the
+  block.
 
-All three produce bit-identical architectural results; the backend choice
+Both produce bit-identical architectural results; the backend choice
 only moves the speed/observability trade-off.  ``create_backend`` is the
-single factory the machine layer, CLI, and tests go through.
+single factory the machine layer, CLI, and tests go through, and
+:func:`canonical_backend` the single place a backend name is checked.
 """
 
 from __future__ import annotations
@@ -28,8 +27,8 @@ from ..isa import csr as csrdef
 from .cpu import (LIVELOCK_LIMIT, STOP_LIVELOCK, STOP_MAX_INSNS,
                   STOP_REQUESTED, STOP_WFI, Cpu, RunResult, StopRun)
 
-__all__ = ["ExecutionBackend", "InterpBackend", "FastpathBackend",
-           "create_backend", "BACKEND_NAMES"]
+__all__ = ["ExecutionBackend", "InterpBackend", "create_backend",
+           "canonical_backend", "BACKEND_NAMES"]
 
 #: Watch key meaning "no key ahead".
 _NEVER = float("inf")
@@ -38,10 +37,10 @@ _NEVER = float("inf")
 class ExecutionBackend:
     """Base class: the shared run loop over an abstract per-block step.
 
-    Subclasses implement :meth:`_refresh` (called at run start and
-    whenever the hook table version changes mid-run) to pick their step
-    strategy, and :meth:`_step` to execute one translation block (or take
-    one interrupt/trap), returning the number of instructions retired.
+    Subclasses implement :meth:`_step` to execute one translation block
+    (or take one interrupt/trap), returning the number of instructions
+    retired, and may override :meth:`_refresh` (called at run start and
+    whenever the hook table version changes mid-run) to re-specialize.
     ``remaining`` is the outstanding instruction budget — the compiled
     tier's fused loops use it to stay within one block of the budget,
     matching the interpreter's block-boundary overshoot contract.
@@ -73,7 +72,7 @@ class ExecutionBackend:
         self._watch_key = key
 
     def _refresh(self) -> None:
-        raise NotImplementedError
+        pass
 
     def _step(self, remaining) -> int:
         raise NotImplementedError
@@ -137,27 +136,12 @@ class ExecutionBackend:
 
 
 class InterpBackend(ExecutionBackend):
-    """Always the general interpreter step, hooks checked every block."""
+    """The interpreter: :meth:`~repro.vp.cpu.Cpu.step_block` per block."""
 
     name = "interp"
 
-    def _refresh(self) -> None:
-        self._block_step = self.cpu.step_block
-
     def _step(self, remaining) -> int:
-        return self._block_step()
-
-
-class FastpathBackend(ExecutionBackend):
-    """The historical default: hook-aware step selection per run."""
-
-    name = "fastpath"
-
-    def _refresh(self) -> None:
-        self._block_step = self.cpu._select_step()
-
-    def _step(self, remaining) -> int:
-        return self._block_step()
+        return self.cpu.step_block()
 
 
 def _make_compiled(cpu: Cpu, **options) -> ExecutionBackend:
@@ -168,25 +152,32 @@ def _make_compiled(cpu: Cpu, **options) -> ExecutionBackend:
 
 _FACTORIES = {
     "interp": lambda cpu, **options: InterpBackend(cpu),
-    "fastpath": lambda cpu, **options: FastpathBackend(cpu),
     "compiled": _make_compiled,
 }
 
 #: The accepted ``--backend`` choices, in documentation order.
-BACKEND_NAMES = ("interp", "fastpath", "compiled")
+BACKEND_NAMES = ("interp", "compiled")
+
+
+def canonical_backend(name: str) -> str:
+    """The backend ``name`` selects.  The retired name ``fastpath``
+    selects ``interp``, so stored JobSpecs, JSONL stores and scripts
+    that name it keep working.  Raises :class:`ValueError` naming the
+    valid choices."""
+    if name == "fastpath":
+        return "interp"
+    if name not in BACKEND_NAMES:
+        raise ValueError(
+            f"unknown execution backend {name!r}; "
+            f"expected one of {', '.join(BACKEND_NAMES)}")
+    return name
 
 
 def create_backend(name: str, cpu: Cpu, **options) -> ExecutionBackend:
     """Instantiate the named backend for ``cpu``.
 
     ``options`` are backend-specific (the compiled tier takes
-    ``threshold=`` and ``trace_threshold=``); the interpreter backends
-    accept and ignore them so one config surface can drive any backend.
+    ``threshold=`` and ``trace_threshold=``); the interpreter accepts
+    and ignores them so one config surface can drive either backend.
     """
-    try:
-        factory = _FACTORIES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown execution backend {name!r}; "
-            f"expected one of {', '.join(BACKEND_NAMES)}") from None
-    return factory(cpu, **options)
+    return _FACTORIES[canonical_backend(name)](cpu, **options)

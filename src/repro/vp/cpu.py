@@ -241,8 +241,8 @@ class Cpu:
         self.tb_misses = 0
         self.tb_flushes = 0
         #: The :class:`~repro.vp.backends.ExecutionBackend` driving
-        #: :meth:`run`.  ``None`` lazily becomes the default ``fastpath``
-        #: backend (the historical behaviour) on the first run.
+        #: :meth:`run`.  ``None`` lazily becomes the default ``interp``
+        #: backend on the first run.
         self.backend = None
 
     # ------------------------------------------------------------------
@@ -557,20 +557,36 @@ class Cpu:
     def step_block(self) -> int:
         """Run one translation block (or take one interrupt/trap).
 
-        Returns the number of instructions retired.  This is the general
-        path (instruction hooks honoured); :meth:`run` switches to
-        :meth:`_step_block_fast` while no instruction hooks are attached.
+        Returns the number of instructions retired.  The ``interp``
+        backend calls this per block; the ``compiled`` backend calls its
+        two halves, :meth:`_enter_block` and :meth:`_execute_block`, so
+        a cold block runs this same loop.
+        """
+        block = self._enter_block()
+        if block is None:
+            return 0
+        return self._execute_block(block)
+
+    def _enter_block(self) -> Optional[TranslationBlock]:
+        """Poll interrupts, then fetch the block at ``pc``.
+
+        Returns ``None`` when an interrupt or a fetch/translate trap was
+        taken instead (no instruction retired).
         """
         interrupt = self._pending_interrupt()
         if interrupt is not None:
             self._wfi_pending = False
             self._take_trap(interrupt, 0)
-            return 0
+            return None
         try:
-            block = self._next_block()
+            return self._next_block()
         except Trap as trap:
             self._take_trap(trap.cause, trap.tval)
-            return 0
+            return None
+
+    def _execute_block(self, block: TranslationBlock) -> int:
+        """Interpret ``block`` with every hook honoured; returns the
+        number of instructions retired."""
         block.exec_count += 1
         if self.hooks.block_exec:
             for hook in self.hooks.block_exec:
@@ -620,78 +636,13 @@ class Cpu:
             self._chain_from = block
         return retired
 
-    def _step_block_fast(self) -> int:
-        """:meth:`step_block` specialized for the no-instruction-hook case.
-
-        Identical architectural behaviour; the per-instruction hook test
-        and list iteration are gone, which is where an interpreted VP
-        spends its inner loop (GVSoC's lesson).  Selected once per
-        :meth:`run` and re-selected when the hook table changes.
-        """
-        interrupt = self._pending_interrupt()
-        if interrupt is not None:
-            self._wfi_pending = False
-            self._take_trap(interrupt, 0)
-            return 0
-        try:
-            block = self._next_block()
-        except Trap as trap:
-            self._take_trap(trap.cause, trap.tval)
-            return 0
-        block.exec_count += 1
-        if self.hooks.block_exec:
-            for hook in self.hooks.block_exec:
-                hook(self, block)
-        retired = 0
-        cycles = 0
-        icache = self.icache
-        if icache is not None:
-            cycles += icache.penalty_for_lines(block.icache_lines)
-        pending_trap: Optional[Trap] = None
-        try:
-            for decoded, execute, pc, fallthrough, base_cost, taken_cost \
-                    in block.ops:
-                self.pc = pc
-                self._current = decoded
-                self.next_pc = fallthrough
-                try:
-                    execute(self, decoded)
-                except Trap as trap:
-                    cycles += base_cost
-                    pending_trap = trap
-                    break
-                except MachineExit:
-                    cycles += base_cost
-                    raise
-                retired += 1
-                next_pc = self.next_pc
-                self.pc = next_pc
-                if next_pc != fallthrough:
-                    cycles += taken_cost
-                    break
-                cycles += base_cost
-        finally:
-            csrs = self.csrs
-            csrs.instret += retired
-            csrs.cycle += cycles
-            self.bus.tick(cycles)
-        if pending_trap is not None:
-            self._take_trap(pending_trap.cause, pending_trap.tval)
-        elif self.block_cache_enabled and block.chain_pc == self.pc:
-            self._chain_from = block
-        return retired
-
-    def _select_step(self):
-        """Pick the per-block step variant for the current hook table."""
-        return self.step_block if self.hooks.insn_exec else self._step_block_fast
-
     def run(self, max_instructions: Optional[int] = None) -> RunResult:
         """Execute until WFI-with-no-event or the instruction budget ends.
 
         The run loop itself lives in the active
-        :class:`~repro.vp.backends.ExecutionBackend` (``interp``,
-        ``fastpath``, or the JIT's ``compiled`` tier); without an explicit
-        backend the historical ``fastpath`` behaviour is used.
+        :class:`~repro.vp.backends.ExecutionBackend` (``interp`` or the
+        JIT's ``compiled`` tier); without an explicit backend ``interp``
+        is used.
 
         :class:`~repro.vp.trap.MachineExit` and
         :class:`~repro.vp.trap.UnhandledTrap` propagate to the caller
@@ -701,5 +652,5 @@ class Cpu:
         if backend is None:
             from .backends import create_backend
 
-            backend = self.backend = create_backend("fastpath", self)
+            backend = self.backend = create_backend("interp", self)
         return backend.run(max_instructions)

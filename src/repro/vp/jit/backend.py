@@ -1,6 +1,7 @@
 """The ``compiled`` execution backend: hot-block tiering over the JIT.
 
-Blocks start life interpreted; once a block's ``exec_count`` crosses the
+Blocks start life interpreted by the same loop as the ``interp``
+backend (:meth:`~repro.vp.cpu.Cpu.step_block`); once a block's ``exec_count`` crosses the
 tier threshold it is compiled by :class:`~repro.vp.jit.compiler.BlockCompiler`
 and the compiled function is cached on the block together with the
 specialization token it was generated for.  The token captures
@@ -24,8 +25,8 @@ Fallback rules (documented in ``docs/performance.md``): an instruction
 cache or a disabled translation-block cache turns compilation off
 entirely and every block stays interpreted; a codegen failure blacklists
 just that block (or trace head).  The tier split is observable through
-:class:`JitStats` (``repro profile``'s tier report and the
-``emulator_compiled`` bench section read it).
+:class:`JitStats` (``repro profile``'s tier report and ``repro run``'s
+``jit:`` line read it).
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from typing import List, Optional
 from ...isa import semantics as sem
 from ...isa.registers import RegisterFile, StuckRegisterFile
 from ..backends import ExecutionBackend
-from ..trap import MachineExit, Trap
 from .compiler import (TRACE_MAX_BLOCKS, BlockCompiler, CompileError)
 from .templates import BRANCH_CONDS, EMITTERS
 
@@ -184,15 +184,8 @@ class CompiledBackend(ExecutionBackend):
 
     def _step(self, remaining) -> int:
         cpu = self.cpu
-        interrupt = cpu._pending_interrupt()
-        if interrupt is not None:
-            cpu._wfi_pending = False
-            cpu._take_trap(interrupt, 0)
-            return 0
-        try:
-            block = cpu._next_block()
-        except Trap as trap:
-            cpu._take_trap(trap.cause, trap.tval)
+        block = cpu._enter_block()
+        if block is None:
             return 0
         fn = block.compiled
         if fn is not None and block.compiled_version == self._token:
@@ -222,7 +215,7 @@ class CompiledBackend(ExecutionBackend):
                 retired = fn(cpu, remaining)
                 self.stats.compiled_retired += retired
                 return retired
-        retired = self._interpret(block)
+        retired = cpu._execute_block(block)
         self.stats.interp_retired += retired
         return retired
 
@@ -293,61 +286,3 @@ class CompiledBackend(ExecutionBackend):
             member.trace_member = True
         self.stats.traces_compiled += 1
         return fn
-
-    # ------------------------------------------------------------------
-
-    def _interpret(self, block) -> int:
-        """One interpreted block execution — the warm-up tier.
-
-        A verbatim mirror of :meth:`repro.vp.cpu.Cpu.step_block` after
-        the interrupt poll and block fetch (which :meth:`_step` already
-        performed); kept in lockstep with cpu.py by the backend parity
-        suite.
-        """
-        cpu = self.cpu
-        block.exec_count += 1
-        hooks = cpu.hooks
-        if hooks.block_exec:
-            for hook in hooks.block_exec:
-                hook(cpu, block)
-        insn_hooks = hooks.insn_exec
-        retired = 0
-        cycles = 0
-        if cpu.icache is not None:
-            cycles += cpu.icache.penalty_for_lines(block.icache_lines)
-        pending_trap: Optional[Trap] = None
-        try:
-            for decoded, execute, pc, fallthrough, base_cost, taken_cost \
-                    in block.ops:
-                cpu.pc = pc
-                cpu._current = decoded
-                cpu.next_pc = fallthrough
-                if insn_hooks:
-                    for hook in insn_hooks:
-                        hook(cpu, decoded, pc)
-                try:
-                    execute(cpu, decoded)
-                except Trap as trap:
-                    cycles += base_cost
-                    pending_trap = trap
-                    break
-                except MachineExit:
-                    cycles += base_cost
-                    raise
-                retired += 1
-                next_pc = cpu.next_pc
-                cpu.pc = next_pc
-                if next_pc != fallthrough:
-                    cycles += taken_cost
-                    break
-                cycles += base_cost
-        finally:
-            csrs = cpu.csrs
-            csrs.instret += retired
-            csrs.cycle += cycles
-            cpu.bus.tick(cycles)
-        if pending_trap is not None:
-            cpu._take_trap(pending_trap.cause, pending_trap.tval)
-        elif cpu.block_cache_enabled and block.chain_pc == cpu.pc:
-            cpu._chain_from = block
-        return retired

@@ -11,13 +11,12 @@ behaviour-preserving.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..asm import Program
 from .machine import Machine
 from .plugins import Plugin
-from .trap import MachineExit, UnhandledTrap
 
 
 class LockstepDivergence(Exception):
@@ -114,37 +113,6 @@ def run_lockstep(
         if raise_on_divergence:
             raise divergence
     return result
-
-
-def run_backend_lockstep(
-    program: Program,
-    backends: Tuple[str, str] = ("interp", "compiled"),
-    isa=None,
-    max_instructions: int = 1_000_000,
-    raise_on_divergence: bool = True,
-    jit_threshold: Optional[int] = None,
-) -> LockstepResult:
-    """Lockstep two execution backends over the same program.
-
-    The workhorse behind the backend parity suite: builds two machines
-    differing only in :attr:`MachineConfig.backend` (and optionally the
-    JIT tier threshold) and compares per-instruction architectural
-    state.  A low ``jit_threshold`` makes even short programs exercise
-    the compiled tier.
-    """
-    from .machine import MachineConfig
-
-    def build(name: str) -> Machine:
-        kwargs = {"backend": name}
-        if isa is not None:
-            kwargs["isa"] = isa
-        if jit_threshold is not None and name == "compiled":
-            kwargs["jit_threshold"] = jit_threshold
-        return Machine(MachineConfig(**kwargs))
-
-    return run_lockstep(build(backends[0]), build(backends[1]), program,
-                        max_instructions=max_instructions,
-                        raise_on_divergence=raise_on_divergence)
 
 
 def _step_disasm(steps, index: int) -> Optional[str]:

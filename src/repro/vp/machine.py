@@ -144,15 +144,16 @@ class MachineConfig:
     tb_cache_max_blocks: Optional[int] = 4096
     semihosting: bool = True  # handle exit/write ecalls in the machine
     icache: Optional["ICacheConfig"] = None  # fetch-cache model, off by default
-    #: Execution backend: ``fastpath`` (default), ``interp``, or
-    #: ``compiled`` (the tiered template JIT, see docs/performance.md).
-    backend: str = "fastpath"
+    #: Execution backend: ``interp`` (default) or ``compiled`` (the
+    #: tiered template JIT, see docs/performance.md).  The retired name
+    #: ``fastpath`` still selects ``interp``.
+    backend: str = "interp"
     #: Block executions before the ``compiled`` backend promotes a block
-    #: to its JIT tier.  Ignored by the other backends.
+    #: to its JIT tier.  Ignored by the interpreter.
     jit_threshold: int = 8
     #: Compiled-with-hot-chain-edge executions before the ``compiled``
     #: backend fuses a block chain into a multi-block trace.  Ignored by
-    #: the other backends.
+    #: the interpreter.
     jit_trace_threshold: int = 16
 
 

@@ -83,8 +83,8 @@ class HookTable:
         self.trap = []
         self.tb_flush = []
         self.exit = []
-        #: Bumped on every register/unregister so the CPU run loop can
-        #: re-select its specialized step variant when hooks change.
+        #: Bumped on every register/unregister so the run loop can
+        #: re-specialize the backend (the compiled tier's token).
         self.version = 0
 
     def register(self, plugin: Plugin) -> None:

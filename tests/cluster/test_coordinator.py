@@ -202,6 +202,32 @@ class TestPersistence:
             node.stop()
             coord.shutdown(drain=False)
 
+    def test_replayed_specs_with_retired_names_run(self, tmp_path):
+        # Logs written before the fastpath backend and the fuzz lockstep
+        # oracle were retired still name them.
+        from repro.serve.executors import execute_job
+
+        store = str(tmp_path / "jobs.jsonl")
+        fuzz = {"iterations": 20, "seed": 1, "seeds": "trivial",
+                "max_instructions": 300}
+        with JobStore(store) as log:
+            log.append_job("job-1", {"kind": "vp_run", "payload": {
+                "source": EXIT_OK, "backend": "fastpath"}})
+            log.append_job("job-2", {"kind": "fuzz", "payload": dict(
+                fuzz, backend="fastpath", lockstep=False)})
+        coord = ClusterCoordinator(port=0, store_path=store).start()
+        node = _node(coord)
+        try:
+            client = _client(coord)
+            run = client.wait("job-1", timeout=60)
+            assert run["state"] == "succeeded"
+            assert run["result"] == execute_job(
+                "vp_run", {"source": EXIT_OK, "backend": "interp"})
+            assert client.wait("job-2", timeout=60)["state"] == "succeeded"
+        finally:
+            node.stop()
+            coord.shutdown(drain=False)
+
     def test_restart_resumes_after_abrupt_death(self, tmp_path):
         store = str(tmp_path / "jobs.jsonl")
         coord = ClusterCoordinator(port=0, store_path=store).start()

@@ -158,7 +158,7 @@ class TestNodeDeathParity:
 
 
 class TestVerifyParity:
-    PAYLOAD = {"corpus": "torture:4", "matrix": "interp:fastpath",
+    PAYLOAD = {"corpus": "torture:4", "matrix": "interp:nocache",
                "seed": 3, "max_instructions": 2000}
 
     def test_sharded_verify_matches_single_process(self, coordinator):

@@ -231,10 +231,11 @@ class TestWcetFlags:
 
 class TestSubmitBackend:
     """``repro submit`` sends ``backend`` only when ``--backend`` is
-    given, so the service applies its per-kind default."""
+    given, so the service applies its per-kind default.  The retired
+    name ``fastpath`` is sent as the ``interp`` it selects."""
 
     @pytest.mark.parametrize("argv,expected", [
-        ([], None), (["--backend", "fastpath"], "fastpath")])
+        ([], None), (["--backend", "fastpath"], "interp")])
     def test_backend_sent_only_when_given(self, checked_file, capsys,
                                           monkeypatch, argv, expected):
         from repro.serve.client import ServiceClient
@@ -251,3 +252,33 @@ class TestSubmitBackend:
                          "--url", "http://127.0.0.1:1"] + argv) == 0
         assert [payload.get("backend") for payload in sent] == \
             [expected, expected]
+
+
+class TestBackendNames:
+    """``--backend`` lists the two backends; ``fastpath`` still parses
+    and runs the interpreter."""
+
+    def test_fastpath_alias_runs_like_interp(self, program_file, capsys):
+        outputs = []
+        for name in ("interp", "fastpath"):
+            assert main(["run", program_file, "--backend", name]) == 55
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert "stop: exit" in outputs[0]
+
+    @pytest.mark.parametrize("command", ["run", "fuzz", "submit"])
+    def test_help_lists_only_the_two_backends(self, command, capsys):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        out = capsys.readouterr().out
+        assert "{interp,compiled}" in out
+        assert "fastpath" not in out
+
+    def test_unknown_backend_names_the_valid_ones(self, program_file,
+                                                  capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", program_file, "--backend", "turbo"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "unknown execution backend 'turbo'" in err
+        assert "expected one of interp, compiled" in err

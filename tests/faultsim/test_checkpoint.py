@@ -264,7 +264,7 @@ class TestCodeFlips:
     def test_classified_alike_with_and_without_checkpoints(self):
         faults = self.faults()
         runs = {}
-        for backend in ("interp", "fastpath", "compiled"):
+        for backend in ("interp", "compiled"):
             for checkpoints in (True, False):
                 campaign = make_campaign(FLIP_LOOP, backend=backend,
                                          checkpoints=checkpoints)

@@ -129,13 +129,3 @@ class TestTelemetry:
             metrics = session.metrics.to_dict()
             assert metrics["fuzz.execs"]["value"] > 0
             assert metrics["fuzz.corpus_size"]["value"] > 0
-
-
-class TestLockstep:
-    def test_lockstep_oracle_runs_clean(self):
-        # The block cache must not change architectural behaviour, so a
-        # lockstep-checked session reports no divergence findings.
-        engine = FuzzEngine(RV32IMC_ZICSR, quick_config(
-            iterations=60, lockstep=True))
-        engine.run()
-        assert engine.triage.counts().get("divergence", 0) == 0

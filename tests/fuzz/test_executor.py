@@ -115,20 +115,18 @@ class TestTriageReport:
         triage = TriageReport()
         triage.record((w("lw", 5, 0, 0),),
                       evaluator.evaluate((w("lw", 5, 0, 0),)), 0)
-        triage.record_divergence((w("addi", 5, 0, 1),),
-                                 "pc mismatch @12", 12, 3)
+        spin = (w("jal", 0, 0),)
+        triage.record(spin, evaluator.evaluate(spin), 3)
         blob = json.dumps(triage.to_dict())
         parsed = json.loads(blob)
         assert parsed["classes"] == 2
-        assert parsed["counts"] == {"divergence": 1, "trap": 1}
+        assert parsed["counts"] == {"hang": 1, "trap": 1}
         assert all(f["code_hex"] for f in parsed["findings"])
 
     def test_table_renders(self):
         triage = TriageReport()
         assert "no findings" in triage.table()
-        triage.record_divergence((1,), "x5 mismatch", 7, 1)
-        assert "divergence" in triage.table()
-
-    def test_lockstep_oracle_agrees_on_benign_input(self):
         evaluator = ProgramEvaluator(RV32IMC_ZICSR)
-        assert evaluator.check_divergence((w("addi", 5, 0, 1),)) is None
+        trap = (w("lw", 5, 0, 0),)
+        triage.record(trap, evaluator.evaluate(trap), 1)
+        assert "load_access_fault" in triage.table()

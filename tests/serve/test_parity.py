@@ -50,6 +50,14 @@ def service_campaign_dict(source: str, **service_kwargs) -> dict:
         service.shutdown()
 
 
+def strip_fuzz_clock(data: dict) -> str:
+    """A fuzz result without its wall-clock fields, canonical JSON."""
+    data = dict(data)
+    data.pop("elapsed_seconds")
+    data.pop("execs_per_second")
+    return json.dumps(data, sort_keys=True)
+
+
 class TestCampaignParity:
     def test_service_result_byte_identical_to_direct(self, workload):
         expected = direct_campaign_json(workload)
@@ -96,6 +104,74 @@ class TestBackendDefaults:
                                                "backend": "compiled"})
 
 
+class TestRetiredNames:
+    """Stored payloads may still name the retired ``fastpath`` backend,
+    which runs ``interp``, or the retired fuzz ``lockstep`` oracle,
+    which only ``false`` may still ask for."""
+
+    SOURCE = ("_start:\n    li t0, 40\nloop:\n    addi t0, t0, -1\n"
+              "    bnez t0, loop\n    li a0, 3\n    li a7, 93\n"
+              "    ecall\n")
+    FUZZ = {"iterations": 40, "seed": 4, "seeds": "trivial",
+            "max_instructions": 500}
+
+    def test_vp_run_fastpath_runs_as_interp(self):
+        interp = execute_job("vp_run", {"source": self.SOURCE,
+                                        "backend": "interp"})
+        assert interp["exit_code"] == 3
+        assert execute_job("vp_run", {"source": self.SOURCE,
+                                      "backend": "fastpath"}) == interp
+
+    def test_vp_run_fastpath_through_service(self):
+        service = BatchService(workers=1, queue_limit=4).start()
+        try:
+            job = service.submit(JobSpec(kind="vp_run", payload={
+                "source": self.SOURCE, "backend": "fastpath"}))
+            assert job.wait(60), f"job stuck in {job.state}"
+            assert job.state == "succeeded", job.error
+        finally:
+            service.shutdown()
+        assert job.result == execute_job("vp_run", {"source": self.SOURCE})
+
+    def test_fuzz_fastpath_runs_as_interp(self):
+        interp = execute_job("fuzz", dict(self.FUZZ, backend="interp"))
+        fastpath = execute_job("fuzz", dict(self.FUZZ, backend="fastpath"))
+        assert strip_fuzz_clock(fastpath) == strip_fuzz_clock(interp)
+
+    def test_unknown_backend_names_the_valid_ones(self):
+        from repro.serve.executors import ExecutorError
+
+        with pytest.raises(ExecutorError,
+                           match="expected one of interp, compiled"):
+            execute_job("vp_run", {"source": self.SOURCE,
+                                   "backend": "turbo"})
+
+    def test_fuzz_lockstep_request_rejected(self):
+        from repro.serve.executors import ExecutorError
+
+        with pytest.raises(ExecutorError, match=(
+                "repro verify --corpus fuzz:N --matrix cache")):
+            execute_job("fuzz", dict(self.FUZZ, lockstep=True))
+
+    def test_fuzz_lockstep_request_fails_through_service(self):
+        service = BatchService(workers=1, queue_limit=4).start()
+        try:
+            job = service.submit(JobSpec(
+                kind="fuzz", payload=dict(self.FUZZ, lockstep=1),
+                max_retries=2))
+            assert job.wait(60), f"job stuck in {job.state}"
+        finally:
+            service.shutdown()
+        assert job.state == "failed"
+        assert job.attempts == 1  # a bad request is not retried
+        assert "--matrix cache" in job.error
+
+    def test_fuzz_lockstep_false_still_accepted(self):
+        accepted = execute_job("fuzz", dict(self.FUZZ, lockstep=False))
+        assert strip_fuzz_clock(accepted) == \
+            strip_fuzz_clock(execute_job("fuzz", dict(self.FUZZ)))
+
+
 class TestVpRunParity:
     def test_vp_run_matches_direct_machine(self):
         from repro.vp import Machine, MachineConfig
@@ -125,12 +201,6 @@ class TestFuzzJobParity:
     PAYLOAD = {"iterations": 120, "seed": 9, "seeds": "trivial",
                "max_instructions": 1000}
 
-    def _strip_clock(self, data: dict) -> str:
-        data = dict(data)
-        data.pop("elapsed_seconds")
-        data.pop("execs_per_second")
-        return json.dumps(data, sort_keys=True)
-
     def test_fuzz_job_matches_direct_engine(self):
         from repro.fuzz import FuzzConfig, FuzzEngine, trivial_seed
 
@@ -138,7 +208,7 @@ class TestFuzzJobParity:
             iterations=120, seed=9, max_instructions=1000))
         direct = engine.run(trivial_seed(RV32IMC_ZICSR))
         job = execute_job("fuzz", dict(self.PAYLOAD))
-        assert self._strip_clock(job) == self._strip_clock(direct.to_dict())
+        assert strip_fuzz_clock(job) == strip_fuzz_clock(direct.to_dict())
 
     def test_fuzz_job_through_service(self):
         service = BatchService(workers=2, queue_limit=8).start()
@@ -152,8 +222,8 @@ class TestFuzzJobParity:
             service.shutdown()
         assert result["corpus_size"] > 1
         assert result["coverage_elements"] > 0
-        assert self._strip_clock(result) == \
-            self._strip_clock(execute_job("fuzz", dict(self.PAYLOAD)))
+        assert strip_fuzz_clock(result) == \
+            strip_fuzz_clock(execute_job("fuzz", dict(self.PAYLOAD)))
 
     def test_bad_seeds_kind_rejected(self):
         from repro.serve.executors import ExecutorError

@@ -1,31 +1,31 @@
-"""Disabled telemetry must be (near-)free.
+"""Disabled telemetry and the idle profiler must be (near-)free.
 
-Acceptance: telemetry off by default adds < 5 % to the F1 emulator
-workload.  Three angles, from strongest to most empirical:
+Three angles, from strongest to most empirical:
 
 1. structural — with telemetry disabled nothing is registered on the
    CPU's hook table, so the per-instruction path is untouched;
 2. unit cost — the exact per-mutant null-instrumentation sequence is
    measured directly and must be < 5 % of one real mutant simulation;
-3. end-to-end — the F1 workload with the disabled-session branch taken
-   vs. not taken (best-of-N, generous bound to absorb scheduler noise).
+3. end-to-end — disabled telemetry and an idle ``SamplingProfiler``
+   each cost < 2 % on the F1 loop, measured as the median of per-slice
+   CPU-time ratios against an uninstrumented machine.
 """
 
+import statistics
 import time
-
-import pytest
 
 from repro.asm import assemble
 from repro.faultsim import Fault, FaultCampaign, STUCK_AT_1, TARGET_GPR
 from repro.isa import RV32IMC_ZICSR
+from repro.observe import SamplingProfiler
 from repro.telemetry import NULL_TELEMETRY, current_telemetry
 from repro.vp import Machine, MachineConfig
 
-# The F1 benchmark's compute-heavy loop, shortened for a unit test.
-WORKLOAD = """
+# The F1 benchmark's compute-heavy loop (9 instructions per iteration).
+LOOP = """
 _start:
     li t0, 0
-    li t1, 20000
+    li t1, {iterations}
     li a0, 0
 loop:
     add a0, a0, t0
@@ -42,6 +42,8 @@ loop:
     ecall
 """
 
+WORKLOAD = LOOP.format(iterations=20_000)
+
 CHECKED = """
 _start:
     li a1, 6
@@ -57,18 +59,6 @@ fail:
     li a7, 93
     ecall
 """
-
-
-def run_workload(telemetry=None):
-    machine = Machine(MachineConfig(isa=RV32IMC_ZICSR))
-    machine.load(assemble(WORKLOAD, isa=RV32IMC_ZICSR))
-    if telemetry is not None:
-        machine.telemetry = telemetry
-    start = time.perf_counter()
-    result = machine.run(max_instructions=500_000)
-    elapsed = time.perf_counter() - start
-    assert result.stop_reason == "exit"
-    return elapsed
 
 
 class TestStructurallyFree:
@@ -129,21 +119,71 @@ class TestUnitCost:
         )
 
 
-class TestEndToEnd:
-    def test_f1_workload_overhead_below_5_percent(self):
-        """Disabled-session branch vs. no session at all on the VP.
+#: Observability on the F1 hot path must cost less than this fraction.
+OVERHEAD_LIMIT = 0.02
 
-        The two configurations run interleaved (cancels clock/thermal
-        drift) and best-of-N is compared — the code paths differ by one
-        attribute test per run() call, so anything beyond noise fails.
+#: Instructions per timed slice; groups of fresh machines, and rounds of
+#: slices each group runs (160 slices per configuration in all).
+SLICE = 10_000
+GROUPS = 40
+ROUNDS = 4
+
+#: The loop touches no data memory; a small RAM keeps the 120 machines
+#: the test builds cheap.
+RAM_SIZE = 64 * 1024
+
+SETUPS = {
+    "plain": lambda machine: None,
+    "telemetry_disabled":
+        lambda machine: setattr(machine, "telemetry", NULL_TELEMETRY),
+    "idle_profiler": lambda machine: machine.add_plugin(SamplingProfiler()),
+}
+
+
+class TestEndToEnd:
+    def test_f1_overhead_median_slice_below_2_percent(self):
+        """Disabled telemetry and an idle profiler vs. a plain machine.
+
+        Three machines, one per configuration, run the F1 loop in
+        alternating slices of ``SLICE`` instructions, in an order that
+        reverses every round, each slice timed on thread CPU time.  Host
+        noise moves whole stretches of time, which adjacent slices
+        share, so the median of the per-slice ratios reads the
+        instrumentation cost and not the host.  One machine can also run
+        several percent faster or slower than an identical one for its
+        whole life, so every ``ROUNDS`` rounds three fresh machines take
+        over, and the earlier ones stay alive so that the new ones land
+        elsewhere in memory.  Each ``run()`` call is charged once per
+        slice, which overstates per-run costs rather than hiding them.
         """
-        run_workload()  # warm-up
-        baseline_times, null_times = [], []
-        for _ in range(5):
-            baseline_times.append(run_workload())
-            null_times.append(run_workload(NULL_TELEMETRY))
-        ratio = min(null_times) / min(baseline_times)
-        assert ratio < 1.05, (
-            f"disabled telemetry slowed the F1 workload by "
-            f"{(ratio - 1) * 100:.1f}%"
-        )
+        program = assemble(LOOP.format(iterations=SLICE * (ROUNDS + 1)),
+                           isa=RV32IMC_ZICSR)
+        times = {name: [] for name in SETUPS}
+        machines = []
+        for _group in range(GROUPS):
+            trio = {}
+            for name, setup in SETUPS.items():
+                machine = Machine(MachineConfig(isa=RV32IMC_ZICSR,
+                                                ram_size=RAM_SIZE))
+                machine.load(program)
+                setup(machine)
+                machine.run(max_instructions=1_000)  # warm: translate
+                trio[name] = machine
+            machines.append(trio)
+            order = list(trio)
+            for round_index in range(ROUNDS):
+                for name in (order if round_index % 2 else order[::-1]):
+                    machine = trio[name]
+                    start = time.thread_time()
+                    result = machine.run(max_instructions=SLICE)
+                    times[name].append(time.thread_time() - start)
+                    assert result.stop_reason == "max_insns"
+        plain = times["plain"]
+        for name in ("telemetry_disabled", "idle_profiler"):
+            ratios = [t / p for t, p in zip(times[name], plain)]
+            low, median, high = statistics.quantiles(ratios, n=4)
+            assert median < 1 + OVERHEAD_LIMIT, (
+                f"{name} costs {median - 1:+.2%} on the F1 hot path "
+                f"(median of {len(ratios)} slices, limit "
+                f"{OVERHEAD_LIMIT:.0%}; quartiles {low:.3f}/{high:.3f}, "
+                f"summed ratio {sum(times[name]) / sum(plain):.3f})")

@@ -16,7 +16,7 @@ _start:
 """
 
 
-def run_and_capture(backend="fastpath", source=PROGRAM):
+def run_and_capture(backend="interp", source=PROGRAM):
     machine = Machine(MachineConfig(isa=RV32IMC_ZICSR, backend=backend))
     machine.load(assemble(source, isa=RV32IMC_ZICSR))
     result = machine.run(max_instructions=1000)
@@ -38,7 +38,7 @@ class TestCaptureState:
 
     def test_backends_agree(self):
         assert compare_digests(run_and_capture("interp"),
-                               run_and_capture("fastpath")) == []
+                               run_and_capture("compiled")) == []
 
 
 class TestCompareDigests:

@@ -10,7 +10,7 @@ from repro.serve.executors import ExecutorError, execute_job, job_kinds
 from repro.serve.jobs import null_context
 from repro.verify import DiffCampaign, VerifyCampaignConfig
 
-PAYLOAD = {"corpus": "torture:3", "matrix": "interp:fastpath",
+PAYLOAD = {"corpus": "torture:3", "matrix": "interp:nocache",
            "seed": 0, "max_instructions": 2000}
 
 

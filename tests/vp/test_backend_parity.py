@@ -1,8 +1,8 @@
-"""Backend parity: ``interp`` / ``fastpath`` / ``compiled`` must be
-architecturally indistinguishable.
+"""Backend parity: ``interp`` and ``compiled`` must be architecturally
+indistinguishable.
 
 Every program from the three testgen suites plus a 200-program fuzz
-corpus runs under all three execution backends — with and without
+corpus runs under both execution backends — with and without
 per-instruction hooks attached for the directed suites — and the suite
 asserts byte-identical :class:`RunResult`, final register file, CSR
 state, counters, and pc.
@@ -26,7 +26,7 @@ from repro.isa import RV32IMC_ZICSR
 from repro.testgen import (ArchSuiteGenerator, TortureConfig,
                            TortureGenerator, UnitSuiteGenerator)
 from repro.vp import (BACKEND_NAMES, Machine, MachineConfig, Plugin,
-                      run_backend_lockstep)
+                      run_lockstep)
 
 #: Promote after two executions so even short directed programs exercise
 #: the compiled tier.
@@ -64,11 +64,15 @@ def state_digest(machine):
     )
 
 
-def run_one(program, backend, hooks=False, budget=200_000):
+def build_machine(backend):
     kwargs = {"backend": backend}
     if backend == "compiled":
         kwargs["jit_threshold"] = JIT_THRESHOLD
-    machine = Machine(MachineConfig(isa=RV32IMC_ZICSR, **kwargs))
+    return Machine(MachineConfig(isa=RV32IMC_ZICSR, **kwargs))
+
+
+def run_one(program, backend, hooks=False, budget=200_000):
+    machine = build_machine(backend)
     machine.load(program)
     plugin = machine.add_plugin(_CountingHooks()) if hooks else None
     result = machine.run(max_instructions=budget)
@@ -104,12 +108,10 @@ def test_suite_program_parity(name, program, hooks):
         if backend == "compiled" and not hooks:
             stats = machine.jit_stats()
             assert stats is not None
-    reference = results["interp"]
-    for backend in ("fastpath", "compiled"):
-        assert results[backend] == reference, (
-            f"{name} diverged under {backend}:\n"
-            f"  interp:   {reference}\n"
-            f"  {backend}: {results[backend]}")
+    assert results["compiled"] == results["interp"], (
+        f"{name} diverged under compiled:\n"
+        f"  interp:   {results['interp']}\n"
+        f"  compiled: {results['compiled']}")
 
 
 #: A memory-heavy loop long enough to split into multiple translation
@@ -165,24 +167,40 @@ def test_trace_and_fastpath_parity(hooks):
             assert stats["traces_compiled"] >= 1, stats
             assert stats["trace_instructions"] > \
                 stats["compiled_instructions"], stats
-    for backend in ("fastpath", "compiled"):
-        assert results[backend] == results["interp"], backend
-        assert observables[backend] == observables["interp"], backend
+    assert results["compiled"] == results["interp"]
+    assert observables["compiled"] == observables["interp"]
 
 
-@pytest.mark.parametrize("pair", [("interp", "compiled"),
-                                  ("fastpath", "compiled")],
+def lockstep(pair, program):
+    """Per-instruction lockstep of two backends over ``program``."""
+    return run_lockstep(build_machine(pair[0]), build_machine(pair[1]),
+                        program)
+
+
+@pytest.mark.parametrize("pair", [("interp", "compiled")],
                          ids=lambda p: "-vs-".join(p))
 def test_lockstep_over_trace_program(pair):
     """Per-instruction lockstep across the multi-block memory loop."""
     from repro.asm import assemble
 
-    program = assemble(TRACE_SOURCE, isa=RV32IMC_ZICSR)
-    outcome = run_backend_lockstep(program, backends=pair,
-                                   isa=RV32IMC_ZICSR,
-                                   jit_threshold=JIT_THRESHOLD)
+    outcome = lockstep(pair, assemble(TRACE_SOURCE, isa=RV32IMC_ZICSR))
     assert not outcome.diverged
     assert outcome.instructions > 0
+
+
+def test_fastpath_names_the_interpreter():
+    """``fastpath`` is the retired name of ``interp``; unknown names
+    still fail with the valid ones."""
+    from repro.vp import canonical_backend, create_backend
+    from repro.vp.backends import InterpBackend
+
+    machine = Machine(MachineConfig(backend="fastpath"))
+    assert type(machine.cpu.backend) is InterpBackend
+    assert canonical_backend("fastpath") == "interp"
+    assert BACKEND_NAMES == ("interp", "compiled")
+    with pytest.raises(ValueError,
+                       match="expected one of interp, compiled"):
+        create_backend("turbo", machine.cpu)
 
 
 def test_compiled_tier_actually_engages():
@@ -209,7 +227,7 @@ def test_compiled_tier_actually_engages():
 
 
 def test_fuzz_corpus_parity():
-    """200 seeded random programs, three backends, identical outcomes."""
+    """200 seeded random programs, both backends, identical outcomes."""
     rng = random.Random(0xC0FFEE)
     mutator = IsaMutator(RV32IMC_ZICSR)
     builder = ProgramBuilder(RV32IMC_ZICSR)
@@ -221,16 +239,13 @@ def test_fuzz_corpus_parity():
                 words.append(word)
         program = builder.build(words)
         reference = run_one(program, "interp", budget=5_000)[:3]
-        for backend in ("fastpath", "compiled"):
-            got = run_one(program, backend, budget=5_000)[:3]
-            assert got == reference, (
-                f"fuzz program {index} diverged under {backend}: "
-                f"words={[hex(w) for w in words]}")
+        got = run_one(program, "compiled", budget=5_000)[:3]
+        assert got == reference, (
+            f"fuzz program {index} diverged under compiled: "
+            f"words={[hex(w) for w in words]}")
 
 
-@pytest.mark.parametrize("pair", [("interp", "fastpath"),
-                                  ("interp", "compiled"),
-                                  ("fastpath", "compiled")],
+@pytest.mark.parametrize("pair", [("interp", "compiled")],
                          ids=lambda p: "-vs-".join(p))
 def test_lockstep_per_instruction(pair):
     """Per-instruction lockstep over a branchy, memory-touching loop."""
@@ -256,9 +271,7 @@ def test_lockstep_per_instruction(pair):
     .data
     scratch: .word 0, 0, 0, 0
     """, isa=RV32IMC_ZICSR)
-    outcome = run_backend_lockstep(program, backends=pair,
-                                   isa=RV32IMC_ZICSR,
-                                   jit_threshold=JIT_THRESHOLD)
+    outcome = lockstep(pair, program)
     assert not outcome.diverged
     assert outcome.instructions > 0
 

@@ -508,7 +508,7 @@ def test_budget_split_parity():
                              result.cycles, machine.cpu.pc))
         return outcomes
 
-    assert run("compiled") == run("fastpath") == run("interp")
+    assert run("compiled") == run("interp")
 
 
 # ----------------------------------------------------------------------
@@ -718,7 +718,7 @@ def test_trace_budget_split_parity():
 
     compiled, stats = run("compiled")
     assert stats["traces_compiled"] >= 1
-    assert compiled == run("interp")[0] == run("fastpath")[0]
+    assert compiled == run("interp")[0]
 
 
 @pytest.mark.parametrize("delta", [40, 173, 1009, 5003])

@@ -302,6 +302,8 @@ loop:
 value: .word 0x11223344
 """
 
+#: ``fastpath`` is the retired alias of ``interp``: machines that name it
+#: must behave exactly like ``interp`` ones.
 BACKENDS = ("interp", "fastpath", "compiled")
 
 

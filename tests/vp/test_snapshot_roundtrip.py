@@ -293,9 +293,6 @@ class TestDigestDeterminism:
     def test_interp_checkpoint_resume_digest_identical(self):
         self.assert_backend_deterministic("interp")
 
-    def test_fastpath_checkpoint_resume_digest_identical(self):
-        self.assert_backend_deterministic("fastpath")
-
     def test_compiled_checkpoint_resume_digest_identical(self):
         self.assert_backend_deterministic("compiled")
 
@@ -303,7 +300,5 @@ class TestDigestDeterminism:
         from repro.verify import compare_digests
 
         interp = self.straight_digest("interp")
-        fastpath = self.straight_digest("fastpath")
         compiled = self.straight_digest("compiled")
-        assert compare_digests(interp, fastpath) == []
         assert compare_digests(interp, compiled) == []
