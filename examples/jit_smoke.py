@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Bounded end-to-end smoke test for the compiled execution tier.
 
-Two phases, each comparing the ``compiled`` backend against ``interp``
+Three phases, each comparing the ``compiled`` backend against ``interp``
 on the same program and asserting the properties CI cares about:
 
 **Phase 1 — F1 compute loop:**
@@ -25,7 +25,15 @@ on the same program and asserting the properties CI cares about:
 * RunResult, architectural state, dirty-page set, and the memory
   access counters are byte-identical to ``interp``.
 
-**Both phases — translation is reused across machines:** every run
+**Phase 3 — timer interrupts inside a fused loop and a trace:**
+
+* a re-armed machine timer fires inside a batched fused self-loop and
+  inside a two-block looped trace, and both shapes retired
+  instructions;
+* RunResult, registers, the raw CSR file (the ``mip`` shadow included)
+  and ``mtime`` are byte-identical to ``interp``.
+
+**Every phase — translation is reused across machines:** every run
 after the first, each on a fresh machine, decodes no new word (the
 shared decode memo's miss count does not move), and every compiled run
 after the first is served from the code cache (hits, no misses, so no
@@ -47,6 +55,8 @@ ITERS = 20_000        # F1 loop iterations (~200k dynamic instructions)
 MEM_ITERS = 3_000     # F5 loop iterations (~126k dynamic instructions)
 REPEATS = 3           # best-of-N per backend
 MIN_SPEEDUP = 2.0     # loose floor; the recorded number is far higher
+IRQ_ITERS = 20_000    # iterations of each interrupted loop
+IRQ_INTERVAL = 97     # timer period in cycles
 
 WORKLOAD = f"""
 _start:
@@ -93,8 +103,58 @@ scratch: .word 0, 0, 0, 0, 0, 0, 0, 0
 """
 
 
+# A re-armed timer interrupts a pure-ALU self-loop (the batched fused
+# shape), then a loop whose body a direct jump splits into two blocks
+# (a looped trace).  s4 and s5 count the interrupts each loop took.
+IRQ_WORKLOAD = f"""
+_start:
+    la t0, handler
+    csrw mtvec, t0
+    li s1, 0x02004000
+    li s2, 0x0200BFF8
+    lw t1, 0(s2)
+    addi t1, t1, {IRQ_INTERVAL}
+    sw t1, 0(s1)
+    sw zero, 4(s1)
+    li t0, 0x80
+    csrw mie, t0
+    csrsi mstatus, 8
+    li s3, 0
+    li t0, 0
+    li t1, {IRQ_ITERS}
+    li a0, 0
+fused:
+    add a0, a0, t0
+    xor a0, a0, t1
+    addi t0, t0, 1
+    blt t0, t1, fused
+    mv s4, s3
+    li t0, 0
+trace:
+    addi t0, t0, 1
+    add a0, a0, t0
+    j second
+second:
+    xor a0, a0, t1
+    slli a1, a0, 1
+    blt t0, t1, trace
+    sub s5, s3, s4
+    li a0, 0
+    li a7, 93
+    ecall
+.align 2
+handler:
+    lw t2, 0(s2)
+    addi t2, t2, {IRQ_INTERVAL}
+    sw t2, 0(s1)
+    addi s3, s3, 1
+    mret
+"""
+
+
 def _measure(program, repeats=REPEATS):
-    """Interleaved best-of-N runs of ``program`` per backend."""
+    """Interleaved best-of-N runs of ``program`` per backend; also
+    returns each backend's last machine."""
     from repro.isa import RV32IMC_ZICSR, decode_cache_stats
     from repro.vp import Machine, MachineConfig
     from repro.vp.jit import code_cache_stats
@@ -102,6 +162,7 @@ def _measure(program, repeats=REPEATS):
     best = {}
     outcome = {}
     extras = {}
+    machines = {}
     for repeat in range(repeats):
         for backend in ("interp", "compiled"):
             decode_misses = decode_cache_stats()["misses"]
@@ -113,8 +174,10 @@ def _measure(program, repeats=REPEATS):
             result = machine.run(max_instructions=50_000_000)
             elapsed = time.perf_counter() - start
             assert result.stop_reason == "exit", result.stop_reason
+            csrs = machine.cpu.csrs
             digest = (tuple(machine.cpu.regs.snapshot()), machine.cpu.pc,
-                      machine.cpu.csrs.instret, machine.cpu.csrs.cycle)
+                      tuple(sorted(csrs._regs.items())), csrs.instret,
+                      csrs.cycle, machine.clint.mtime)
             best[backend] = min(best.get(backend, float("inf")), elapsed)
             run_outcome = (result, digest, machine.mem_stats(),
                            tuple(sorted(machine.ram.dirty_pages())))
@@ -129,7 +192,8 @@ def _measure(program, repeats=REPEATS):
                                  (outcome[backend], extras[backend]))
             outcome[backend] = run_outcome
             extras[backend] = machine.jit_stats()
-    return best, outcome, extras
+            machines[backend] = machine
+    return best, outcome, extras, machines
 
 
 def _check_cache_hit(before, after, warm, cold) -> None:
@@ -150,7 +214,7 @@ def compute_phase() -> None:
     from repro.isa import RV32IMC_ZICSR
 
     program = assemble(WORKLOAD, isa=RV32IMC_ZICSR)
-    best, outcome, extras = _measure(program)
+    best, outcome, extras, _machines = _measure(program)
     jit_stats = extras["compiled"]
 
     # 1. the JIT engaged — no silent interpreter fall-back.
@@ -186,7 +250,7 @@ def memory_phase() -> None:
     from repro.isa import RV32IMC_ZICSR
 
     program = assemble(MEM_WORKLOAD, isa=RV32IMC_ZICSR)
-    best, outcome, extras = _measure(program)
+    best, outcome, extras, _machines = _measure(program)
     jit_stats = extras["compiled"]
 
     # 1. the trace tier engaged on the multi-block loop.
@@ -216,9 +280,48 @@ def memory_phase() -> None:
           f"fastpath hit rate {mem['fastpath_hit_rate']:.3f})")
 
 
+def interrupt_phase() -> None:
+    from repro.asm import assemble
+    from repro.isa import RV32IMC_ZICSR
+
+    program = assemble(IRQ_WORKLOAD, isa=RV32IMC_ZICSR)
+    best, outcome, extras, machines = _measure(program)
+    jit_stats = extras["compiled"]
+
+    # 1. the timer fired inside both loops.
+    regs = outcome["compiled"][1][0]
+    fused_irqs, trace_irqs = regs[20], regs[21]  # s4, s5
+    assert fused_irqs > 0 and trace_irqs > 0, (fused_irqs, trace_irqs)
+
+    # 2. the fused loop and the trace both retired instructions.
+    machine = machines["compiled"]
+    fused = [block for block in machine.cpu._tb_cache.values()
+             if block.compiled is not None
+             and "_horizon(" in block.compiled.__jit_source__]
+    threshold = machine.config.jit_threshold
+    assert fused and fused[0].exec_count > 10 * threshold, (
+        "the self-loop did not run in the batched fused shape")
+    assert jit_stats["trace_instructions"] > 0, jit_stats
+
+    # 3. byte-identical results: RunResult, registers, the raw CSR file
+    # with the mip shadow, and mtime.
+    assert outcome["compiled"] == outcome["interp"], (
+        f"interrupted loops diverged from the interpreter:\n"
+        f"  interp:   {outcome['interp']}\n"
+        f"  compiled: {outcome['compiled']}")
+
+    insns = outcome["compiled"][0].instructions
+    print(f"jit smoke [interrupts]: {insns:,} instructions  "
+          f"interp {insns / best['interp'] / 1e6:.2f} MIPS  "
+          f"compiled {insns / best['compiled'] / 1e6:.2f} MIPS  "
+          f"({fused_irqs} timer interrupts in the fused loop, "
+          f"{trace_irqs} in the trace)")
+
+
 def main() -> int:
     compute_phase()
     memory_phase()
+    interrupt_phase()
     print("jit smoke: OK")
     return 0
 

@@ -391,14 +391,8 @@ class CheckpointEngine:
             """Stop on a match with the golden digest keyed ``key``;
             otherwise wait for the next key."""
             retired = cpu.csrs.instret
-            if retired == key:
-                # Golden digests are taken right after a block's interrupt
-                # poll, which fused loops and traces elide at the boundary
-                # they stop on: poll as the next step would (it writes the
-                # same mip value) before comparing.
-                cpu._pending_interrupt()
-                if self._matches(retired, cum_base):
-                    raise StopRun
+            if retired == key and self._matches(retired, cum_base):
+                raise StopRun
             return self._digest_after(retired)
 
         backend = cpu.backend

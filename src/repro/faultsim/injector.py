@@ -214,6 +214,7 @@ def inject(machine: Machine, fault: Fault) -> Optional[Plugin]:
         faulty_csr.restore(old.snapshot())
         faulty_csr._time_source = old._time_source
         faulty_csr._mip_source = old._mip_source
+        faulty_csr._cycle_moved = old._cycle_moved
         machine.cpu.csrs = faulty_csr
         return None
     raise InjectionError(f"unsupported fault: {fault}")
@@ -227,12 +228,16 @@ def remove_fault(machine: Machine, plugin: Optional[Plugin],
     ``(regs, fregs, csrs)`` from before it, which stuck-at register and
     CSR faults replaced.  A RAM stuck bit is released.  The bytes a fault
     changed (a code patch, a flip, a stuck byte) stay as they are, in
-    pages marked dirty, for the caller's next snapshot restore.
+    pages marked dirty, for the caller's next snapshot restore.  So do
+    the CSR values; ``mtime``, which follows the CSR file's cycle count,
+    keeps its value across the swap.
     """
     if plugin is not None:
         machine.remove_plugin(plugin)
     cpu = machine.cpu
+    mtime = machine.clint.mtime
     cpu.regs, cpu.fregs, cpu.csrs = files
+    machine.clint.mtime = mtime
     if machine.ram.stuck is not None:
         machine.ram.remove_stuck()
         cpu.invalidate_ram_window()

@@ -141,6 +141,10 @@ class CsrFile:
         #: interrupt poll so reads reflect the *current* pending lines
         #: rather than the last snapshot the CPU wrote.
         self._mip_source: Optional[Callable[[], int]] = None
+        #: Optional callback told how far an ``mcycle``/``mcycleh`` write
+        #: moved the cycle count: platforms whose timer derives ``mtime``
+        #: from ``cycle`` rebase it there, since such a write is not time.
+        self._cycle_moved: Optional[Callable[[int], None]] = None
         self.trace = trace
         self.reads: Set[int] = set()
         self.writes: Set[int] = set()
@@ -188,11 +192,14 @@ class CsrFile:
         if self.trace:
             self.writes.add(addr)
         value &= WORD_MASK
-        if addr == MCYCLE:
-            self.cycle = (self.cycle & ~WORD_MASK) | value
-            return
-        if addr == MCYCLEH:
-            self.cycle = (self.cycle & WORD_MASK) | (value << 32)
+        if addr == MCYCLE or addr == MCYCLEH:
+            if addr == MCYCLE:
+                cycle = (self.cycle & ~WORD_MASK) | value
+            else:
+                cycle = (self.cycle & WORD_MASK) | (value << 32)
+            if self._cycle_moved is not None:
+                self._cycle_moved(cycle - self.cycle)
+            self.cycle = cycle
             return
         if addr == MINSTRET:
             self.instret = (self.instret & ~WORD_MASK) | value

@@ -4,7 +4,10 @@ An :class:`ExecutionBackend` owns the run loop — budget accounting,
 livelock detection, WFI fast-forward, :class:`~repro.vp.cpu.StopRun`
 handling and an optional instruction-count watch
 (:meth:`ExecutionBackend.set_watch`) — and delegates the per-block step
-to a tier-specific strategy:
+to a tier-specific strategy.  The loop also raises the interrupt events
+only it sees: the start of a run, a hook-table change and the return of
+a watch callback make the next block boundary poll (host code may have
+changed devices or CSRs there).  The strategies:
 
 * ``interp``    — :meth:`~repro.vp.cpu.Cpu.step_block` for every block,
   instruction hooks honoured,
@@ -86,6 +89,7 @@ class ExecutionBackend:
         hooks = cpu.hooks
         hook_version = hooks.version
         self._refresh()
+        cpu._poll_at = 0
         start_instret = cpu.csrs.instret
         watch = self._watch
         # Steps run up to ``limit``: the budget, or the watch key when it
@@ -99,6 +103,7 @@ class ExecutionBackend:
                     if hooks.version != hook_version:  # plugin added/removed
                         hook_version = hooks.version
                         self._refresh()
+                        cpu._poll_at = 0
                     retired = self._step(limit - executed)
                     executed += retired
                     if retired:
@@ -117,12 +122,13 @@ class ExecutionBackend:
                         if skip is None:
                             return RunResult(STOP_WFI, executed,
                                              cpu.csrs.cycle)
-                        if skip:
-                            cpu.csrs.cycle += skip
-                            cpu.bus.tick(skip)
+                        # Time is the cycle count: advancing it is the
+                        # whole fast-forward.
+                        cpu.csrs.cycle += skip
                 if executed >= budget:
                     break
                 key = self._watch_key = watch(self._watch_key)
+                cpu._poll_at = 0
                 limit = min(budget, executed + key - cpu.csrs.instret)
         except StopRun:
             # A hook stopped mid-block (step_block's finally already

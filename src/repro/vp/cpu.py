@@ -50,6 +50,9 @@ class StopRun(Exception):
 #: handler instructions on the next step.
 LIVELOCK_LIMIT = 64
 
+#: Interrupt deadline meaning "poll only after an event".
+_NEVER = float("inf")
+
 
 #: Unconditional pc-relative jumps whose target is a translate-time
 #: constant — the only redirecting instructions a block can chain through.
@@ -61,7 +64,9 @@ class TranslationBlock:
 
     ``insns`` and ``pcs`` are parallel lists; the block ends at the first
     control-flow or system instruction, at :data:`MAX_BLOCK_INSNS`, or just
-    before an undecodable word.
+    before an undecodable word.  ``ends_system`` records the system case:
+    such a block may change the interrupt state (a CSR write, ``mret``,
+    an ``ecall`` handler, ``wfi``), so the next boundary polls.
 
     :meth:`finalize` precomputes the per-instruction execution data the hot
     loop needs (``ops``), the instruction-cache lines the block spans, and
@@ -70,7 +75,7 @@ class TranslationBlock:
     """
 
     __slots__ = ("start_pc", "insns", "pcs", "size", "exec_count",
-                 "ops", "next", "chain_pc", "icache_lines",
+                 "ops", "next", "chain_pc", "ends_system", "icache_lines",
                  "compiled", "compiled_version",
                  "trace", "trace_token", "trace_heat", "trace_member")
 
@@ -91,6 +96,7 @@ class TranslationBlock:
         #: that end without control flow, the jump target for blocks ending
         #: in a direct jump, ``None`` for branches/system/indirect ends.
         self.chain_pc: Optional[int] = None
+        self.ends_system = False
         #: Cache-line numbers the block spans (empty without an icache).
         self.icache_lines: tuple = ()
         #: Specialized compiled step function (the JIT tier), or ``None``
@@ -132,6 +138,7 @@ class TranslationBlock:
                       (self.end_pc - 1) // line_size + 1))
         last = self.insns[-1]
         spec = last.spec
+        self.ends_system = spec.is_system
         if spec.is_jump and spec.name in _DIRECT_JUMPS:
             self.chain_pc = (self.pcs[-1] + last.imm) & WORD_MASK
         elif not (spec.is_branch or spec.is_jump or spec.is_system):
@@ -234,8 +241,13 @@ class Cpu:
         self.mem_bus_loads = 0
         self.mem_bus_stores = 0
         self._wfi_pending = False
-        self._wfi_wait: Callable[[], Optional[int]] = lambda: None
         self._interrupt_poll: Callable[[], int] = lambda: 0
+        self._timer_wait: Callable[[], Optional[int]] = lambda: None
+        #: Interrupt deadline: the cycle count from which a block boundary
+        #: polls the interrupt sources.  0 means the next boundary (an
+        #: event may have changed the interrupt state), infinity means
+        #: only after an event.  See :meth:`_pending_interrupt`.
+        self._poll_at = 0
         # Statistics.
         self.tb_hits = 0
         self.tb_misses = 0
@@ -249,14 +261,16 @@ class Cpu:
     # Configuration hooks used by Machine
     # ------------------------------------------------------------------
 
-    def set_interrupt_poll(self, poll: Callable[[], int]) -> None:
-        """``poll()`` returns the mip bits asserted by platform devices."""
+    def set_interrupt_sources(self, poll: Callable[[], int],
+                              timer_wait: Callable[[], Optional[int]]
+                              ) -> None:
+        """``poll()`` returns the mip bits asserted by platform devices;
+        ``timer_wait()`` the cycles until the timer newly asserts, or
+        ``None`` when it cannot.  The two set the interrupt deadline and
+        WFI's fast-forward."""
         self._interrupt_poll = poll
-
-    def set_wfi_wait(self, wait: Callable[[], Optional[int]]) -> None:
-        """``wait()`` returns cycles to fast-forward until the next event,
-        or ``None`` when no future event can wake the hart."""
-        self._wfi_wait = wait
+        self._timer_wait = timer_wait
+        self._poll_at = 0
 
     # ------------------------------------------------------------------
     # State management
@@ -271,6 +285,7 @@ class Cpu:
         self.pc = pc & WORD_MASK
         self.next_pc = self.pc
         self._wfi_pending = False
+        self._poll_at = 0
         self.flush_translation_cache()
 
     def flush_translation_cache(self) -> None:
@@ -281,6 +296,7 @@ class Cpu:
         if self.hooks.tb_flush:
             for hook in self.hooks.tb_flush:
                 hook(self)
+            self._poll_at = 0
 
     def current_word(self) -> int:
         """Raw encoding of the instruction currently executing (for mtval)."""
@@ -354,6 +370,7 @@ class Cpu:
                 value = UNPACK_HALF(data, offset)[0]
             self.mem_fast_loads += 1
         else:
+            self._poll_at = 0  # a device may change the interrupt state
             try:
                 value = self.bus.load(addr, width)
             except BusError:
@@ -403,6 +420,7 @@ class Cpu:
             self._ram_dirty.add(offset >> self._ram_shift)
             self.mem_fast_stores += 1
         else:
+            self._poll_at = 0  # a device may change the interrupt state
             try:
                 self.bus.store(addr, width, value)
             except BusError:
@@ -425,11 +443,22 @@ class Cpu:
     def wait_for_interrupt(self) -> None:
         self._wfi_pending = True
 
+    def _wfi_wait(self) -> Optional[int]:
+        """Cycles WFI fast-forwards: 0 when a device asserts an interrupt
+        now (the hart resumes on a pending interrupt whatever the
+        enables say), else until the timer asserts, else ``None`` (no
+        future event can wake the hart)."""
+        if self._interrupt_poll():
+            return 0
+        return self._timer_wait()
+
     # ------------------------------------------------------------------
     # Fetch and translate
     # ------------------------------------------------------------------
 
     def _fetch_halfword(self, addr: int) -> int:
+        if not self._ram_base <= addr < self._ram_end:
+            self._poll_at = 0  # a device may observe the fetch
         try:
             return self.bus.load(addr, 2)
         except BusError:
@@ -446,6 +475,8 @@ class Cpu:
         insns: List[Decoded] = []
         pcs: List[int] = []
         pc = start_pc
+        if self._ram_version != self.bus.version:
+            self._refresh_ram_window()  # fetches test it for events
         while len(insns) < MAX_BLOCK_INSNS:
             word = self._fetch_word(pc)
             try:
@@ -465,6 +496,7 @@ class Cpu:
         if self.hooks.block_translate:
             for hook in self.hooks.block_translate:
                 hook(self, block)
+            self._poll_at = 0
         return block
 
     def _get_block(self, pc: int) -> TranslationBlock:
@@ -511,23 +543,41 @@ class Cpu:
     # ------------------------------------------------------------------
 
     def _pending_interrupt(self) -> Optional[int]:
+        """Poll the interrupt sources: write the raw ``mip`` shadow,
+        re-arm the deadline, and return the cause of the interrupt to
+        take, or ``None``.
+
+        The deadline becomes the cycle at which the timer asserts, or
+        infinity when it cannot newly assert: until then only an event
+        (a device access, a system instruction, a trap entry, host code
+        between runs) can change what a poll returns.  An interrupt to
+        take, or a hook that runs mid-block and may change the state,
+        keeps it at 0: the next boundary polls too.
+        """
+        csrs = self.csrs
         mip = self._interrupt_poll()
-        self.csrs.raw_write(csrdef.MIP, mip)
-        if not mip:  # nothing asserted: skip the mstatus/mie reads
-            return None
-        if not self.csrs.raw_read(csrdef.MSTATUS) & csrdef.MSTATUS_MIE:
-            return None
-        enabled = mip & self.csrs.raw_read(csrdef.MIE)
-        if not enabled:
-            return None
-        # Priority order per the privileged spec: external, software, timer.
-        if enabled & csrdef.MIE_MEIE:
-            return csrdef.CAUSE_MACHINE_EXTERNAL_INT
-        if enabled & csrdef.MIE_MSIE:
-            return csrdef.CAUSE_MACHINE_SOFTWARE_INT
-        return csrdef.CAUSE_MACHINE_TIMER_INT
+        csrs.raw_write(csrdef.MIP, mip)
+        if mip and csrs.raw_read(csrdef.MSTATUS) & csrdef.MSTATUS_MIE:
+            enabled = mip & csrs.raw_read(csrdef.MIE)
+            if enabled:
+                self._poll_at = 0
+                # Priority order per the privileged spec: external,
+                # software, timer.
+                if enabled & csrdef.MIE_MEIE:
+                    return csrdef.CAUSE_MACHINE_EXTERNAL_INT
+                if enabled & csrdef.MIE_MSIE:
+                    return csrdef.CAUSE_MACHINE_SOFTWARE_INT
+                return csrdef.CAUSE_MACHINE_TIMER_INT
+        hooks = self.hooks
+        if hooks.block_exec or hooks.insn_exec or hooks.mem_access:
+            self._poll_at = 0
+        else:
+            wait = self._timer_wait()
+            self._poll_at = _NEVER if wait is None else csrs.cycle + wait
+        return None
 
     def _take_trap(self, cause: int, tval: int) -> None:
+        self._poll_at = 0  # trap entry rewrites mstatus
         mtvec = self.csrs.raw_read(csrdef.MTVEC)
         if mtvec == 0 and not (cause & csrdef.INTERRUPT_BIT):
             raise UnhandledTrap(cause, tval, self.pc)
@@ -568,16 +618,18 @@ class Cpu:
         return self._execute_block(block)
 
     def _enter_block(self) -> Optional[TranslationBlock]:
-        """Poll interrupts, then fetch the block at ``pc``.
+        """Poll interrupts if the deadline has passed, then fetch the
+        block at ``pc``.
 
         Returns ``None`` when an interrupt or a fetch/translate trap was
         taken instead (no instruction retired).
         """
-        interrupt = self._pending_interrupt()
-        if interrupt is not None:
-            self._wfi_pending = False
-            self._take_trap(interrupt, 0)
-            return None
+        if self.csrs.cycle >= self._poll_at:
+            interrupt = self._pending_interrupt()
+            if interrupt is not None:
+                self._wfi_pending = False
+                self._take_trap(interrupt, 0)
+                return None
         try:
             return self._next_block()
         except Trap as trap:
@@ -629,9 +681,10 @@ class Cpu:
             # mid-block, so RunResult counters stay exact.
             self.csrs.instret += retired
             self.csrs.cycle += cycles
-            self.bus.tick(cycles)
         if pending_trap is not None:
             self._take_trap(pending_trap.cause, pending_trap.tval)
+        elif block.ends_system:
+            self._poll_at = 0
         elif self.block_cache_enabled and block.chain_pc == self.pc:
             self._chain_from = block
         return retired

@@ -10,12 +10,20 @@ offset     name       width
 0xBFF8     MTIME      64-bit (lo at +0, hi at +4)
 ========== ========== ===========================
 
-``mtime`` advances with CPU cycles via :meth:`tick`.  The machine polls
-:meth:`pending_interrupts` between translation blocks and reflects the
+``mtime`` is a view of the hart's cycle counter, as QEMU's CLINT derives
+it from the virtual clock: the value of :attr:`clock` (the machine wires
+it to ``cpu.csrs.cycle``) plus an offset.  Nothing ticks the device.
+Writing ``mtime`` sets the offset; cycle moves that are not time (an
+``mcycle`` write, a reset's fresh CSR file) call :meth:`rebase` so that
+``mtime`` stays where it was.  The CPU polls :meth:`pending_interrupts`
+when :meth:`cycles_until_timer` says the timer may have asserted, or
+after an event that can change the interrupt state, and reflects the
 result into ``mip``.
 """
 
 from __future__ import annotations
+
+from typing import Callable, Optional
 
 from ..memory import Device
 from ..trap import BusError
@@ -34,13 +42,25 @@ _U64 = 0xFFFFFFFFFFFFFFFF
 
 
 class Clint(Device):
-    def __init__(self) -> None:
-        self.mtime = 0
+    def __init__(self, clock: Optional[Callable[[], int]] = None) -> None:
+        #: The cycle count ``mtime`` follows; a stopped clock without one.
+        self.clock: Callable[[], int] = clock or (lambda: 0)
+        self._offset = 0
         self.mtimecmp = _U64  # no timer interrupt until armed
         self.msip = 0
 
-    def tick(self, cycles: int) -> None:
-        self.mtime = (self.mtime + cycles) & _U64
+    @property
+    def mtime(self) -> int:
+        return (self.clock() + self._offset) & _U64
+
+    @mtime.setter
+    def mtime(self, value: int) -> None:
+        self._offset = (value & _U64) - self.clock()
+
+    def rebase(self, delta: int) -> None:
+        """The clock moved by ``delta`` cycles that are not time: keep
+        ``mtime`` where it was."""
+        self._offset -= delta
 
     def pending_interrupts(self) -> int:
         """mip bits this device asserts right now."""
@@ -51,14 +71,15 @@ class Clint(Device):
             pending |= csrdef.MIE_MTIE
         return pending
 
-    def cycles_until_timer(self) -> int:
-        """Cycles until the timer fires (0 if already pending).
-
-        Used by WFI to fast-forward simulated time instead of spinning.
-        """
-        if self.mtime >= self.mtimecmp:
-            return 0
-        return self.mtimecmp - self.mtime
+    def cycles_until_timer(self) -> Optional[int]:
+        """Cycles until the timer newly asserts, or ``None`` when it
+        cannot: already pending, or never armed (``mtimecmp`` at its
+        reset value).  The CPU's interrupt deadline and WFI's
+        fast-forward both come from this."""
+        mtime = self.mtime
+        if mtime >= self.mtimecmp or self.mtimecmp == _U64:
+            return None
+        return self.mtimecmp - mtime
 
     def load(self, offset: int, width: int) -> int:
         if offset == MSIP:

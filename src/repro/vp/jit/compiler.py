@@ -15,8 +15,8 @@ function ``_tb(cpu, remaining) -> retired`` compiled with
 * **fused**   — a direct-shape block whose final instruction is a
   conditional branch back to its own start (a single-block spin loop):
   the whole block becomes a native ``while`` loop that re-checks the
-  instruction budget and pending interrupts between iterations, exactly
-  where the interpreter's run loop would.
+  instruction budget and the interrupt deadline between iterations,
+  exactly where the interpreter's run loop would.
 * **method**  — instruction or memory hooks attached, or a traced or
   otherwise subclassed register file: an unrolled interpreter
   preserving the per-instruction hook ordering, pc/next_pc visibility,
@@ -24,9 +24,11 @@ function ``_tb(cpu, remaining) -> retired`` compiled with
   bit.
 
 Every exit path replicates the interpreter's accounting contract: CSR
-``instret``/``cycle`` updated and the bus ticked before any trap is
-taken or ``MachineExit`` unwinds, pc parked on the faulting instruction,
-chain links only planted on statically known successor exits.
+``instret``/``cycle`` updated before any trap is taken or
+``MachineExit`` unwinds, pc parked on the faulting instruction, chain
+links only planted on statically known successor exits, and the
+interrupt events the interpreter raises (a device access, a block that
+ends in a system instruction) raised too.
 
 Compiled code objects are shared process-wide through :class:`CodeCache`,
 keyed on everything the emitters read: a second machine running the same
@@ -43,7 +45,6 @@ from typing import Dict, List, Optional
 
 from ...isa import csr as csrdef
 from ...isa import semantics as sem
-from ..devices.clint import Clint
 from ..memory import PACK_HALF, PACK_WORD, UNPACK_HALF, UNPACK_WORD
 from ..trap import BusError, MachineExit, Trap
 from .templates import BRANCH_CONDS, CONTROL_EMITTERS, EMITTERS, MASK, Ctx
@@ -59,8 +60,11 @@ TRACE_MAX_BLOCKS = 8
 #: recently used one (the default ``tb_cache_max_blocks``).
 CODE_CACHE_MAX_ENTRIES = 4096
 
-#: Interrupt-check constants folded into fused-loop source.
-_MIP, _MSTATUS, _MIE, _MSTATUS_MIE = 0x344, 0x300, 0x304, 0x8
+#: Iterations per batch of a pure fused loop when neither the budget nor
+#: the interrupt deadline bounds it.
+_BATCH_MAX = 1 << 16
+
+_NEVER = float("inf")
 
 
 class CompileError(Exception):
@@ -69,8 +73,8 @@ class CompileError(Exception):
 
 # -- runtime helpers shared by all generated functions ----------------------
 
-def _trap_exit(cpu, cause, tval, retired, cycles, tick_cycles, pc,
-               fallthrough, decoded):
+def _trap_exit(cpu, cause, tval, retired, cycles, pc, fallthrough,
+               decoded):
     """Flush accounting, park the pc on the trapping instruction, and
     take the trap — the compiled equivalent of the interpreter's
     ``finally`` flush followed by ``_take_trap``.  Returns ``retired``
@@ -78,7 +82,6 @@ def _trap_exit(cpu, cause, tval, retired, cycles, tick_cycles, pc,
     csrs = cpu.csrs
     csrs.instret += retired
     csrs.cycle += cycles
-    cpu.bus.tick(tick_cycles)
     cpu.pc = pc
     cpu.next_pc = fallthrough
     cpu._current = decoded
@@ -86,91 +89,73 @@ def _trap_exit(cpu, cause, tval, retired, cycles, tick_cycles, pc,
     return retired
 
 
-def _exit_flush(cpu, retired, cycles, tick_cycles, pc, fallthrough, decoded):
+def _exit_flush(cpu, retired, cycles, pc, fallthrough, decoded):
     """Accounting flush on the ``MachineExit`` unwind path."""
     csrs = cpu.csrs
     csrs.instret += retired
     csrs.cycle += cycles
-    cpu.bus.tick(tick_cycles)
     cpu.pc = pc
     cpu.next_pc = fallthrough
     cpu._current = decoded
 
 
-def _bus_load(cpu, addr, width, retired, cycles, tick_cycles, pc,
-              fallthrough, decoded):
+def _bus_load(cpu, addr, width, retired, cycles, pc, fallthrough,
+              decoded):
     """Direct-shape load slow path: full bus dispatch for an access the
     RAM window does not serve.  Returns the value masked to canonical
     u32 (device models may return wider values, and the generated
     register write skips its mask), or ``None`` once the access fault
     has been taken — the caller then returns ``retired``."""
+    cpu._poll_at = 0  # a device may change the interrupt state
     try:
         value = cpu.bus.load(addr, width)
     except BusError:
         _trap_exit(cpu, csrdef.CAUSE_LOAD_ACCESS, addr, retired, cycles,
-                   tick_cycles, pc, fallthrough, decoded)
+                   pc, fallthrough, decoded)
         return None
     except MachineExit:
-        _exit_flush(cpu, retired, cycles, tick_cycles, pc, fallthrough,
-                    decoded)
+        _exit_flush(cpu, retired, cycles, pc, fallthrough, decoded)
         raise
     cpu.mem_bus_loads += 1
     return value & 0xFFFFFFFF
 
 
-def _bus_store(cpu, addr, width, value, retired, cycles, tick_cycles, pc,
-               fallthrough, decoded):
+def _bus_store(cpu, addr, width, value, retired, cycles, pc, fallthrough,
+               decoded):
     """Direct-shape store slow path; returns ``True`` once the access
     fault has been taken (the caller then returns ``retired``)."""
+    cpu._poll_at = 0  # a device may change the interrupt state
     try:
         cpu.bus.store(addr, width, value)
     except BusError:
         _trap_exit(cpu, csrdef.CAUSE_STORE_ACCESS, addr, retired, cycles,
-                   tick_cycles, pc, fallthrough, decoded)
+                   pc, fallthrough, decoded)
         return True
     except MachineExit:
-        _exit_flush(cpu, retired, cycles, tick_cycles, pc, fallthrough,
-                    decoded)
+        _exit_flush(cpu, retired, cycles, pc, fallthrough, decoded)
         raise
     cpu.mem_bus_stores += 1
     return False
 
 
-def _batch_safe(cpu) -> bool:
-    """Whether bus ticks may be coalesced across fused-loop iterations.
+def _horizon(cpu, budget_left, insns, taken):
+    """Iterations a pure fused loop runs before its next boundary check.
 
-    CLINT time is a plain cycle sum, so ``tick(n * c)`` equals ``n``
-    calls of ``tick(c)``; any other tickable device might observe the
-    call granularity, forcing the one-iteration-per-poll slow path.
+    A pure (no memory access, no CSR access, no hooks) self-loop raises
+    no interrupt event, so the only boundary inside it that must poll is
+    the first one at or past the CPU's deadline.  With ``wait`` cycles to
+    the deadline and ``taken`` cycles per iteration, that is the boundary
+    after ``ceil(wait / taken)`` iterations, exactly where the
+    interpreter polls; the batch ends there or at the budget, whichever
+    comes first.
     """
-    for device in cpu.bus._tickable:
-        if type(device) is not Clint:
-            return False
-    return True
-
-
-def _horizon(cpu, budget_left, insns, taken, timer_live):
-    """Iterations a pure fused loop may run between interrupt polls.
-
-    Inside a pure (no memory access, no CSR access, no hooks) self-loop
-    every interrupt source except the machine timer is frozen — stores
-    can't reach the CLINT or UART and ``mie``/``mstatus`` can't change —
-    so skipped polls are only observable where the timer comparand
-    crosses.  The horizon stops one poll *at* that crossing: with
-    ``wait`` cycles until ``mtime`` reaches ``mtimecmp`` and ``taken``
-    cycles per iteration, poll ``j`` (after ``j`` iterations) is the
-    first to see the interrupt at ``j == ceil(wait / taken)``, exactly
-    where the per-block interpreter takes it.
-    """
-    n = -(-budget_left // insns)
-    if timer_live:
-        wait = cpu._wfi_wait()
-        if wait is not None:
-            if wait <= 0:
-                return 1
-            limit = -(-wait // taken)
-            if limit < n:
-                n = limit
+    if budget_left == _NEVER:
+        n = _BATCH_MAX
+    else:
+        n = -(-budget_left // insns)
+    wait = cpu._poll_at - cpu.csrs.cycle
+    if wait < n * taken:
+        n = -(-wait // taken) if wait > 0 else 1
     return n if n > 0 else 1
 
 
@@ -268,11 +253,11 @@ def code_cache_stats() -> Dict[str, int]:
 
 
 def _block_key(block) -> tuple:
-    """The block half of a code-cache key: start pc, ``chain_pc``, size,
-    then per op its execute function, pc, fallthrough, base and taken
-    cost and the ``rd``/``rs1``/``rs2``/``imm`` operand fields (one flat
-    tuple: it outlives the block in the cache)."""
-    key = [block.start_pc, block.chain_pc, block.size]
+    """The block half of a code-cache key: start pc, ``chain_pc``,
+    ``ends_system``, size, then per op its execute function, pc,
+    fallthrough, base and taken cost and the ``rd``/``rs1``/``rs2``/``imm``
+    operand fields (one flat tuple: it outlives the block in the cache)."""
+    key = [block.start_pc, block.chain_pc, block.ends_system, block.size]
     for d, execute, pc, ft, base, taken in block.ops:
         key += (execute, pc, ft, base, taken, d.rd, d.rs1, d.rs2, d.imm)
     return tuple(key)
@@ -345,7 +330,7 @@ class BlockCompiler:
         return {
             "Trap": Trap, "MachineExit": MachineExit,
             "BusError": BusError, "_trap_exit": _trap_exit,
-            "_exit_flush": _exit_flush, "_batch_safe": _batch_safe,
+            "_exit_flush": _exit_flush,
             "_bus_load": _bus_load, "_bus_store": _bus_store,
             "_horizon": _horizon, "HB": self.hb, "HI": self.hi,
             "_u4": UNPACK_WORD, "_u2": UNPACK_HALF,
@@ -403,7 +388,6 @@ class BlockCompiler:
         return [f"_c = cpu.csrs",
                 f"_c.instret += {retired}",
                 f"_c.cycle += {cycles}",
-                f"cpu.bus.tick({cycles})",
                 f"cpu.pc = {pc_expr}",
                 f"cpu.next_pc = {pc_expr}"]
 
@@ -438,6 +422,8 @@ class BlockCompiler:
         src.add(indent, "except MachineExit:")
         src.add(indent + 1, ctx.exit_flush(i))
         src.add(indent + 1, "raise")
+        if block.ends_system and i == len(ctx.ops) - 1:
+            src.add(indent, "cpu._poll_at = 0")
         src.add(indent, "_np = cpu.next_pc")
         src.add(indent, f"if _np != {ft:#x}:")
         redirect_cycles = ctx.prefix[i] + ctx.ops[i][5]
@@ -487,10 +473,8 @@ class BlockCompiler:
             body.add(1, f"_c.instret += {n}")
             body.add(1, f"if _t != {last_ft:#x}:")
             body.add(2, f"_c.cycle += {taken_total}")
-            body.add(2, f"cpu.bus.tick({taken_total})")
             body.add(1, "else:")
             body.add(2, f"_c.cycle += {base_total}")
-            body.add(2, f"cpu.bus.tick({base_total})")
             body.add(1, "cpu.pc = _t")
             body.add(1, "cpu.next_pc = _t")
             body.add(1, f"return {n}")
@@ -543,24 +527,37 @@ class BlockCompiler:
         src.add(0, "def _tb(cpu, remaining):")
         src.extend(1, self._bindings(body_text, direct=True))
         src.add(1, "_c = cpu.csrs")
-        src.add(1, "_tick = cpu.bus.tick")
-        src.add(1, "_poll = cpu._interrupt_poll")
-        src.add(1, "_rr = _c.raw_read")
-        src.add(1, "_rw = _c.raw_write")
         src.add(1, "ret = 0")
-        src.add(1, "cyc = 0")
         return src
 
-    def _fused_polling_exit(self, src: _Src, indent: int, pc: int) -> None:
+    def _loop_exit(self, src: _Src, indent: int, pc: int,
+                   chain_m: Optional[int] = None) -> None:
+        """Flush the retired count (cycles are already added), park the
+        pc, and return — planting the chain link exactly when the
+        interpreter would (trace member ``chain_m`` has this pc as its
+        ``chain_pc``)."""
         src.add(indent, "_c.instret += ret")
-        src.add(indent, "_c.cycle += cyc")
         src.add(indent, f"cpu.pc = {pc:#x}")
         src.add(indent, f"cpu.next_pc = {pc:#x}")
+        if chain_m is not None and self.chain_enabled:
+            src.add(indent, f"cpu._chain_from = b_{chain_m}")
         src.add(indent, "return ret")
+
+    def _boundary_checks(self, src: _Src, indent: int, pc: int,
+                         chain_m: Optional[int] = None) -> None:
+        """The run loop's block-boundary order, exiting to ``pc``: the
+        budget check, then the interrupt poll, which runs only once the
+        cycle count reaches the CPU's deadline (an event inside the loop,
+        a device access, sets it to 0)."""
+        src.add(indent, "if ret >= remaining:")
+        self._loop_exit(src, indent + 1, pc, chain_m)
+        src.add(indent, "if (_c.cycle >= cpu._poll_at"
+                        " and cpu._pending_interrupt() is not None):")
+        self._loop_exit(src, indent + 1, pc, chain_m)
 
     def _emit_fused_polling(self, block, body_lines, cond, n,
                             taken_total, base_total, last_ft) -> str:
-        """One iteration per interrupt poll — blocks touching memory
+        """One iteration per boundary check — blocks touching memory
         (loads may read device time, stores may arm interrupts)."""
         start = block.start_pc
         src = self._fused_prologue("\n".join(body_lines))
@@ -568,48 +565,32 @@ class BlockCompiler:
         src.extend(2, body_lines)
         src.add(2, f"if {cond}:")
         src.add(3, f"ret += {n}")
-        src.add(3, f"cyc += {taken_total}")
+        src.add(3, f"_c.cycle += {taken_total}")
         src.add(3, "block.exec_count += 1")
-        src.add(3, f"_tick({taken_total})")
-        # Budget first (the interpreter's run loop would stop without
-        # another interrupt poll), then the interrupt check the next
-        # step would otherwise perform.
-        src.add(3, "if ret >= remaining:")
-        self._fused_polling_exit(src, 4, start)
-        src.add(3, "_mip = _poll()")
-        src.add(3, f"_rw({_MIP:#x}, _mip)")
-        src.add(3, f"if _mip and (_rr({_MSTATUS:#x}) & {_MSTATUS_MIE:#x}) "
-                    f"and (_mip & _rr({_MIE:#x})):")
-        self._fused_polling_exit(src, 4, start)
+        self._boundary_checks(src, 3, start)
         src.add(3, "continue")
         src.add(2, f"ret += {n}")
-        src.add(2, f"cyc += {base_total}")
+        src.add(2, f"_c.cycle += {base_total}")
         src.add(2, "block.exec_count += 1")
-        src.add(2, f"_tick({base_total})")
-        self._fused_polling_exit(src, 2, last_ft)
+        self._loop_exit(src, 2, last_ft)
         return src.text()
 
     def _emit_fused_batched(self, block, body_lines, cond, n,
                             taken_total, base_total, last_ft) -> str:
-        """Pure-ALU self-loop: batch iterations up to the timer horizon.
+        """Pure-ALU self-loop: batch iterations up to the deadline.
 
         With no memory or CSR access in the body, nothing inside the
-        loop can arm, mask, or observe an interrupt source — only the
-        machine timer can newly fire, at an iteration :func:`_horizon`
-        computes exactly.  Polls (and the ``mip`` shadow writes they
-        perform) between those points are unobservable and elided; the
-        shadow is refreshed at the next poll, so it may lag by one batch
-        across a run boundary (architectural ``mip`` reads always
-        re-poll the devices).
+        loop raises an interrupt event; :func:`_horizon` ends each batch
+        at the budget or at the first boundary past the deadline, where
+        the boundary checks run as the interpreter's would.  The raw
+        ``mip`` shadow is therefore written at the same boundaries in
+        every shape.
         """
         start = block.start_pc
         src = self._fused_prologue("\n".join(body_lines))
-        src.add(1, f"_timer = (_rr({_MSTATUS:#x}) & {_MSTATUS_MIE:#x}) "
-                   f"and (_rr({_MIE:#x}) & 0x80)")
-        src.add(1, "_safe = _batch_safe(cpu)")
         src.add(1, "while True:")
         src.add(2, f"_n = _horizon(cpu, remaining - ret, {n}, "
-                   f"{taken_total}, _timer) if _safe else 1")
+                   f"{taken_total})")
         src.add(2, "_it = 0")
         src.add(2, "while _it < _n:")
         src.add(3, "_it += 1")
@@ -619,21 +600,13 @@ class BlockCompiler:
         # Branch fell through: account _it - 1 taken iterations plus
         # this not-taken one, exactly like the interpreter's exit.
         src.add(3, f"ret += _it * {n}")
-        src.add(3, f"cyc += (_it - 1) * {taken_total} + {base_total}")
+        src.add(3, f"_c.cycle += (_it - 1) * {taken_total} + {base_total}")
         src.add(3, "block.exec_count += _it")
-        src.add(3, f"_tick((_it - 1) * {taken_total} + {base_total})")
-        self._fused_polling_exit(src, 3, last_ft)
+        self._loop_exit(src, 3, last_ft)
         src.add(2, f"ret += _n * {n}")
-        src.add(2, f"cyc += _n * {taken_total}")
+        src.add(2, f"_c.cycle += _n * {taken_total}")
         src.add(2, "block.exec_count += _n")
-        src.add(2, f"_tick(_n * {taken_total})")
-        src.add(2, "if ret >= remaining:")
-        self._fused_polling_exit(src, 3, start)
-        src.add(2, "_mip = _poll()")
-        src.add(2, f"_rw({_MIP:#x}, _mip)")
-        src.add(2, f"if _mip and (_rr({_MSTATUS:#x}) & {_MSTATUS_MIE:#x}) "
-                   f"and (_mip & _rr({_MIE:#x})):")
-        self._fused_polling_exit(src, 3, start)
+        self._boundary_checks(src, 2, start)
         return src.text()
 
     # -- multi-block trace shape ----------------------------------------
@@ -650,11 +623,11 @@ class BlockCompiler:
         with a ``chain_pc`` leaving the trace.
 
         The exact-parity contract of the fused shape is kept at **every**
-        member boundary: retire/cycle accounting and a bus tick for the
-        completed member, then the budget check and the interrupt poll
-        (with the raw-``mip`` shadow write) in the order the
-        interpreter's run loop performs them, exiting with the pc parked
-        on the next member's start so the run loop can take over.
+        member boundary: the completed member's cycles added to
+        ``csrs.cycle``, then the budget check and the deadline-gated
+        interrupt poll in the order the interpreter's run loop performs
+        them, exiting with the pc parked on the next member's start so
+        the run loop can take over.
         """
         if not self.direct or self.hb:
             raise CompileError(
@@ -684,22 +657,9 @@ class BlockCompiler:
             offset += len(block.ops)
         return namespace
 
-    def _trace_boundary_exit(self, src: _Src, indent: int, pc: int,
-                             chain_m: Optional[int]) -> None:
-        """Flush accounting (cycles are already ticked), park the pc, and
-        return — planting the chain link exactly when the interpreter
-        would (the exiting member has this pc as its ``chain_pc``)."""
-        src.add(indent, "_c.instret += ret")
-        src.add(indent, "_c.cycle += cyc")
-        src.add(indent, f"cpu.pc = {pc:#x}")
-        src.add(indent, f"cpu.next_pc = {pc:#x}")
-        if chain_m is not None and self.chain_enabled:
-            src.add(indent, f"cpu._chain_from = b_{chain_m}")
-        src.add(indent, "return ret")
-
     def _emit_trace_body(self, src: _Src, indent: int, ctx: Ctx, m: int,
                          block) -> None:
-        """One member's body plus its retire/cycle/tick accounting.
+        """One member's body plus its retire/cycle accounting.
 
         A trailing direct jal is not a template; its link write and
         taken-cycle cost are rendered here so the member completes
@@ -722,20 +682,7 @@ class BlockCompiler:
         else:
             cycles = ctx.prefix[n]
         src.add(indent, f"ret += {n}")
-        src.add(indent, f"cyc += {cycles}")
-        src.add(indent, f"_tick({cycles})")
-
-    def _emit_trace_checks(self, src: _Src, indent: int, pc: int,
-                           chain_m: Optional[int]) -> None:
-        """Budget check then interrupt poll, the run loop's boundary
-        order, exiting to ``pc`` (the next member's start)."""
-        src.add(indent, "if ret >= remaining:")
-        self._trace_boundary_exit(src, indent + 1, pc, chain_m)
-        src.add(indent, "_mip = _poll()")
-        src.add(indent, f"_rw({_MIP:#x}, _mip)")
-        src.add(indent, f"if _mip and (_rr({_MSTATUS:#x}) & "
-                        f"{_MSTATUS_MIE:#x}) and (_mip & _rr({_MIE:#x})):")
-        self._trace_boundary_exit(src, indent + 1, pc, chain_m)
+        src.add(indent, f"_c.cycle += {cycles}")
 
     def _emit_trace(self, blocks) -> str:
         head = blocks[0]
@@ -759,7 +706,7 @@ class BlockCompiler:
         body = _Src()
         for m, block in enumerate(blocks[:-1]):
             self._emit_trace_body(body, indent, ctxs[m], m, block)
-            self._emit_trace_checks(body, indent, block.chain_pc, m)
+            self._boundary_checks(body, indent, block.chain_pc, m)
         m = len(blocks) - 1
         if branch_final:
             ctx = ctxs[m]
@@ -774,24 +721,21 @@ class BlockCompiler:
             taken_cycles = taken_total if target != last_ft else base_total
             body.add(indent, f"if {cond}:")
             body.add(indent + 1, f"ret += {n}")
-            body.add(indent + 1, f"cyc += {taken_cycles}")
-            body.add(indent + 1, f"_tick({taken_cycles})")
+            body.add(indent + 1, f"_c.cycle += {taken_cycles}")
             if looped:
-                self._emit_trace_checks(body, indent + 1, head.start_pc,
-                                        None)
+                self._boundary_checks(body, indent + 1, head.start_pc)
                 body.add(indent + 1, "continue")
             else:
-                self._trace_boundary_exit(body, indent + 1, target, None)
+                self._loop_exit(body, indent + 1, target)
             body.add(indent, f"ret += {n}")
-            body.add(indent, f"cyc += {base_total}")
-            body.add(indent, f"_tick({base_total})")
-            self._trace_boundary_exit(body, indent, last_ft, None)
+            body.add(indent, f"_c.cycle += {base_total}")
+            self._loop_exit(body, indent, last_ft)
         else:
             # Straight trace: the final member exits to its chain_pc with
             # no boundary checks — the run loop polls before the next
             # step exactly as it would after an interpreted block.
             self._emit_trace_body(body, indent, ctxs[m], m, blocks[m])
-            self._trace_boundary_exit(body, indent, blocks[m].chain_pc, m)
+            self._loop_exit(body, indent, blocks[m].chain_pc, m)
 
         src = self._fused_prologue("\n".join(body.lines))
         if looped:
@@ -856,10 +800,11 @@ class BlockCompiler:
         src.add(2, "_c = cpu.csrs")
         src.add(2, "_c.instret += ret")
         src.add(2, "_c.cycle += cyc")
-        src.add(2, "cpu.bus.tick(cyc)")
         src.add(1, "if _pend is not None:")
         src.add(2, "cpu._take_trap(_pend.cause, _pend.tval)")
-        if self.chain_enabled and block.chain_pc is not None:
+        if block.ends_system:
+            src.add(1, "cpu._poll_at = 0")
+        elif self.chain_enabled and block.chain_pc is not None:
             src.add(1, f"elif cpu.pc == {block.chain_pc:#x}:")
             src.add(2, "cpu._chain_from = block")
         src.add(1, "return ret")

@@ -52,8 +52,8 @@ class Ctx:
     """Per-block codegen context handed to every emitter.
 
     Carries the register-access mode, per-instruction accounting
-    constants (retired count and cycle prefix sums, optionally offset by
-    the fused loop's running accumulators), and the trap/exit epilogue
+    constants (retired count, optionally offset by the fused loop's
+    running ``ret``, and cycle prefix sums), and the trap/exit epilogue
     renderers shared by all memory emitters.
     """
 
@@ -70,9 +70,9 @@ class Ctx:
             self._stuck_reg = reg
             self._stuck_read = (f"(R[{reg}] | {mask:#x})" if stuck_one
                                 else f"(R[{reg}] & {~mask & MASK:#x})")
-        #: In the fused self-loop shape, accounting is offset by the
-        #: running ``ret``/``cyc`` locals and prior iterations have
-        #: already ticked the bus.
+        #: In the fused self-loop and trace shapes the retired count is
+        #: offset by the running ``ret`` local; prior iterations and
+        #: members have already added their cycles to ``csrs.cycle``.
         self.fused = fused
         #: Namespace name offset: instruction ``i`` of this block binds
         #: ``d_{base+i}`` / ``x_{base+i}``.  Non-zero only for trace
@@ -118,11 +118,6 @@ class Ctx:
     def cyc_at(self, i: int) -> str:
         """Cycles to flush when instruction ``i`` traps (its base cost
         charged, like the interpreter's trap path)."""
-        partial = self.prefix[i] + self.ops[i][4]
-        return f"cyc + {partial}" if self.fused else str(partial)
-
-    def tick_at(self, i: int) -> str:
-        """Cycles not yet ticked when instruction ``i`` traps."""
         return str(self.prefix[i] + self.ops[i][4])
 
     def pc_at(self, i: int) -> int:
@@ -143,8 +138,8 @@ class Ctx:
     def flush_args(self, i: int) -> str:
         """Instruction ``i``'s trailing arguments to ``_trap_exit``,
         ``_exit_flush``, ``_bus_load`` and ``_bus_store``: retired,
-        cycles, tick, pc, fallthrough, decoded."""
-        return (f"{self.ret_at(i)}, {self.cyc_at(i)}, {self.tick_at(i)}, "
+        cycles, pc, fallthrough, decoded."""
+        return (f"{self.ret_at(i)}, {self.cyc_at(i)}, "
                 f"{self.pc_at(i):#x}, {self.ft_at(i):#x}, d_{self.base + i}")
 
 

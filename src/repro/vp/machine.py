@@ -175,7 +175,9 @@ class Machine:
         self.ram = Ram(self.config.ram_size)
         self.uart = Uart()
         self.gpio = Gpio()
-        self.clint = Clint()
+        # mtime follows the cycle count of whatever CSR file the CPU holds
+        # (reset and stuck-at CSR faults replace it).
+        self.clint = Clint(lambda: self.cpu.csrs.cycle)
         self.exit_device = ExitDevice()
         self.bus.attach(RAM_BASE, self.config.ram_size, self.ram)
         self.bus.attach(UART_BASE, UART_SIZE, self.uart)
@@ -195,10 +197,9 @@ class Machine:
             self.config.backend, self.cpu,
             threshold=self.config.jit_threshold,
             trace_threshold=self.config.jit_trace_threshold)
-        self.cpu.set_interrupt_poll(self._poll_interrupts)
-        self.cpu.set_wfi_wait(self._wfi_wait)
-        self.cpu.csrs._time_source = lambda: self.clint.mtime
-        self.cpu.csrs._mip_source = self._poll_interrupts
+        self.cpu.set_interrupt_sources(self._poll_interrupts,
+                                       self.clint.cycles_until_timer)
+        self._wire_csrs()
         if self.config.semihosting:
             self.cpu.ecall_handler = self._handle_ecall
         self.entry = RAM_BASE
@@ -239,13 +240,25 @@ class Machine:
         self.reset()
 
     def reset(self) -> None:
-        """Reset CPU state to the program entry, sp at top of RAM."""
+        """Reset CPU state to the program entry, sp at top of RAM.
+
+        The new CSR file counts cycles from 0; ``mtime`` carries over."""
+        mtime = self.clint.mtime
         self.cpu.reset(self.entry)
         if self.cpu.icache is not None:
             self.cpu.icache.reset()
-        self.cpu.csrs._time_source = lambda: self.clint.mtime
-        self.cpu.csrs._mip_source = self._poll_interrupts
+        self._wire_csrs()
+        self.clint.mtime = mtime
         self.cpu.regs.raw_write(2, RAM_BASE + self.config.ram_size - 16)
+
+    def _wire_csrs(self) -> None:
+        """Connect the CPU's CSR file to the platform: ``time`` reads the
+        CLINT, ``mip`` reads poll the devices, and ``mcycle`` writes
+        rebase the CLINT so that ``mtime`` does not jump."""
+        csrs = self.cpu.csrs
+        csrs._time_source = lambda: self.clint.mtime
+        csrs._mip_source = self._poll_interrupts
+        csrs._cycle_moved = self.clint.rebase
 
     # ------------------------------------------------------------------
     # Checkpointing
@@ -349,6 +362,8 @@ class Machine:
         self.cpu.csrs.restore(snapshot.csrs)
         self.cpu.csrs.clear_trace()
         pages_copied = self._restore_ram(snapshot)
+        # After the CSR file: the mtime write sets the CLINT's offset from
+        # the restored cycle count.
         self.clint.mtime, self.clint.mtimecmp, self.clint.msip = \
             snapshot.clint
         tx_log, rx_queue, interrupt_enable = snapshot.uart
@@ -367,6 +382,7 @@ class Machine:
         # RAM contents changed underneath any cached fast-path window;
         # force the CPU to re-derive it before the next direct access.
         self.cpu.invalidate_ram_window()
+        self.cpu._poll_at = 0  # devices and CSRs changed
         return pages_copied
 
     # ------------------------------------------------------------------
@@ -506,13 +522,6 @@ class Machine:
         if self.uart.interrupt_pending():
             pending |= csrdef.MIE_MEIE  # UART drives the external line
         return pending
-
-    def _wfi_wait(self) -> Optional[int]:
-        if self.uart.interrupt_pending():
-            return 0
-        if self.clint.mtimecmp == 0xFFFFFFFFFFFFFFFF and not self.clint.msip:
-            return None  # nothing armed: sleeping forever
-        return self.clint.cycles_until_timer()
 
     def _handle_ecall(self, cpu: Cpu) -> None:
         number = cpu.regs.raw_read(17)  # a7

@@ -46,9 +46,6 @@ class Device:
     def store(self, offset: int, width: int, value: int) -> None:
         raise NotImplementedError
 
-    def tick(self, cycles: int) -> None:
-        """Advance device-local time; default is stateless."""
-
 
 class _StuckPages(set):
     """The dirty-page set of a :class:`Ram` holding a stuck bit.
@@ -274,20 +271,11 @@ class SystemBus:
         #: Sorted region base addresses, parallel to ``_regions`` — the
         #: bisect key for :meth:`device_at`.
         self._bases: List[int] = []
-        #: Devices that actually override :meth:`Device.tick` — the bus
-        #: skips the no-op base implementations on the per-block tick.
-        self._tickable: List[Device] = []
         #: Topology generation, bumped on every :meth:`attach` /
         #: :meth:`replace`.  The CPU compares this against the version it
         #: cached alongside its RAM fast-path window, so swapping a device
         #: in front of RAM instantly disables direct-buffer access.
         self.version = 0
-
-    def _rebuild_tickable(self) -> None:
-        self._tickable = [
-            device for _base, _size, device in self._regions
-            if type(device).tick is not Device.tick
-        ]
 
     def attach(self, base: int, size: int, device: Device) -> None:
         """Map ``device`` at ``[base, base+size)``.  Overlaps are rejected."""
@@ -301,7 +289,6 @@ class SystemBus:
         self._regions.append((base, size, device))
         self._regions.sort(key=lambda region: region[0])
         self._bases = [region_base for region_base, _size, _dev in self._regions]
-        self._rebuild_tickable()
         self.version += 1
 
     def replace(self, base: int, device: Device) -> Device:
@@ -311,7 +298,6 @@ class SystemBus:
         for i, (region_base, size, old) in enumerate(self._regions):
             if region_base == base:
                 self._regions[i] = (region_base, size, device)
-                self._rebuild_tickable()
                 self.version += 1
                 return old
         raise ValueError(f"no device mapped at {base:#x}")
@@ -337,10 +323,6 @@ class SystemBus:
     def store(self, addr: int, width: int, value: int) -> None:
         base, device = self.device_at(addr)
         device.store(addr - base, width, value)
-
-    def tick(self, cycles: int) -> None:
-        for device in self._tickable:
-            device.tick(cycles)
 
     @property
     def regions(self) -> List[Tuple[int, int, Device]]:

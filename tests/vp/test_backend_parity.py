@@ -4,16 +4,8 @@ indistinguishable.
 Every program from the three testgen suites plus a 200-program fuzz
 corpus runs under both execution backends — with and without
 per-instruction hooks attached for the directed suites — and the suite
-asserts byte-identical :class:`RunResult`, final register file, CSR
-state, counters, and pc.
-
-Digest note: MIP (0x344) is read *architecturally* (``csrs.read``), not
-via ``raw_read``.  The compiled tier's batched fused loops skip the
-per-iteration raw-MIP shadow refresh (it is rewritten at the next poll),
-so the raw shadow may legitimately lag by one batch at a run boundary
-while the architectural value — which re-polls the interrupt sources —
-never does.  That is exactly the determinism contract documented in
-``docs/performance.md``.
+asserts byte-identical :class:`RunResult`, final register file, raw CSR
+file (the ``mip`` shadow included), counters, ``mtime`` and pc.
 """
 
 import random
@@ -31,11 +23,6 @@ from repro.vp import (BACKEND_NAMES, Machine, MachineConfig, Plugin,
 #: Promote after two executions so even short directed programs exercise
 #: the compiled tier.
 JIT_THRESHOLD = 2
-
-#: CSRs compared after every run: mstatus, mie, mtvec, mscratch, mepc,
-#: mcause, mtval, mip (architectural — see module docstring).
-DIGEST_CSRS = (0x300, 0x304, 0x305, 0x340, 0x341, 0x342, 0x343, 0x344)
-
 
 class _CountingHooks(Plugin):
     """Per-instruction + per-block hooks; forces the JIT's method shape."""
@@ -58,9 +45,10 @@ def state_digest(machine):
     return (
         tuple(cpu.regs.snapshot()),
         cpu.pc,
-        tuple(cpu.csrs.read(addr) for addr in DIGEST_CSRS),
+        tuple(sorted(cpu.csrs._regs.items())),
         cpu.csrs.instret,
         cpu.csrs.cycle,
+        machine.clint.mtime,
     )
 
 

@@ -109,8 +109,12 @@ def test_fused_batched_shape_for_pure_alu_self_loop():
     sources = _sources(machine)
     batched = [src for src in sources if "_horizon(" in src]
     assert batched, "pure-ALU self-loop should take the batched fused shape"
-    # The batched loop polls between batches, not per iteration.
-    assert "_batch_safe(" in batched[0]
+    # The batched loop checks the interrupt deadline between batches,
+    # not per iteration, and never calls a device.
+    inner = batched[0].split("while _it < _n:")[1].split("ret += _n")[0]
+    assert "cpu._poll_at" not in inner
+    assert batched[0].count("cpu._poll_at") == 1
+    assert "bus" not in batched[0]
 
 
 def test_fused_polling_shape_for_memory_self_loop():

@@ -45,9 +45,6 @@ class StuckBitDevice(Device):
     def store(self, offset, width, value):
         self.inner.store(offset, width, value)
 
-    def tick(self, cycles):
-        self.inner.tick(cycles)
-
 
 def make_machine(backend="interp", **kwargs):
     return Machine(MachineConfig(isa=RV32IMC_ZICSR, backend=backend,

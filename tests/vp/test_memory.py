@@ -54,7 +54,6 @@ class _Recorder(Device):
     def __init__(self):
         self.loads = []
         self.stores = []
-        self.ticks = 0
 
     def load(self, offset, width):
         self.loads.append((offset, width))
@@ -62,9 +61,6 @@ class _Recorder(Device):
 
     def store(self, offset, width, value):
         self.stores.append((offset, width, value))
-
-    def tick(self, cycles):
-        self.ticks += cycles
 
 
 class TestSystemBus:
@@ -92,14 +88,6 @@ class TestSystemBus:
         bus = SystemBus()
         bus.attach(0x1000, 0x100, _Recorder())
         bus.attach(0x1100, 0x100, _Recorder())
-
-    def test_tick_broadcast(self):
-        bus = SystemBus()
-        a, b = _Recorder(), _Recorder()
-        bus.attach(0x0, 0x10, a)
-        bus.attach(0x10, 0x10, b)
-        bus.tick(5)
-        assert a.ticks == b.ticks == 5
 
     def test_ram_helper_finds_ram(self):
         bus = SystemBus()
