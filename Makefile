@@ -7,7 +7,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench bench-e2e-test fuzz-smoke jit-smoke cluster-smoke verify-smoke verify-matrix checkpoint-parity examples experiments clean
+.PHONY: test bench bench-e2e-test fuzz-smoke jit-smoke service-smoke observe-smoke cluster-smoke verify-smoke verify-matrix checkpoint-parity examples experiments clean
 
 test:
 	$(PYTHON) -m pytest tests/
@@ -28,6 +28,16 @@ fuzz-smoke:
 # interpreter, speedup above the floor.
 jit-smoke:
 	$(PYTHON) examples/jit_smoke.py
+
+# Service smoke: repro serve in thread and process mode, campaign
+# byte-identical to the direct run, clean exit after a drained shutdown.
+service-smoke:
+	$(PYTHON) examples/service_smoke.py
+
+# Observability smoke: /metrics parses, /v1/events tailing is loss-free,
+# a traced job exports to Chrome trace, repro profile finds the hot loop.
+observe-smoke:
+	$(PYTHON) examples/observe_smoke.py
 
 # Cluster-fabric smoke: coordinator + 2 worker nodes, sharded seeded
 # campaign byte-identical to the single-process run, graceful drain.

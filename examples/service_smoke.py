@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """End-to-end smoke test for the batch simulation service.
 
-Starts ``repro serve`` as a real subprocess, submits a fault-injection
-campaign over HTTP, polls it to completion, and asserts that the
-classification counts are byte-identical to running the same campaign
-directly through :class:`repro.faultsim.FaultCampaign`.  Used by CI
-(service-smoke job) and runnable by hand:
+Starts ``repro serve`` as a real subprocess, once with thread workers
+and once with process workers.  Each time it submits a fault-injection
+campaign over HTTP, polls it to completion, asserts that the result is
+byte-identical to running the same campaign directly through
+:class:`repro.faultsim.FaultCampaign`, and asserts that the server exits
+0 after a drained shutdown.  Used by CI (service-smoke job) and runnable
+by hand:
 
     python examples/service_smoke.py
 
@@ -56,53 +58,50 @@ def wait_for_health(client, deadline):
     return False
 
 
-def main():
-    sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+def check_mode(mode, source, expected_counts, expected_json, deadline):
+    """One ``repro serve --mode MODE`` run: campaign parity, clean exit."""
     from repro.serve.client import ServiceClient
-    from repro.testgen import StructuredGenerator
-
-    deadline = time.monotonic() + HARD_TIMEOUT
-    source = StructuredGenerator(statements=5).generate(WORKLOAD_SEED).source
-    expected_counts, expected_json = direct_counts(source)
-    print(f"direct run: {expected_counts}")
 
     env = dict(os.environ, PYTHONPATH=os.path.join(
         os.path.dirname(__file__), "..", "src"))
     server = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve",
-         "--port", str(PORT), "--workers", "2"],
+         "--port", str(PORT), "--workers", "2", "--mode", mode],
         env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     client = ServiceClient(f"http://127.0.0.1:{PORT}", timeout=10)
     try:
         if not wait_for_health(client, deadline):
-            raise SystemExit("server never became healthy")
+            raise SystemExit(f"{mode}: server never became healthy")
 
         job = client.submit(
             "fault_campaign",
             {"source": source, "mutants": MUTANTS, "seed": SEED})
-        print(f"submitted job {job['id']}")
+        print(f"{mode}: submitted job {job['id']}")
 
         remaining = deadline - time.monotonic()
         done = client.wait(job["id"], timeout=max(1.0, remaining),
                            poll_interval=0.5)
         if done["state"] != "succeeded":
-            raise SystemExit(f"job finished in state {done['state']}: "
-                             f"{done.get('error')}")
+            raise SystemExit(f"{mode}: job finished in state "
+                             f"{done['state']}: {done.get('error')}")
 
         counts = done["result"]["counts"]
-        print(f"service run: {counts}")
+        print(f"{mode}: service run: {counts}")
         if counts != expected_counts:
-            raise SystemExit(
-                f"classification mismatch: {counts} != {expected_counts}")
+            raise SystemExit(f"{mode}: classification mismatch: "
+                             f"{counts} != {expected_counts}")
 
         campaign = dict(done["result"]["campaign"])
         campaign.pop("elapsed_seconds")
         if json.dumps(campaign, sort_keys=True) != expected_json:
-            raise SystemExit("campaign result not byte-identical to direct run")
+            raise SystemExit(f"{mode}: campaign result not byte-identical "
+                             "to direct run")
 
         client.shutdown(drain=True)
         server.wait(timeout=max(1.0, deadline - time.monotonic()))
-        print("smoke test passed: service result byte-identical to direct run")
+        if server.returncode != 0:
+            raise SystemExit(f"{mode}: server exited {server.returncode} "
+                             "after the drained shutdown")
     finally:
         if server.poll() is None:
             server.terminate()
@@ -110,6 +109,20 @@ def main():
                 server.wait(timeout=10)
             except subprocess.TimeoutExpired:
                 server.kill()
+
+
+def main():
+    sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+    from repro.testgen import StructuredGenerator
+
+    deadline = time.monotonic() + HARD_TIMEOUT
+    source = StructuredGenerator(statements=5).generate(WORKLOAD_SEED).source
+    expected_counts, expected_json = direct_counts(source)
+    print(f"direct run: {expected_counts}")
+    for mode in ("thread", "process"):
+        check_mode(mode, source, expected_counts, expected_json, deadline)
+    print("smoke test passed: thread and process service results "
+          "byte-identical to direct run, clean drained exits")
 
 
 if __name__ == "__main__":

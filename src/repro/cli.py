@@ -380,24 +380,40 @@ def cmd_top(args) -> int:
     return run_top(args.url, interval=args.interval, iterations=iterations)
 
 
-def cmd_serve(args) -> int:
-    from .serve import BatchService
-    from .serve.api import ServiceServer
+def resolve_workers(workers: Optional[int]) -> int:
+    """Resolve a worker-count flag: ``0``/``None`` auto-detects CPUs."""
+    import os
 
-    service = BatchService(workers=args.workers,
-                           queue_limit=args.queue_limit,
-                           mode=args.mode)
+    if workers is None or workers == 0:
+        return os.cpu_count() or 1
+    if workers < 0:
+        raise ValueError(f"workers must be >= 0, got {workers}")
+    return workers
+
+
+def _run_service(service, banner) -> int:
+    """Start ``service``, print ``banner(url)`` (whose first URL is the
+    bound one), and serve until a signal or ``POST /v1/shutdown``."""
     service.start()
-    server = ServiceServer(service, host=args.host, port=args.port,
-                           quiet=not args.verbose)
-    print(f"repro batch service listening on {server.url} "
-          f"({service.workers} {service.mode} workers, "
-          f"queue limit {service.queue.limit}); observability: "
-          f"{server.url}/metrics, /v1/events, /v1/fuzz/frontier "
-          "(watch with `repro top`)", file=sys.stderr)
-    server.install_signal_handlers()
-    server.serve_forever()
+    print(banner(service.url), file=sys.stderr)
+    service.install_signal_handlers()
+    service.serve_forever()
     return 0
+
+
+def cmd_serve(args) -> int:
+    from .cluster import ClusterCoordinator
+
+    service = ClusterCoordinator(host=args.host, port=args.port,
+                                 queue_limit=args.queue_limit,
+                                 workers=resolve_workers(args.workers),
+                                 mode=args.mode)
+    return _run_service(service, lambda url: (
+        f"repro batch service listening on {url} ({service.workers} "
+        f"{service.mode} workers, queue limit {args.queue_limit}); "
+        f"observability: {url}/metrics, /v1/events, /v1/fuzz/frontier "
+        f"(watch with `repro top`); attach nodes with "
+        f"`repro node --coordinator {url}`"))
 
 
 def cmd_coordinator(args) -> int:
@@ -417,16 +433,13 @@ def cmd_coordinator(args) -> int:
         queue_limit=args.queue_limit, lease_timeout=args.lease_timeout,
         node_timeout=args.node_timeout, max_attempts=args.max_attempts,
         quotas=quotas)
-    coordinator.start()
     store_note = f", store {args.store}" if args.store else ""
-    print(f"repro cluster coordinator listening on {coordinator.url} "
-          f"(queue limit {args.queue_limit}, lease timeout "
-          f"{args.lease_timeout}s, node timeout {args.node_timeout}s"
-          f"{store_note}); attach nodes with "
-          f"`repro node --coordinator {coordinator.url}`", file=sys.stderr)
-    coordinator.install_signal_handlers()
-    coordinator.serve_forever()
-    return 0
+    return _run_service(coordinator, lambda url: (
+        f"repro cluster coordinator listening on {url} "
+        f"(queue limit {args.queue_limit}, lease timeout "
+        f"{args.lease_timeout}s, node timeout {args.node_timeout}s"
+        f"{store_note}); attach nodes with "
+        f"`repro node --coordinator {url}`"))
 
 
 def cmd_node(args) -> int:
@@ -455,15 +468,10 @@ def cmd_node(args) -> int:
 
 
 def cmd_cluster_status(args) -> int:
-    from .cluster import CoordinatorClient
+    from .serve.client import ServiceClient
 
-    client = CoordinatorClient(args.url)
-    service = client.stats().get("service", {})
-    cluster = service.get("cluster")
-    if cluster is None:
-        print(f"{args.url} is a plain batch service (no cluster section); "
-              "use `repro top` to watch it", file=sys.stderr)
-        return 1
+    service = ServiceClient(args.url).stats().get("service", {})
+    cluster = service.get("cluster", {})
     work = cluster.get("work", {})
     print(f"coordinator {args.url}  "
           f"accepting={service.get('accepting')}  "
@@ -845,8 +853,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="thread",
                    help="worker pool backing (process = spawn-safe "
                         "multiprocessing pool)")
-    p.add_argument("--verbose", action="store_true",
-                   help="log every HTTP request to stderr")
     telemetry_flags(p)
     p.set_defaults(func=cmd_serve)
 

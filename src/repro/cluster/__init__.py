@@ -1,18 +1,18 @@
-"""Distributed simulation fabric over the batch-service layer.
+"""The simulation service and its distributed fabric.
 
-A coordinator (:class:`ClusterCoordinator`) owns the job queue and the
-client API; worker nodes (:class:`WorkerNode`) attach over the same
-stdlib HTTP/JSON protocol ``repro serve`` speaks, pull sharded work,
-execute it with the stock executor registry, and stream results back
-under heartbeat-renewed leases.  The design invariant — shard planning
-is a pure function of the job spec, with an order-restoring merge on
-the coordinator — makes an N-node run byte-identical to single-process
-execution for any fixed seed, including across node death and lease
-re-dispatch.  See docs/serving.md ("Cluster mode").
+:class:`ClusterCoordinator` is the one service: it owns the job queue,
+the client API and the scheduling point.  ``repro serve`` runs it with
+in-process workers; worker nodes (:class:`WorkerNode`) attach over the
+stdlib HTTP/JSON pull protocol, lease sharded work, execute it with the
+stock executor registry, and stream results back under
+heartbeat-renewed leases.  The design invariant — shard planning is a
+pure function of the job spec, with an order-restoring merge on the
+coordinator — makes any mix of workers byte-identical to single-process
+execution for a fixed seed, including across node death and lease
+re-dispatch.  See docs/serving.md.
 """
 
-from .client import CoordinatorClient
-from .coordinator import ClusterCoordinator
+from .coordinator import ClusterCoordinator, ServiceClosed
 from .fuzzdriver import DistributedFuzzEngine, split_batch
 from .leases import LeaseTable, NodeInfo, NodeRegistry, WorkItem
 from .node import WorkerNode
@@ -22,13 +22,13 @@ from .store import JobStore
 
 __all__ = [
     "ClusterCoordinator",
-    "CoordinatorClient",
     "DistributedFuzzEngine",
     "JobStore",
     "LeaseTable",
     "NodeInfo",
     "NodeRegistry",
     "QuotaExceeded",
+    "ServiceClosed",
     "TenantQuotas",
     "WorkItem",
     "WorkerNode",

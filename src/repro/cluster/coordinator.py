@@ -1,9 +1,31 @@
-"""The cluster coordinator: job queue, shard dispatch, result merge.
+"""The service: admission, scheduling at lease time, workers, merge.
 
-One coordinator owns the client-facing API (the same ``/v1/*`` routes as
-``repro serve``, so :class:`~repro.serve.client.ServiceClient`,
-``repro submit`` and ``repro top`` work unchanged) plus the node-facing
-pull protocol::
+One :class:`ClusterCoordinator` is every deployment of the ``/v1/*``
+API.  ``repro serve`` runs it with in-process workers (threads, or
+threads that ship each work item to a process pool); ``repro
+coordinator`` runs it with none.  Worker nodes attach to either over
+the pull protocol, so one service can mix both kinds of worker.
+
+Client-facing routes (JSON unless noted;
+:class:`~repro.serve.client.ServiceClient`, ``repro submit`` and
+``repro top`` speak them)::
+
+    GET  /v1/health            liveness + queue/worker stats
+    GET  /v1/stats             service stats + telemetry metrics snapshot
+    GET  /v1/kinds             registered job kinds
+    GET  /metrics              Prometheus text exposition (0.0.4)
+    GET  /v1/events?since=N    incremental event tail (cursor = "next")
+    GET  /v1/fuzz/frontier     live fuzz coverage-frontier snapshot
+    POST /v1/jobs              submit a job -> 202 (429 queue full or
+                               over quota, 503 shutting down)
+    GET  /v1/jobs              list job statuses (?state= filter)
+    GET  /v1/jobs/<id>         one job's status
+    GET  /v1/jobs/<id>/result  the result -> 409 until resolved
+    GET  /v1/jobs/<id>/events  a traced job's merged event records
+    POST /v1/jobs/<id>/cancel  cancel
+    POST /v1/shutdown          graceful shutdown (body: {"drain": bool})
+
+Node-facing routes::
 
     POST /v1/nodes/register          -> {"id", "heartbeat_interval", ...}
     POST /v1/nodes/<id>/heartbeat    {"stats": {...}}   renews leases
@@ -13,18 +35,28 @@ pull protocol::
     GET  /v1/cluster/nodes           node rows (repro cluster-status / top)
     GET  /v1/cluster/work            work-item table summary
 
-Execution model: jobs are admitted through the same bounded
+Execution model: jobs are admitted through a bounded
 :class:`~repro.serve.queue.AdmissionQueue` (429 + Retry-After when
-full), optionally gated by per-tenant quotas; the scheduler plans each
-job into work items (:mod:`.shards` — spec-pure, so byte-identical
-results whatever the cluster shape), nodes pull and execute them via the
-stock :func:`~repro.serve.executors.execute_job` registry, and the
+full), optionally gated by per-tenant quotas.  A job leaves the queue
+only when a worker asks for work.  A lease, from a node or a local
+worker, first takes pending items of jobs that already started, then
+pops the best queued job (priority, deadline, FIFO), resolves an expired
+queue deadline as ``timeout``, plans the job into work items
+(:mod:`.shards` — spec-pure, so results are byte-identical whatever
+executes them), marks it running and leases from its items.  Every
+worker runs an item through :func:`~repro.cluster.node.run_item`; the
 coordinator order-restores and merges shard results into the exact
 single-process envelope.  Sharded fuzz jobs run their feedback loop on
 the coordinator (:mod:`.fuzzdriver`), farming out batch evaluation.
-Heartbeat loss re-queues a dead node's leases; a JSONL
-:class:`~repro.cluster.store.JobStore` makes jobs survive coordinator
-restarts.
+
+Job policy, the same for every worker: an executor exception re-runs the
+item while the job's ``max_retries`` allows (``job.attempts`` counts the
+runs); a lost node or an expired lease re-queues it up to
+``max_attempts`` dispatches without using up ``max_retries``; an
+:class:`~repro.serve.executors.ExecutorError` fails the job at once.  A
+running job past its ``timeout_seconds`` resolves as ``timeout`` within
+one reaper period.  A JSONL :class:`~repro.cluster.store.JobStore` makes
+jobs survive restarts.
 """
 
 from __future__ import annotations
@@ -32,6 +64,7 @@ from __future__ import annotations
 import signal
 import threading
 import time
+from dataclasses import dataclass
 from queue import SimpleQueue
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -39,26 +72,44 @@ from ..serve.executors import _EXECUTORS, ExecutorError
 from ..serve.jobs import (Job, JobCancelled, JobContext, JobSpec, JobTimeout,
                           STATES)
 from ..serve.queue import AdmissionQueue, QueueClosed, QueueFull
-from ..serve.service import ServiceClosed
 from ..telemetry.session import resolve as _resolve_telemetry
 from .fuzzdriver import DistributedFuzzEngine, split_batch
 from .leases import LeaseTable, NodeRegistry, WORK_DONE, WORK_FAILED
+from .node import run_item
 from .quotas import QuotaExceeded, TenantQuotas
 from .shards import FUZZ_DRIVER, SHARDABLE_KINDS, plan_shards
 from .store import JobStore
 
-__all__ = ["ClusterCoordinator"]
+__all__ = ["ClusterCoordinator", "ServiceClosed"]
+
+
+class ServiceClosed(Exception):
+    """Submission rejected: the service is shutting down."""
+
+
+@dataclass
+class _Run:
+    """A started job: its context, its execution span, and its work
+    item ids (``None`` while a fuzz driver mints items per batch)."""
+
+    ctx: JobContext
+    trace: Any = None
+    items: Optional[List[str]] = None
 
 
 class ClusterCoordinator:
-    """Coordinator node: admission, shard dispatch, lease recovery, merge.
+    """The service: admission, lease-time scheduling, workers, merge.
 
     ::
 
-        coord = ClusterCoordinator(port=0, store_path="jobs.jsonl")
-        coord.start()
-        # attach WorkerNode(coord.url) instances, submit via ServiceClient
-        coord.shutdown()
+        service = ClusterCoordinator(port=0, workers=2).start()
+        job = service.submit(JobSpec(kind="vp_run", payload={...}))
+        job.wait()
+        service.shutdown()          # drains queued + in-flight jobs
+
+    ``workers`` local workers run in ``mode`` ``"thread"`` or
+    ``"process"``; with ``workers=0`` only attached
+    :class:`~repro.cluster.node.WorkerNode` instances execute work.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 8973,
@@ -68,34 +119,60 @@ class ClusterCoordinator:
                  node_timeout: float = 10.0,
                  max_attempts: int = 3,
                  quotas: Optional[TenantQuotas] = None,
+                 workers: int = 0,
+                 mode: str = "thread",
                  telemetry=None) -> None:
         from .frontend import SelectorHttpServer
 
+        if mode not in ("thread", "process"):
+            raise ValueError(f"mode must be 'thread' or 'process', "
+                             f"got {mode!r}")
+        if workers < 0:
+            raise ValueError(f"workers must be >= 0, got {workers}")
+        # A service is long-lived and observable by design: when the
+        # ambient session is disabled, run on a private enabled session
+        # so /v1/stats and the gauges are always live.  A CLI-installed
+        # session (``repro serve --stats``) is reused.
         resolved = _resolve_telemetry(telemetry)
         if not resolved.enabled:
             from ..telemetry import Telemetry
             resolved = Telemetry()
         self.telemetry = resolved
-        self._metrics = self.telemetry.metrics.namespace("cluster")
+        self._serve = self.telemetry.metrics.namespace("serve")
+        self._cluster = self.telemetry.metrics.namespace("cluster")
+        self.workers = workers
+        self.mode = mode
         self.queue = AdmissionQueue(queue_limit)
-        self.work = LeaseTable(max_attempts=max_attempts)
+        self.work = LeaseTable(max_attempts=max_attempts,
+                               feed=self._start_next_job)
         self.nodes = NodeRegistry()
         self.quotas = quotas or TenantQuotas()
         self.lease_timeout = lease_timeout
         self.node_timeout = node_timeout
         self.heartbeat_interval = max(0.05, node_timeout / 3.0)
         self.jobs: Dict[str, Job] = {}
-        self._job_items: Dict[str, List[str]] = {}
+        self._runs: Dict[str, _Run] = {}
+        self._reruns: set = set()
         self._lock = threading.Lock()
         self._idle = threading.Condition(self._lock)
         self._accepting = False
         self._started = False
         self._stopped = False
+        self._shutdown_done = threading.Event()
+        self._workers_stopped = False
         self._node_drain = threading.Event()
         self._stop_loop = threading.Event()
         self._finalize_feed: SimpleQueue = SimpleQueue()
         self._threads: List[threading.Thread] = []
+        self._local_threads: List[threading.Thread] = []
         self._driver_threads: List[threading.Thread] = []
+        self._pool = None
+        if workers and mode == "process":
+            from ..pool import process_pool
+
+            # Fork before the listening socket and any thread exist, so
+            # the pool's children hold neither.
+            self._pool = process_pool(workers)
         self._next_job_number = 1
         self.store: Optional[JobStore] = None
         self._replayed: List[Tuple[str, JobSpec]] = []
@@ -144,23 +221,28 @@ class ClusterCoordinator:
 
     def start(self) -> "ClusterCoordinator":
         if self._started:
-            raise RuntimeError("coordinator already started")
+            raise RuntimeError("service already started")
         self._started = True
         self._accepting = True
         self.frontend.start()
-        for target, name in ((self._scheduler_loop, "cluster-scheduler"),
-                             (self._finalizer_loop, "cluster-finalizer"),
+        for target, name in ((self._finalizer_loop, "cluster-finalizer"),
                              (self._reaper_loop, "cluster-reaper")):
             thread = threading.Thread(target=target, name=name, daemon=True)
             thread.start()
             self._threads.append(thread)
-        if self.telemetry.enabled:
-            self.telemetry.events.emit(
-                "cluster.started", queue_limit=self.queue.limit,
-                lease_timeout=self.lease_timeout,
-                node_timeout=self.node_timeout,
-                replayed_jobs=len(self._replayed),
-                resolved_jobs=len(self.jobs))
+        for index in range(self.workers):
+            thread = threading.Thread(target=self._local_worker,
+                                      args=(f"worker-{index}",),
+                                      name=f"serve-worker-{index}",
+                                      daemon=True)
+            thread.start()
+            self._local_threads.append(thread)
+        self._update_gauges()
+        self.telemetry.events.emit(
+            "serve.started", workers=self.workers, mode=self._mode(),
+            queue_limit=self.queue.limit, lease_timeout=self.lease_timeout,
+            node_timeout=self.node_timeout,
+            replayed_jobs=len(self._replayed), resolved_jobs=len(self.jobs))
         # Re-queue replayed unresolved jobs under their original IDs:
         # shard plans are spec-pure, so the re-run produces the bytes
         # the interrupted run would have.
@@ -177,6 +259,7 @@ class ClusterCoordinator:
             except (QueueFull, QueueClosed):
                 job.mark_failed("queue full during replay")
                 self._job_finished(job)
+        self.work.wake()
         return self
 
     def __enter__(self) -> "ClusterCoordinator":
@@ -188,7 +271,7 @@ class ClusterCoordinator:
         self.shutdown()
 
     def serve_forever(self) -> None:
-        """Run in the foreground (the ``repro coordinator`` entry point)."""
+        """Run in the foreground until a signal or ``POST /v1/shutdown``."""
         try:
             while not self._stop_loop.wait(0.5):
                 pass
@@ -199,7 +282,7 @@ class ClusterCoordinator:
 
     def install_signal_handlers(self) -> None:
         """SIGTERM and SIGINT both drain gracefully (containers send
-        SIGTERM); mirrors ``ServiceServer.install_signal_handlers``."""
+        SIGTERM); the handler only wakes :meth:`serve_forever`."""
         def handle(signum, frame):  # pragma: no cover - signal path
             self._stop_loop.set()
 
@@ -208,44 +291,53 @@ class ClusterCoordinator:
 
     def shutdown(self, drain: bool = True,
                  timeout: Optional[float] = None) -> None:
-        """Stop the coordinator.
+        """Stop the service.
 
-        ``drain=True`` stops admission, waits for every queued and
-        in-flight job to resolve (nodes keep pulling), then tells nodes
-        to drain and closes.  ``drain=False`` cancels queued jobs and
-        closes immediately.
+        ``drain=True`` stops admission and waits (up to ``timeout``) for
+        every queued and in-flight job to resolve.  ``drain=False``
+        cancels queued jobs at once.  Either way in-flight local items
+        finish first; then nodes are told to drain and the frontend
+        closes.  A second caller returns only when the first finished.
         """
         with self._lock:
-            if self._stopped:
-                return
+            first = not self._stopped
             self._stopped = True
             self._accepting = False
-        if not drain:
-            for job in self.queue.drain():
-                job.mark_cancelled("coordinator shutdown")
-                self._job_finished(job)
-        self.queue.close()
-        if drain:
-            self.join(timeout=timeout)
-        self._node_drain.set()
-        self._stop_loop.set()
-        self._finalize_feed.put(None)
-        for thread in self._threads:
-            thread.join(timeout=5)
-        for thread in list(self._driver_threads):
-            thread.join(timeout=5)
-        self.frontend.close()
-        if self.telemetry.enabled:
+        if not first:
+            self._shutdown_done.wait()
+            return
+        try:
+            if not drain:
+                for job in self.queue.drain():
+                    job.mark_cancelled("service shutdown")
+                    self._job_finished(job)
+            self.queue.close()
+            if drain:
+                self.join(timeout=timeout)
+            self._workers_stopped = True
+            self.work.wake()
+            for thread in self._local_threads:
+                thread.join()
+            self._node_drain.set()
+            self._stop_loop.set()
+            self._finalize_feed.put(None)
+            for thread in self._threads + list(self._driver_threads):
+                thread.join(timeout=5)
+            self.frontend.close()
+            if self._pool is not None:
+                self._pool.close()
+                self._pool.join()
             counts = self.work.counts()
             self.telemetry.events.emit(
-                "cluster.stopped", drained=drain,
-                jobs_total=len(self.jobs),
+                "serve.stopped", drained=drain, jobs_total=len(self.jobs),
                 work_completed=self.work.completed_total,
                 work_requeued=self.work.requeued_total,
                 work_failed=counts[WORK_FAILED],
                 nodes_lost=self.nodes.lost_total)
-        if self.store is not None:
-            self.store.close()
+            if self.store is not None:
+                self.store.close()
+        finally:
+            self._shutdown_done.set()
 
     def join(self, timeout: Optional[float] = None) -> bool:
         """Block until no job is queued or running; True when idle."""
@@ -265,9 +357,9 @@ class ClusterCoordinator:
     def submit(self, spec: JobSpec) -> Job:
         """Admit one job; raises :class:`QueueFull`,
         :class:`QuotaExceeded`, :class:`ServiceClosed`, or
-        :class:`ExecutorError` exactly like the single-process service."""
+        :class:`ExecutorError` (unknown kind, unshardable kind)."""
         if not self._started:
-            raise RuntimeError("coordinator not started")
+            raise RuntimeError("service not started")
         spec.validate()
         if spec.kind not in _EXECUTORS:
             raise ExecutorError(
@@ -279,100 +371,186 @@ class ClusterCoordinator:
                 f"{sorted(SHARDABLE_KINDS)}")
         with self._lock:
             if not self._accepting:
-                raise ServiceClosed("coordinator is shutting down")
+                raise ServiceClosed("service is shutting down")
             job = Job(spec, job_id=f"job-{self._next_job_number}")
             self.quotas.acquire(spec.tenant)
             try:
                 self.queue.put(job)
             except QueueFull:
                 self.quotas.release(spec.tenant)
-                self._metrics.counter("rejected").inc()
-                if self.telemetry.enabled:
-                    self.telemetry.events.emit(
-                        "job.rejected", kind=spec.kind,
-                        queue_depth=self.queue.limit)
+                self._serve.counter("rejected").inc()
+                self.telemetry.events.emit(
+                    "job.rejected", kind=spec.kind,
+                    queue_depth=self.queue.limit)
                 raise
             except QueueClosed:
                 self.quotas.release(spec.tenant)
-                raise ServiceClosed(
-                    "coordinator is shutting down") from None
+                raise ServiceClosed("service is shutting down") from None
             self._next_job_number += 1
             self.jobs[job.id] = job
         if self.store is not None:
             self.store.append_job(job.id, spec.to_dict())
-        self._metrics.counter("submitted").inc()
-        self._metrics.gauge("queue_depth").set(self.queue.depth())
-        if self.telemetry.enabled:
-            self.telemetry.events.emit(
-                "job.submitted", id=job.id, kind=spec.kind,
-                shards=spec.shards, tenant=spec.tenant or "")
+        self._serve.counter("submitted").inc()
+        self._serve.gauge("queue_depth").set(self.queue.depth())
+        trace = {key: value for key, value in (spec.trace or {}).items()
+                 if value is not None}
+        self.telemetry.events.emit(
+            "job.submitted", id=job.id, kind=spec.kind,
+            priority=spec.priority, shards=spec.shards,
+            tenant=spec.tenant or "", **trace)
+        self.work.wake()
         return job
 
     def get_job(self, job_id: str) -> Optional[Job]:
         return self.jobs.get(job_id)
 
     def cancel(self, job_id: str) -> bool:
+        """Cancel a job: a queued one never runs; a running one resolves
+        now, its open items stop dispatching, and its executors stop at
+        their next checkpoint."""
         job = self.jobs.get(job_id)
         if job is None:
             return False
         changed = job.cancel()
         if changed:
-            self.work.drop_job(job_id)
-            with self._lock:
-                static = job_id in self._job_items
-            if not job.done and static:
-                # Statically-sharded jobs have no cooperative executor
-                # on the coordinator — dropping their work items *is*
-                # the cancellation, so resolve the job here.  (Fuzz
-                # driver jobs resolve themselves via ctx.check.)
-                job.mark_cancelled("cancelled while running")
-            if job.done:
-                self._job_finished(job)
+            self._stop_job(job, job.mark_cancelled, "cancelled while running")
         return changed
+
+    def _stop_job(self, job: Job, resolve, reason: str) -> None:
+        resolve(reason)
+        self.work.drop_job(job.id, reason)
+        self._job_finished(job)
+
+    def _timeout(self, job: Job) -> None:
+        self._stop_job(job, job.mark_timeout,
+                       f"run timeout after {job.spec.timeout_seconds}s")
 
     # -- scheduling -----------------------------------------------------
 
-    def _scheduler_loop(self) -> None:
-        while True:
-            job = self.queue.get(timeout=None)
-            if job is None:
-                return
-            if job.deadline_expired():
-                job.mark_timeout("deadline expired before dispatch")
-                self._job_finished(job)
-                continue
-            self._metrics.gauge("queue_depth").set(self.queue.depth())
-            plans = plan_shards(job.spec)
-            if plans[0]["kind"] == FUZZ_DRIVER:
-                self._start_fuzz_driver(job, plans[0]["shard_count"])
-                continue
-            if not job.mark_running("cluster"):
-                self._job_finished(job)
-                continue
-            items = self.work.add(job.id, plans)
-            with self._lock:
-                self._job_items[job.id] = [item.id for item in items]
-            self._update_work_gauges()
-            if self.telemetry.enabled:
-                self.telemetry.events.emit(
-                    "job.dispatched", id=job.id, kind=job.spec.kind,
-                    shards=len(items))
+    def _start_next_job(self) -> bool:
+        """The lease table's feed: start the best queued job.
 
-    def _start_fuzz_driver(self, job: Job, shard_count: int) -> None:
+        Runs under the lease table's lock, inside a lease.  Returns
+        False when the queue is empty.
+        """
+        job = self.queue.get(timeout=0)
+        if job is None:
+            return False
+        if job.deadline_expired():
+            job.mark_timeout("deadline expired before dispatch")
+            self._job_finished(job)
+            return True
+        plans = plan_shards(job.spec)
+        if not job.mark_running("cluster"):
+            self._job_finished(job)
+            return True
+        wait = job.started_at - job.submitted_at
+        self._serve.timer("queue_wait_seconds").observe(wait)
+        run = _Run(JobContext(job))
+        if job.spec.trace is not None:
+            from ..observe.trace import TraceContext
+
+            root = TraceContext.from_dict(job.spec.trace)
+            self._emit_queue_span(job, root)
+            run.trace = root.child()
+        self.telemetry.events.emit(
+            "job.dispatched", id=job.id, kind=job.spec.kind,
+            shards=plans[0]["shard_count"], queue_seconds=round(wait, 6))
+        if plans[0]["kind"] == FUZZ_DRIVER:
+            with self._lock:
+                self._runs[job.id] = run
+            self._start_fuzz_driver(job, run.ctx, plans[0]["shard_count"])
+            return True
+        if run.trace is not None:
+            plans = [{**plan, "trace": run.trace.child().to_dict()}
+                     for plan in plans]
+        run.items = [item.id for item in self.work.add(job.id, plans)]
+        with self._lock:
+            self._runs[job.id] = run
+        return True
+
+    def _leased(self, items):
+        """After a lease: a re-run item takes its job from pending back
+        to running (one more attempt), and the gauges move."""
+        for item in items:
+            if item.id in self._reruns:
+                self._reruns.discard(item.id)
+                job = self.jobs.get(item.job_id)
+                if job is not None:
+                    job.mark_running("cluster")
+        self._update_gauges()
+        return items
+
+    def _emit_queue_span(self, job: Job, root) -> None:
+        """Record the elapsed queue wait as a complete span.
+
+        ``submitted_at``/``started_at`` and the event log share the
+        monotonic clock, so the span sits at the true submission time.
+        """
+        log = self.telemetry.events
+        record = {
+            "type": "job.queue_wait",
+            "ts_us": int((job.submitted_at - log.origin) * 1_000_000),
+            "dur_us": int((job.started_at - job.submitted_at) * 1_000_000),
+            "id": job.id,
+            "kind": job.spec.kind,
+            **root.child().fields(),
+        }
+        log.extend([record])
+        job.trace_events.append(record)
+
+    # -- local workers --------------------------------------------------
+
+    def _local_worker(self, name: str) -> None:
+        while True:
+            item = self.work.lease_blocking(
+                name, lambda: self._workers_stopped)
+            if item is None:
+                return
+            self._leased([item])
+            self._run_local(item)
+
+    def _run_local(self, item) -> None:
+        """Run one item with its job's context: in this thread, or in
+        the pool while this thread polls the context."""
+        with self._lock:
+            run = self._runs.get(item.job_id)
+        if run is None:
+            return  # the job resolved between lease and run
+        try:
+            if self._pool is None:
+                body = run_item(item.wire_dict(), run.ctx)
+            else:
+                from multiprocessing import TimeoutError as PoolTimeout
+
+                handle = self._pool.apply_async(run_item, (item.wire_dict(),))
+                while True:
+                    try:
+                        body = handle.get(timeout=0.1)
+                        break
+                    except PoolTimeout:
+                        run.ctx.check()
+        except JobCancelled:
+            return  # cancel() resolved the job and dropped its items
+        except JobTimeout:
+            return self._timeout(run.ctx.job)
+        self._complete_work(item.id, body, inline=True)
+
+    # -- fuzz driver ----------------------------------------------------
+
+    def _start_fuzz_driver(self, job: Job, ctx: JobContext,
+                           shard_count: int) -> None:
         thread = threading.Thread(
-            target=self._drive_fuzz, args=(job, shard_count),
+            target=self._drive_fuzz, args=(job, ctx, shard_count),
             name=f"fuzz-driver-{job.id}", daemon=True)
         self._driver_threads.append(thread)
         thread.start()
 
-    def _drive_fuzz(self, job: Job, shard_count: int) -> None:
-        """Run a sharded fuzz job's loop, evaluating batches remotely."""
+    def _drive_fuzz(self, job: Job, ctx: JobContext,
+                    shard_count: int) -> None:
+        """Run a sharded fuzz job's loop, evaluating batches as items."""
         from ..serve.executors import fuzz_session_from_payload
 
-        if not job.mark_running("cluster"):
-            self._job_finished(job)
-            return
-        ctx = JobContext(job)
         try:
             isa, config, seeds = fuzz_session_from_payload(
                 job.spec.payload)
@@ -383,8 +561,7 @@ class ClusterCoordinator:
             }
 
             def evaluate_remote(batch):
-                return self._eval_batch_on_cluster(job, ctx, base, batch,
-                                                   shard_count)
+                return self._eval_batch(job, ctx, base, batch, shard_count)
 
             engine = DistributedFuzzEngine(isa, config, evaluate_remote,
                                            telemetry=self.telemetry)
@@ -404,15 +581,13 @@ class ClusterCoordinator:
             job.mark_succeeded(result.to_dict())
         finally:
             # Abandoned batch items (cancel/timeout/failure) must not
-            # keep dispatching to nodes; on success everything is done
-            # already and the drop is a no-op.
+            # keep dispatching; on success the drop is a no-op.
             self.work.drop_job(job.id)
             self._job_finished(job)
             self._driver_threads.remove(threading.current_thread())
 
-    def _eval_batch_on_cluster(self, job: Job, ctx: JobContext,
-                               base: Dict[str, Any], batch,
-                               shard_count: int):
+    def _eval_batch(self, job: Job, ctx: JobContext, base: Dict[str, Any],
+                    batch, shard_count: int):
         """One fuzz batch as ``fuzz_eval`` work items, order-restored."""
         from ..fuzz.executor import EvalResult
 
@@ -424,7 +599,7 @@ class ClusterCoordinator:
                   "shard_count": shard_count}
                  for index, inputs in chunks]
         items = self.work.add(job.id, plans)
-        self._update_work_gauges()
+        self._update_gauges()
         done = self.work.wait([item.id for item in items],
                               should_abort=lambda: job.done
                               or ctx.cancelled or ctx.timed_out
@@ -442,20 +617,86 @@ class ClusterCoordinator:
                            for data in item.result["results"])
         return results
 
-    # -- finalization ---------------------------------------------------
+    # -- completion and finalization ------------------------------------
+
+    def _complete_work(self, item_id: str, body: dict,
+                       inline: bool = False) -> Optional[dict]:
+        """Record one item's outcome, from a node or a local worker.
+
+        Local workers finalize inline; node completions arrive on the
+        event loop and finalize on the finalizer thread.
+        """
+        error = body.get("error")
+        if error is not None:
+            item = self._fail_item(item_id, str(error),
+                                   bool(body.get("retryable", True)))
+        else:
+            result = body.get("result")
+            if not isinstance(result, dict):
+                raise ValueError("complete body needs a 'result' object "
+                                 "or an 'error' string")
+            item = self.work.complete(item_id, result)
+            if item is not None:
+                self._cluster.counter("work_completed").inc()
+                self._merge_events(item.job_id, body)
+        if item is None:
+            known = self.work.get(item_id)
+            if known is None:
+                return None
+            return {"id": item_id, "state": known.state, "stale": True}
+        self._update_gauges()
+        if item.state in (WORK_DONE, WORK_FAILED):
+            if inline:
+                self._finalize(item.job_id)
+            else:
+                self._finalize_feed.put(item.job_id)
+        return {"id": item_id, "state": item.state, "stale": False}
+
+    def _fail_item(self, item_id: str, error: str, retryable: bool):
+        """An executor exception re-runs the item while the job's
+        ``max_retries`` allows; anything else fails it."""
+        item = self.work.get(item_id)
+        job = self.jobs.get(item.job_id) if item is not None else None
+        if retryable and job is not None and job.mark_retrying(
+                f"attempt {job.attempts} failed: {error}"):
+            self._reruns.add(item_id)
+            self._serve.counter("retries").inc()
+            self.telemetry.events.emit("job.retrying", id=job.id,
+                                       attempt=job.attempts, error=error)
+            return self.work.rerun(item_id, error)
+        return self.work.fail(item_id, error, retryable=False)
+
+    def _merge_events(self, job_id: str, body: dict) -> None:
+        """Fold a traced item's execution events onto its job and the
+        service log, rebased from the worker's clock origin."""
+        events = body.get("events")
+        job = self.jobs.get(job_id)
+        if not events or job is None:
+            return
+        log = self.telemetry.events
+        # CLOCK_MONOTONIC is system-wide on Linux, so the worker's log
+        # origin and ours are directly comparable readings.
+        shift_us = int((body.get("origin", 0.0) - log.origin) * 1_000_000)
+        merged = [{**event, "ts_us": event.get("ts_us", 0) + shift_us}
+                  for event in events]
+        job.trace_events.extend(merged)
+        log.extend(merged)
 
     def _finalizer_loop(self) -> None:
         while True:
             job_id = self._finalize_feed.get()
             if job_id is None:
                 return
-            try:
-                self._maybe_finalize(job_id)
-            except Exception as exc:  # noqa: BLE001 — loop must survive
-                job = self.jobs.get(job_id)
-                if job is not None and not job.done:
-                    job.mark_failed(f"finalize failed: {exc!r}")
-                    self._job_finished(job)
+            self._finalize(job_id)
+
+    def _finalize(self, job_id: str) -> None:
+        try:
+            self._maybe_finalize(job_id)
+        except Exception as exc:  # noqa: BLE001 — callers must survive
+            job = self.jobs.get(job_id)
+            if job is not None and not job.done:
+                job.mark_failed(f"finalize failed: {exc!r}")
+                self._job_finished(job)
 
     def _maybe_finalize(self, job_id: str) -> None:
         """Resolve a statically-sharded job once all its items landed."""
@@ -463,10 +704,10 @@ class ClusterCoordinator:
 
         job = self.jobs.get(job_id)
         with self._lock:
-            item_ids = self._job_items.get(job_id)
-        if job is None or job.done or not item_ids:
+            run = self._runs.get(job_id)
+        if job is None or job.done or run is None or not run.items:
             return
-        items = [self.work.get(item_id) for item_id in item_ids]
+        items = [self.work.get(item_id) for item_id in run.items]
         failed = [item for item in items if item.state == WORK_FAILED]
         if failed:
             job.mark_failed(
@@ -488,20 +729,39 @@ class ClusterCoordinator:
             return
         self.quotas.release(job.spec.tenant)
         with self._lock:
-            self._job_items.pop(job.id, None)
+            run = self._runs.pop(job.id, None)
         if self.store is not None:
             self.store.append_resolved(job.id, job.state,
                                        result=job.result, error=job.error)
-        self._metrics.counter(f"completed.{job.state}").inc()
-        self._update_work_gauges()
-        if self.telemetry.enabled:
-            record = {"id": job.id, "kind": job.spec.kind,
-                      "state": job.state, "attempts": job.attempts}
-            if job.error:
-                record["error"] = job.error
-            self.telemetry.events.emit("job.finished", **record)
+        self._serve.counter(f"completed.{job.state}").inc()
+        record = {"id": job.id, "kind": job.spec.kind,
+                  "state": job.state, "attempts": job.attempts}
+        run_seconds = job.run_seconds()
+        if run_seconds is not None:
+            self._serve.timer("job_seconds").observe(run_seconds)
+            record["run_seconds"] = round(run_seconds, 6)
+            self._emit_job_span(job, run, run_seconds)
+        if job.error:
+            record["error"] = job.error
+        self._update_gauges()
+        self.telemetry.events.emit("job.finished", **record)
         with self._idle:
             self._idle.notify_all()
+
+    def _emit_job_span(self, job: Job, run: Optional[_Run],
+                       run_seconds: float) -> None:
+        """The job's run as one complete ``job`` span; a traced job's
+        span is also mirrored into its own events."""
+        log = self.telemetry.events
+        span = {"type": "job",
+                "ts_us": int((job.started_at - log.origin) * 1_000_000),
+                "dur_us": int(run_seconds * 1_000_000),
+                "id": job.id, "kind": job.spec.kind, "worker": job.worker,
+                "state": job.state, "attempt": job.attempts}
+        if run is not None and run.trace is not None:
+            span.update(run.trace.fields())
+            job.trace_events.append(span)
+        log.extend([span])
 
     # -- liveness -------------------------------------------------------
 
@@ -511,46 +771,60 @@ class ClusterCoordinator:
         while not self._stop_loop.wait(interval):
             for info in self.nodes.expire(self.node_timeout):
                 released = self.work.release_node(info.id)
-                self._metrics.counter("nodes_lost").inc()
-                if self.telemetry.enabled:
-                    self.telemetry.events.emit(
-                        "node.lost", id=info.id, name=info.name,
-                        requeued=len(released))
+                self._cluster.counter("nodes_lost").inc()
+                self.telemetry.events.emit(
+                    "node.lost", id=info.id, name=info.name,
+                    requeued=len(released))
                 self._after_requeue(released)
             expired = self.work.expire(self.lease_timeout)
             if expired:
-                self._metrics.counter("leases_expired").inc(len(expired))
+                self._cluster.counter("leases_expired").inc(len(expired))
                 self._after_requeue(expired)
+            with self._lock:
+                runs = list(self._runs.values())
+            for run in runs:
+                if run.ctx.timed_out:
+                    self._timeout(run.ctx.job)
 
     def _after_requeue(self, items) -> None:
         """Account re-queues; exhausted items may finalize their job."""
-        self._update_work_gauges()
+        self._update_gauges()
         for item in items:
             if item.state == WORK_FAILED:
                 self._finalize_feed.put(item.job_id)
-            elif self.telemetry.enabled:
+            else:
                 self.telemetry.events.emit(
                     "work.requeued", id=item.id, job_id=item.job_id,
                     attempts=item.attempts, reason=item.error or "")
 
-    def _update_work_gauges(self) -> None:
+    def _update_gauges(self) -> None:
         counts = self.work.counts()
-        self._metrics.gauge("work_pending").set(counts["pending"])
-        self._metrics.gauge("work_leased").set(counts["leased"])
-        self._metrics.gauge("nodes").set(len(self.nodes))
+        self._serve.gauge("workers").set(self._worker_count())
+        self._serve.gauge("queue_depth").set(self.queue.depth())
+        self._serve.gauge("running").set(counts["leased"])
+        self._cluster.gauge("work_pending").set(counts["pending"])
+        self._cluster.gauge("work_leased").set(counts["leased"])
+        self._cluster.gauge("nodes").set(len(self.nodes))
 
     # -- stats ----------------------------------------------------------
 
+    def _worker_count(self, node_rows=None) -> int:
+        """Local workers plus the capacity of every attached node."""
+        rows = self.nodes.rows() if node_rows is None else node_rows
+        return self.workers + sum(row["capacity"] for row in rows)
+
+    def _mode(self) -> str:
+        return self.mode if self.workers else "cluster"
+
     def stats(self) -> Dict[str, Any]:
-        """Serve-compatible stats plus a ``cluster`` section."""
         tally = {state: 0 for state in STATES}
         for job in list(self.jobs.values()):
             tally[job.state] += 1
         node_rows = self.nodes.rows()
         counts = self.work.counts()
         return {
-            "workers": sum(row["capacity"] for row in node_rows),
-            "mode": "cluster",
+            "workers": self._worker_count(node_rows),
+            "mode": self._mode(),
             "accepting": self._accepting,
             "queue_depth": self.queue.depth(),
             "queue_limit": self.queue.limit,
@@ -574,11 +848,9 @@ class ClusterCoordinator:
     def _register_node(self, body: dict) -> dict:
         info = self.nodes.register(name=body.get("name"),
                                    capacity=int(body.get("capacity", 1)))
-        self._update_work_gauges()
-        if self.telemetry.enabled:
-            self.telemetry.events.emit("node.registered", id=info.id,
-                                       name=info.name,
-                                       capacity=info.capacity)
+        self._update_gauges()
+        self.telemetry.events.emit("node.registered", id=info.id,
+                                   name=info.name, capacity=info.capacity)
         return {"id": info.id, "name": info.name,
                 "heartbeat_interval": self.heartbeat_interval,
                 "lease_timeout": self.lease_timeout}
@@ -600,43 +872,15 @@ class ClusterCoordinator:
         if self._node_drain.is_set() or info.draining:
             return {"work": [], "drain": True}
         max_items = max(1, int(body.get("max_items", 1)))
-        leased = self.work.lease(node_id, max_items=max_items)
-        self._update_work_gauges()
+        leased = self._leased(self.work.lease(node_id, max_items=max_items))
         return {"work": [item.wire_dict() for item in leased],
                 "drain": False}
-
-    def _complete_work(self, item_id: str, body: dict) -> Optional[dict]:
-        error = body.get("error")
-        if error is not None:
-            item = self.work.fail(item_id, str(error),
-                                  retryable=bool(body.get("retryable",
-                                                          True)))
-        else:
-            result = body.get("result")
-            if not isinstance(result, dict):
-                raise ValueError("complete body needs a 'result' object "
-                                 "or an 'error' string")
-            item = self.work.complete(item_id, result)
-            if item is not None:
-                self._metrics.counter("work_completed").inc()
-        if item is None:
-            known = self.work.get(item_id)
-            if known is None:
-                return None
-            return {"id": item_id, "state": known.state, "stale": True}
-        self._update_work_gauges()
-        if error is not None:
-            self._after_requeue([item])
-        # Statically-sharded jobs finalize off the event loop.
-        if item.state in (WORK_DONE, WORK_FAILED):
-            self._finalize_feed.put(item.job_id)
-        return {"id": item_id, "state": item.state, "stale": False}
 
     # -- HTTP router -----------------------------------------------------
 
     def _route(self, method: str, path: str, query: Dict[str, str],
                body: Optional[dict]) -> tuple:
-        """The frontend router; mirrors :mod:`repro.serve.api` routes."""
+        """The frontend router: every ``/v1/*`` route in one place."""
         body = body or {}
         route = tuple(part for part in path.strip("/").split("/") if part)
         try:
@@ -654,7 +898,14 @@ class ClusterCoordinator:
                                                 render_prometheus)
 
             counts = self.work.counts()
+            log_stats = self.telemetry.events.stats()
             extra = {
+                "repro_serve_queue_depth_live": self.queue.depth(),
+                "repro_serve_running_live": counts["leased"],
+                "repro_events_dropped": log_stats["dropped_events"],
+                "repro_events_overflowed":
+                    1 if log_stats["overflowed"] else 0,
+                "repro_events_appended": log_stats["total_appended"],
                 "repro_cluster_nodes_live": len(self.nodes),
                 "repro_cluster_work_pending_live": counts["pending"],
                 "repro_cluster_work_leased_live": counts["leased"],
@@ -725,9 +976,11 @@ class ClusterCoordinator:
             job = self.get_job(route[2])
             if job is None:
                 return 404, {"error": f"no such job: {route[2]}"}
+            events = sorted(list(job.trace_events),
+                            key=lambda event: event.get("ts_us", 0))
             return 200, {"id": job.id, "state": job.state,
                          "traced": job.spec.trace is not None,
-                         "events": list(job.trace_events)}
+                         "events": events}
         return 404, {"error": f"unknown endpoint: /{'/'.join(route)}"}
 
     def _route_post(self, route: tuple, body: dict) -> tuple:
@@ -738,7 +991,7 @@ class ClusterCoordinator:
             except QueueFull as exc:
                 return 429, {"error": str(exc)}, {"Retry-After": "1"}
             except QuotaExceeded as exc:
-                self._metrics.counter("quota_rejected").inc()
+                self._cluster.counter("quota_rejected").inc()
                 return 429, {"error": str(exc)}, {"Retry-After": "2"}
             except ServiceClosed as exc:
                 return 503, {"error": str(exc)}
@@ -755,11 +1008,8 @@ class ClusterCoordinator:
                          "state": job.state}
         if route == ("v1", "shutdown"):
             drain = bool(body.get("drain", True))
-
-            def stop():
-                self.shutdown(drain=drain)
-
-            threading.Thread(target=stop, daemon=True).start()
+            threading.Thread(target=self.shutdown, args=(drain,),
+                             daemon=True).start()
             return 202, {"status": "shutting down", "drain": drain}
         if route == ("v1", "nodes", "register"):
             return 200, self._register_node(body)

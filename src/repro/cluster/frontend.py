@@ -1,22 +1,20 @@
 """Selector-based HTTP frontend — thousands of sockets, one thread.
 
-The coordinator fans in submit/poll traffic from clients *and*
+The service fans in submit/poll traffic from clients *and*
 lease/heartbeat/complete traffic from every node.  A thread-per-socket
-server (``ThreadingHTTPServer``, as ``repro serve`` uses) burns a stack
-per idle keep-alive connection; this frontend instead multiplexes all
-connections on one :mod:`selectors` event loop with non-blocking
-sockets, so connection count is bounded by file descriptors, not
-threads.
+server burns a stack per idle keep-alive connection; this frontend
+instead multiplexes all connections on one :mod:`selectors` event loop
+with non-blocking sockets, so connection count is bounded by file
+descriptors, not threads.  It is the service's only HTTP server.
 
 The router contract keeps handlers decoupled from the transport::
 
     router(method, path, query, body) -> (status, payload[, headers])
 
-``payload`` may be a dict (JSON-encoded, sorted keys — the same wire
-bytes as the serve API) or a ``str`` (plain/custom content type via
-``headers``).  Handlers run inline on the event loop and must be fast
-and non-blocking: the coordinator's handlers only touch in-memory state
-and hand real work to worker threads.
+``payload`` may be a dict (JSON-encoded, sorted keys) or a ``str``
+(plain/custom content type via ``headers``).  Handlers run inline on
+the event loop and must be fast and non-blocking: the coordinator's
+handlers only touch in-memory state and leave execution to workers.
 
 HTTP subset: request line + headers + ``Content-Length`` bodies (no
 chunked encoding — every stdlib client used here sends lengths),
@@ -35,7 +33,7 @@ __all__ = ["Router", "SelectorHttpServer"]
 
 Router = Callable[[str, str, Dict[str, str], Optional[dict]], tuple]
 
-MAX_BODY_BYTES = 8 * 1024 * 1024   # matches repro.serve.api
+MAX_BODY_BYTES = 8 * 1024 * 1024   # plenty for assembly sources
 MAX_HEADER_BYTES = 64 * 1024
 RECV_SIZE = 65536
 

@@ -1,8 +1,9 @@
 """Work items, leases, and the node registry.
 
 The coordinator's unit of dispatch is a :class:`WorkItem` — one shard of
-one job.  Nodes *pull*: a lease marks the item as owned by a node until
-it completes or the lease expires.  Work survives node death by
+one job.  Workers *pull*: a lease marks the item as owned by a worker
+(an attached node or an in-process worker) until it completes or, for a
+node, the lease expires.  Work survives node death by
 re-queueing: heartbeat loss or lease expiry returns the item to the
 pending pool and another node picks it up.  Because every work item is a
 pure function of the job spec (see :mod:`repro.cluster.shards`), a
@@ -50,6 +51,8 @@ class WorkItem:
     leased_at: Optional[float] = None
     result: Optional[Dict[str, Any]] = None
     error: Optional[str] = None
+    trace: Optional[Dict[str, Any]] = None
+    reruns: int = 0
 
     def to_dict(self, with_payload: bool = False) -> Dict[str, Any]:
         view = {
@@ -68,34 +71,52 @@ class WorkItem:
         return view
 
     def wire_dict(self) -> Dict[str, Any]:
-        """What a node needs to execute the item."""
-        return {"id": self.id, "kind": self.kind, "payload": self.payload,
+        """What a worker needs to execute the item."""
+        view = {"id": self.id, "kind": self.kind, "payload": self.payload,
                 "job_id": self.job_id, "shard_index": self.shard_index}
+        if self.trace is not None:
+            view["trace"] = self.trace
+        return view
 
 
 class LeaseTable:
     """Pending/leased/done work with lease-based retry.
 
-    ``max_attempts`` bounds total dispatch attempts per item; an item
-    whose budget is exhausted (or that failed non-retryably) lands in
-    ``failed`` and the owning job fails.  Completion notifications go
-    through a condition so job finalizers and the fuzz driver can block
-    in :meth:`wait` without polling.
+    ``max_attempts`` bounds the dispatches per item that end without an
+    answer (lost node, expired lease, retryable failure); a :meth:`rerun`
+    grants one more.  An item whose budget is exhausted (or that failed
+    non-retryably) lands in ``failed`` and the owning job fails.
+
+    ``feed`` makes :meth:`lease` the scheduling point: when no item is
+    pending it is called, under the table's lock, to add the next job's
+    items, and returns False once there is nothing left to start.  Every
+    change notifies one condition, so job finalizers, the fuzz driver and
+    in-process workers block in :meth:`wait` / :meth:`lease_blocking`
+    without polling.
     """
 
     def __init__(self, max_attempts: int = 3,
-                 clock=time.monotonic) -> None:
+                 clock=time.monotonic, feed=None) -> None:
         if max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         self.max_attempts = max_attempts
         self._clock = clock
+        self._feed = feed
         self._items: Dict[str, WorkItem] = {}
         self._pending: deque = deque()
-        self._lock = threading.Lock()
+        self._tally = {WORK_PENDING: 0, WORK_LEASED: 0, WORK_DONE: 0,
+                       WORK_FAILED: 0}
+        # Re-entrant: ``feed`` runs under the lock and adds items.
+        self._lock = threading.RLock()
         self._changed = threading.Condition(self._lock)
         self._ids = itertools.count(1)
         self.requeued_total = 0
         self.completed_total = 0
+
+    def _set(self, item: WorkItem, state: str) -> None:
+        self._tally[item.state] -= 1
+        self._tally[state] += 1
+        item.state = state
 
     # -- intake ---------------------------------------------------------
 
@@ -112,30 +133,62 @@ class LeaseTable:
                     payload=plan["payload"],
                     shard_index=plan.get("shard_index", 0),
                     shard_count=plan.get("shard_count", 1),
+                    trace=plan.get("trace"),
                 )
                 self._items[item.id] = item
+                self._tally[WORK_PENDING] += 1
                 self._pending.append(item.id)
                 items.append(item)
             self._changed.notify_all()
         return items
 
-    # -- node side ------------------------------------------------------
+    # -- worker side ----------------------------------------------------
 
-    def lease(self, node_id: str, max_items: int = 1) -> List[WorkItem]:
-        """Hand up to ``max_items`` pending items to ``node_id``."""
+    def lease(self, node_id: str, max_items: int = 1,
+              expires: bool = True) -> List[WorkItem]:
+        """Hand up to ``max_items`` items to ``node_id``.
+
+        Pending items go first; when none is left, ``feed`` starts the
+        next job.  A lease with ``expires=False`` has no clock, so
+        :meth:`expire` never reclaims it.
+        """
         leased = []
-        now = self._clock()
+        now = self._clock() if expires else None
         with self._lock:
-            while self._pending and len(leased) < max_items:
+            while len(leased) < max_items:
+                if not self._pending:
+                    if self._feed is None or not self._feed():
+                        break
+                    continue
                 item = self._items[self._pending.popleft()]
                 if item.state != WORK_PENDING:
                     continue
-                item.state = WORK_LEASED
+                self._set(item, WORK_LEASED)
                 item.node = node_id
                 item.leased_at = now
                 item.attempts += 1
                 leased.append(item)
         return leased
+
+    def lease_blocking(self, node_id: str, stopped) -> Optional[WorkItem]:
+        """Lease one never-expiring item for an in-process worker,
+        waiting until there is one; ``None`` once ``stopped()``.
+
+        The check and the wait happen under the table's lock, so an
+        :meth:`add` or :meth:`wake` between them is never lost.
+        """
+        with self._changed:
+            while not stopped():
+                leased = self.lease(node_id, expires=False)
+                if leased:
+                    return leased[0]
+                self._changed.wait()
+        return None
+
+    def wake(self) -> None:
+        """Wake blocked workers: a job was queued, or they should stop."""
+        with self._changed:
+            self._changed.notify_all()
 
     def complete(self, item_id: str,
                  result: Dict[str, Any]) -> Optional[WorkItem]:
@@ -150,7 +203,7 @@ class LeaseTable:
             item = self._items.get(item_id)
             if item is None or item.state in WORK_FINAL:
                 return None
-            item.state = WORK_DONE
+            self._set(item, WORK_DONE)
             item.result = result
             item.error = None
             self.completed_total += 1
@@ -167,12 +220,25 @@ class LeaseTable:
             item.error = error
             item.node = None
             item.leased_at = None
-            if retryable and item.attempts < self.max_attempts:
-                item.state = WORK_PENDING
-                self._pending.append(item.id)
-                self.requeued_total += 1
+            if retryable and self._budget_left(item):
+                self._requeue(item)
             else:
-                item.state = WORK_FAILED
+                self._set(item, WORK_FAILED)
+            self._changed.notify_all()
+            return item
+
+    def rerun(self, item_id: str, error: str) -> Optional[WorkItem]:
+        """Re-queue an item whose run failed for one more run that the
+        owning job's retry budget granted; not a lost dispatch."""
+        with self._lock:
+            item = self._items.get(item_id)
+            if item is None or item.state in WORK_FINAL:
+                return None
+            item.error = error
+            item.node = None
+            item.leased_at = None
+            item.reruns += 1
+            self._requeue(item)
             self._changed.notify_all()
             return item
 
@@ -225,15 +291,21 @@ class LeaseTable:
         item.node = None
         item.leased_at = None
         item.error = reason
-        if item.attempts < self.max_attempts:
-            item.state = WORK_PENDING
-            self._pending.append(item.id)
-            self.requeued_total += 1
+        if self._budget_left(item):
+            self._requeue(item)
         else:
-            item.state = WORK_FAILED
+            self._set(item, WORK_FAILED)
             item.error = f"{reason}; attempts exhausted " \
                          f"({self.max_attempts})"
         return item
+
+    def _budget_left(self, item: WorkItem) -> bool:
+        return item.attempts - item.reruns < self.max_attempts
+
+    def _requeue(self, item: WorkItem) -> None:
+        self._set(item, WORK_PENDING)
+        self._pending.append(item.id)
+        self.requeued_total += 1
 
     # -- inspection / waiting -------------------------------------------
 
@@ -246,14 +318,14 @@ class LeaseTable:
             return [item for item in self._items.values()
                     if item.job_id == job_id]
 
-    def drop_job(self, job_id: str) -> int:
-        """Resolve a cancelled job's open items (they stop dispatching)."""
+    def drop_job(self, job_id: str, reason: str = "job cancelled") -> int:
+        """Resolve a stopped job's open items (they stop dispatching)."""
         dropped = 0
         with self._lock:
             for item in self._items.values():
                 if item.job_id == job_id and item.state not in WORK_FINAL:
-                    item.state = WORK_FAILED
-                    item.error = "job cancelled"
+                    self._set(item, WORK_FAILED)
+                    item.error = reason
                     dropped += 1
             if dropped:
                 self._changed.notify_all()
@@ -261,16 +333,7 @@ class LeaseTable:
 
     def counts(self) -> Dict[str, int]:
         with self._lock:
-            tally = {WORK_PENDING: 0, WORK_LEASED: 0, WORK_DONE: 0,
-                     WORK_FAILED: 0}
-            for item in self._items.values():
-                tally[item.state] += 1
-            return tally
-
-    def pending_depth(self) -> int:
-        with self._lock:
-            return sum(1 for item in self._items.values()
-                       if item.state == WORK_PENDING)
+            return dict(self._tally)
 
     def wait(self, item_ids: List[str], timeout: Optional[float] = None,
              poll: float = 0.2, should_abort=None) -> bool:

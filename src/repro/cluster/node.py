@@ -3,15 +3,14 @@
 A node is deliberately dumb — all policy (sharding, retry, merge,
 quotas) lives on the coordinator.  The loop::
 
-    register -> { lease -> execute via execute_job -> complete }*
-             -> exit on drain
+    register -> { lease -> run_item -> complete }* -> exit on drain
 
 with a heartbeat thread renewing liveness (and thereby the node's
-leases) at the coordinator-advertised interval.  Executors are the
-stock :func:`~repro.serve.executors.execute_job` registry, so every job
-kind and backend — including the compiled JIT tier — runs on nodes
-unmodified, and node-side evaluation is byte-identical to local
-execution.
+leases) at the coordinator-advertised interval.  :func:`run_item` is
+also what the coordinator's in-process workers run, over the stock
+:func:`~repro.serve.executors.execute_job` registry, so every job kind
+and backend — including the compiled JIT tier — runs the same on a
+node as in the service process, byte for byte.
 
 Failure behavior: transient HTTP errors ride the client's built-in
 retry; a coordinator restart surfaces as 404s and the node simply
@@ -25,12 +24,38 @@ import threading
 import time
 from typing import Any, Dict, Optional
 
-from ..serve.client import ServiceError
-from ..serve.executors import ExecutorError, execute_job
-from ..serve.jobs import JobCancelled, JobContext, JobSpec
-from .client import CoordinatorClient
+from ..serve.client import ServiceClient, ServiceError
+from ..serve.executors import ExecutorError, execute_job, execute_job_traced
+from ..serve.jobs import JobCancelled, JobContext, JobSpec, JobTimeout
 
-__all__ = ["WorkerNode"]
+__all__ = ["WorkerNode", "run_item"]
+
+
+def run_item(item: Dict[str, Any],
+             ctx: Optional[JobContext] = None) -> Dict[str, Any]:
+    """Execute one work item; returns its completion body.
+
+    The one execution path of every worker, node or in-process.  A
+    traced item (``"trace"``) also returns its execution events and
+    their clock origin.  An :class:`ExecutorError` is a bad request no
+    re-run can fix, so it becomes a non-retryable failure; any other
+    exception is retryable.  :class:`JobCancelled` and
+    :class:`JobTimeout` from ``ctx`` propagate.
+    """
+    try:
+        if item.get("trace") is None:
+            return {"result": execute_job(item["kind"], item["payload"],
+                                          ctx)}
+        bundle = execute_job_traced(item["kind"], item["payload"],
+                                    item["trace"], item.get("job_id"), ctx)
+        return {"result": bundle["result"], "events": bundle["events"],
+                "origin": bundle["origin"]}
+    except ExecutorError as exc:
+        return {"error": str(exc), "retryable": False}
+    except (JobCancelled, JobTimeout):
+        raise
+    except Exception as exc:  # noqa: BLE001 — a worker must survive
+        return {"error": f"{exc!r}", "retryable": True}
 
 
 class _ItemJob:
@@ -51,7 +76,7 @@ class WorkerNode:
     def __init__(self, coordinator_url: str, name: Optional[str] = None,
                  capacity: int = 1, poll_interval: float = 0.2,
                  telemetry=None) -> None:
-        self.client = CoordinatorClient(coordinator_url)
+        self.client = ServiceClient(coordinator_url)
         self.name = name
         self.capacity = max(1, capacity)
         self.poll_interval = poll_interval
@@ -182,34 +207,20 @@ class WorkerNode:
 
     def _run_item(self, item: Dict[str, Any]) -> None:
         self.current_item = item["id"]
-        ctx = JobContext(_ItemJob(item, self._stop))
         try:
-            result = execute_job(item["kind"], item["payload"], ctx)
-        except ExecutorError as exc:
-            # Deterministic payload problem — retrying elsewhere cannot
-            # help, so the coordinator should fail the item outright.
-            self.failed += 1
-            self._report(item["id"], error=str(exc), retryable=False)
+            body = run_item(item, JobContext(_ItemJob(item, self._stop)))
         except JobCancelled:
-            # Hard node stop mid-item: give the work back.
-            self._report(item["id"], error="node stopping",
-                         retryable=True)
-        except Exception as exc:  # noqa: BLE001 — node must survive
-            self.failed += 1
-            self._report(item["id"], error=f"{exc!r}", retryable=True)
-        else:
-            self.executed += 1
-            self._report(item["id"], result=result)
+            return  # killed mid-item: report nothing
         finally:
             self.current_item = None
-
-    def _report(self, item_id: str, result=None, error=None,
-                retryable: bool = True) -> None:
+        if "error" in body:
+            self.failed += 1
+        else:
+            self.executed += 1
         if self._vanished:
             return
         try:
-            self.client.complete_work(item_id, result=result, error=error,
-                                      retryable=retryable)
+            self.client.complete_work(item["id"], **body)
         except (ServiceError, OSError):
             # Unreportable outcome: the lease expires and the item is
             # re-dispatched; determinism makes the redo harmless.

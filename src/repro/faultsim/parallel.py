@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..asm import Program
+from ..pool import process_pool
 from .campaign import CAMPAIGN_BACKEND
 
 __all__ = ["CampaignSpec", "run_parallel", "default_chunk_size"]
@@ -97,7 +98,6 @@ def _spec_for(campaign, faults: Sequence = ()) -> CampaignSpec:
 def _worker_init(spec: CampaignSpec) -> None:
     """Pool initializer: seed this worker with its own campaign."""
     global _WORKER_CAMPAIGN
-    import repro.bmi  # noqa: F401 — register optional ISA modules (Zbb)
     from ..isa.decoder import IsaConfig
     from .campaign import FaultCampaign
 
@@ -148,20 +148,7 @@ def default_chunk_size(total: int, jobs: int) -> int:
 
 
 def _make_pool(jobs: int, spec: CampaignSpec):
-    """A worker pool on the cheapest available start method.
-
-    ``fork`` (where offered) avoids re-importing the interpreter per
-    worker; the job specs stay fully picklable so ``spawn`` platforms
-    (macOS/Windows) work identically.
-    """
-    import multiprocessing
-
-    if "fork" in multiprocessing.get_all_start_methods():
-        ctx = multiprocessing.get_context("fork")
-    else:
-        ctx = multiprocessing.get_context()
-    return ctx.Pool(processes=jobs, initializer=_worker_init,
-                    initargs=(spec,))
+    return process_pool(jobs, _worker_init, (spec,))
 
 
 def run_parallel(

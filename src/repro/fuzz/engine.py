@@ -30,6 +30,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..coverage.report import empty_report
 from ..isa.decoder import Decoder, IsaConfig, RV32IMC_ZICSR
+from ..pool import process_pool
 from ..telemetry.session import resolve as _resolve_telemetry
 from .corpus import Corpus, CorpusEntry
 from .executor import (
@@ -126,8 +127,6 @@ _WORKER_EVALUATOR: Optional[ProgramEvaluator] = None
 
 def _worker_init(spec: FuzzSpec) -> None:
     global _WORKER_EVALUATOR
-    import repro.bmi  # noqa: F401 — register optional ISA modules (Zbb)
-
     _WORKER_EVALUATOR = ProgramEvaluator(
         IsaConfig.from_string(spec.isa_name),
         max_instructions=spec.max_instructions,
@@ -139,17 +138,6 @@ def _eval_chunk(job: Tuple[Tuple[int, ...], List[Tuple[int, ...]]]
                 ) -> Tuple[Tuple[int, ...], List[EvalResult]]:
     indices, inputs = job
     return indices, [_WORKER_EVALUATOR.evaluate(words) for words in inputs]
-
-
-def _make_pool(jobs: int, spec: FuzzSpec):
-    import multiprocessing
-
-    if "fork" in multiprocessing.get_all_start_methods():
-        ctx = multiprocessing.get_context("fork")
-    else:
-        ctx = multiprocessing.get_context()
-    return ctx.Pool(processes=jobs, initializer=_worker_init,
-                    initargs=(spec,))
 
 
 # ----------------------------------------------------------------------
@@ -295,7 +283,7 @@ class FuzzEngine:
                         max_instructions=self.config.max_instructions,
                         backend=self.config.backend)
         try:
-            self._pool = _make_pool(self._jobs, spec)
+            self._pool = process_pool(self._jobs, _worker_init, (spec,))
         except (OSError, ImportError, ValueError, RuntimeError) as exc:
             warnings.warn(
                 f"could not start {self._jobs} fuzz workers ({exc}); "

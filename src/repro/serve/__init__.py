@@ -1,8 +1,9 @@
-"""Batch simulation service: job queue, scheduler, worker pool, HTTP API.
+"""The job model, kinds and client of the simulation service.
 
 The service turns every one-shot workload in the reproduction — VP runs,
 fault-injection campaigns, coverage collection, QTA/WCET analyses — into
-a submittable **job** executed by a long-lived process:
+a submittable **job** executed by a long-lived process.  This package
+holds what every part of the service shares:
 
 * :mod:`repro.serve.jobs` — the job model: specs, states, priorities,
   deadlines, retry/timeout policy,
@@ -10,19 +11,18 @@ a submittable **job** executed by a long-lived process:
   queue with backpressure (:class:`QueueFull` maps to HTTP 429),
 * :mod:`repro.serve.executors` — the job-kind registry mapping JSON
   payloads onto the existing library entry points,
-* :mod:`repro.serve.service` — the scheduler + persistent worker pool
-  (threads by default, spawn-safe worker processes on request),
-* :mod:`repro.serve.api` — a stdlib HTTP/JSON front end
-  (``python -m repro serve``),
 * :mod:`repro.serve.client` — a thin :mod:`urllib`-based client used by
-  ``python -m repro submit``.
+  ``python -m repro submit``, ``repro cluster-status`` and worker nodes.
 
-A job executed through the service produces results identical to the
-direct library call (byte-identical ``CampaignResult.to_json()`` for
-fault campaigns).  Telemetry flows through the shared
-:mod:`repro.telemetry` registry under the ``serve.*`` namespace, so
-``repro serve --stats`` / ``--events-out`` / ``--trace-out`` work exactly
-like the one-shot commands.
+The service itself is :class:`repro.cluster.ClusterCoordinator`:
+``repro serve`` runs it with in-process workers, ``repro coordinator``
+with none, and worker nodes attach to either.  A job executed through
+it produces results identical to the direct library call
+(byte-identical ``CampaignResult.to_json()`` for fault campaigns).
+Job telemetry flows through the shared :mod:`repro.telemetry` registry
+under the ``serve.*`` namespace, so ``repro serve --stats`` /
+``--events-out`` / ``--trace-out`` work exactly like the one-shot
+commands.
 """
 
 from .executors import ExecutorError, execute_job, job_kinds, register_executor
@@ -42,11 +42,9 @@ from .jobs import (
     STATE_TIMEOUT,
 )
 from .queue import AdmissionQueue, QueueClosed, QueueFull
-from .service import BatchService, ServiceClosed, resolve_workers
 
 __all__ = [
     "AdmissionQueue",
-    "BatchService",
     "ExecutorError",
     "FINAL_STATES",
     "Job",
@@ -63,9 +61,7 @@ __all__ = [
     "STATE_RUNNING",
     "STATE_SUCCEEDED",
     "STATE_TIMEOUT",
-    "ServiceClosed",
     "execute_job",
     "job_kinds",
     "register_executor",
-    "resolve_workers",
 ]

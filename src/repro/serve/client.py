@@ -1,7 +1,8 @@
-"""Thin stdlib client for the batch-service HTTP API.
+"""Thin stdlib client for the service HTTP API.
 
-Used by ``python -m repro submit`` and by tests; only
-:mod:`urllib.request`, no third-party dependencies::
+Used by ``python -m repro submit``, ``repro cluster-status``, worker
+nodes and tests; only :mod:`urllib.request`, no third-party
+dependencies::
 
     client = ServiceClient("http://127.0.0.1:8972")
     job = client.submit("fault_campaign", {"source": src, "mutants": 50})
@@ -32,7 +33,7 @@ import json
 import time
 import urllib.error
 import urllib.request
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
 __all__ = ["BackpressureError", "ServiceClient", "ServiceError"]
 
@@ -243,3 +244,49 @@ class ServiceClient:
                         **submit_kwargs) -> Dict[str, Any]:
         job = self.submit(kind, payload, **submit_kwargs)
         return self.wait(job["id"], timeout=timeout)
+
+    # -- node protocol --------------------------------------------------
+
+    def register_node(self, name: Optional[str] = None,
+                      capacity: int = 1) -> Dict[str, Any]:
+        """Attach a node; returns ``{"id", "heartbeat_interval", ...}``."""
+        body: Dict[str, Any] = {"capacity": capacity}
+        if name is not None:
+            body["name"] = name
+        return self._request("POST", "/v1/nodes/register", body)
+
+    def node_heartbeat(self, node_id: str,
+                       stats: Optional[Dict[str, Any]] = None
+                       ) -> Dict[str, Any]:
+        """Renew liveness (and the node's leases); 404 ⇒ re-register."""
+        return self._request("POST", f"/v1/nodes/{node_id}/heartbeat",
+                             {"stats": stats or {}})
+
+    def lease(self, node_id: str, max_items: int = 1) -> Dict[str, Any]:
+        """Pull work: ``{"work": [...], "drain": bool}``."""
+        return self._request("POST", f"/v1/nodes/{node_id}/lease",
+                             {"max_items": max_items})
+
+    def complete_work(self, item_id: str,
+                      result: Optional[Dict[str, Any]] = None,
+                      error: Optional[str] = None,
+                      retryable: bool = True,
+                      **trace: Any) -> Dict[str, Any]:
+        """Report one work item's outcome; ``trace`` carries a traced
+        item's ``events`` and their clock ``origin``."""
+        if error is not None:
+            body: Dict[str, Any] = {"error": error, "retryable": retryable}
+        else:
+            body = {"result": result if result is not None else {},
+                    **trace}
+        return self._request("POST", f"/v1/work/{item_id}/complete", body)
+
+    def drain_node(self, node_id: str) -> Dict[str, Any]:
+        """Ask one node to stop pulling after its current item."""
+        return self._request("POST", f"/v1/nodes/{node_id}/drain", {})
+
+    def nodes(self) -> List[Dict[str, Any]]:
+        return self._request("GET", "/v1/cluster/nodes")["nodes"]
+
+    def cluster_work(self) -> Dict[str, Any]:
+        return self._request("GET", "/v1/cluster/work")

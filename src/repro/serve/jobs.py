@@ -84,13 +84,12 @@ class JobSpec:
     when present, the service collects the job's execution events —
     including from pool worker processes — tagged onto that trace so one
     Chrome-trace file shows submit → queue → worker → VP.
-    ``tenant``: an accounting label; the cluster coordinator enforces
-    per-tenant quotas on it (a single-process :class:`BatchService`
-    carries it through unchanged).  ``shards``: how many work shards a
-    cluster coordinator may split this job into (campaign / fuzz kinds
-    only; 1 = never shard).  Shard planning is a pure function of the
-    spec, never of the cluster shape, so results are byte-identical to a
-    single-node run whatever executes the shards.
+    ``tenant``: an accounting label the service enforces per-tenant
+    quotas on.  ``shards``: how many work shards the service may split
+    this job into (campaign / fuzz / verify kinds only; 1 = never
+    shard).  Shard planning is a pure function of the spec, never of the
+    deployment, so results are byte-identical to a single-process run
+    whatever workers execute the shards.
     """
 
     kind: str

@@ -274,8 +274,6 @@ _WORKER_CAMPAIGN: Optional["DiffCampaign"] = None
 
 def _worker_init(isa_name: str, config: VerifyCampaignConfig) -> None:
     global _WORKER_CAMPAIGN
-    import repro.bmi  # noqa: F401 — register optional ISA modules (Zbb)
-
     _WORKER_CAMPAIGN = DiffCampaign(IsaConfig.from_string(isa_name),
                                     replace(config, jobs=1))
 
@@ -463,26 +461,18 @@ class DiffCampaign:
                     ) -> List[Dict[str, object]]:
         """Contiguous index ranges over a worker pool, merged in order.
 
-        ``fork`` where offered (cheap, like the fuzz/faultsim pools),
-        the platform default elsewhere — the worker state is fully
-        picklable either way.  Falls back to inline execution when
-        workers cannot start (some sandboxes); the result is identical
-        because ranges are independent and merged by range order.
+        Falls back to inline execution when workers cannot start (some
+        sandboxes); the result is identical because ranges are
+        independent and merged by range order.
         """
-        import multiprocessing
-
+        from ..pool import process_pool
         from ..serve.executors import shard_bounds
 
         bounds = [shard_bounds(total, jobs, index) for index in range(jobs)]
         bounds = [(lo, hi) for lo, hi in bounds if hi > lo]
         try:
-            if "fork" in multiprocessing.get_all_start_methods():
-                context = multiprocessing.get_context("fork")
-            else:
-                context = multiprocessing.get_context()
-            with context.Pool(
-                    processes=len(bounds), initializer=_worker_init,
-                    initargs=(self.isa.name, self.config)) as pool:
+            with process_pool(len(bounds), _worker_init,
+                              (self.isa.name, self.config)) as pool:
                 chunks = pool.map(_worker_range, bounds)
         except (OSError, ValueError, ImportError, RuntimeError):
             chunks = [self.run_range(lo, hi) for lo, hi in bounds]

@@ -1,16 +1,18 @@
 """Coordinator behavior: admission, quotas, persistence, recovery."""
 
+import re
 import threading
 import time
 
 import pytest
 
-from repro.cluster import (ClusterCoordinator, CoordinatorClient,
-                           TenantQuotas, WorkerNode)
+from repro.cluster import ClusterCoordinator, TenantQuotas, WorkerNode
 from repro.cluster.store import JobStore
 from repro.serve import register_executor
-from repro.serve.client import BackpressureError, ServiceError
+from repro.serve.client import (BackpressureError, ServiceClient,
+                                ServiceError)
 from repro.serve.executors import _EXECUTORS
+from repro.serve.jobs import JobSpec
 
 EXIT_OK = """
 _start:
@@ -42,7 +44,7 @@ def coordinator():
 
 
 def _client(coord):
-    return CoordinatorClient(coord.url, timeout=10)
+    return ServiceClient(coord.url, timeout=10)
 
 
 def _node(coord, **kwargs):
@@ -293,6 +295,28 @@ class TestNodeProtocol:
         second = client.complete_work(item_id, result={"ok": 2})
         assert second["stale"] is True
 
+    def test_run_timeout_resolves_job_on_a_node(self, coordinator,
+                                                scratch_kinds):
+        def slow(payload, ctx):
+            for _ in range(75):
+                time.sleep(0.02)
+                ctx.check()
+            return {}
+
+        scratch_kinds("slow", slow)
+        node = _node(coordinator)
+        try:
+            client = _client(coordinator)
+            job = client.submit("slow", {}, timeout_seconds=0.1)
+            done = client.wait(job["id"], timeout=30, poll_interval=0.05)
+            assert done["state"] == "timeout"
+            assert "run timeout" in done["error"]
+            # The node's completion of the dropped item comes too late.
+            (item,) = coordinator.work.items_for_job(job["id"])
+            assert client.complete_work(item.id, result={})["stale"] is True
+        finally:
+            node.stop()
+
     def test_drain_node_stops_leasing(self, coordinator):
         client = _client(coordinator)
         node_id = client.register_node(name="a")["id"]
@@ -354,6 +378,23 @@ class TestObservability:
         finally:
             node.stop()
 
+    def test_top_sees_jobs_run_on_a_node(self, coordinator):
+        from repro.observe import fetch_status, render_top
+
+        node = _node(coordinator)
+        try:
+            client = _client(coordinator)
+            for _ in range(3):
+                client.submit_and_wait("vp_run", {"source": EXIT_OK},
+                                       timeout=60)
+            text = render_top(fetch_status(coordinator.url))
+        finally:
+            node.stop()
+        assert "submitted:3" in text
+        match = re.search(r"queue wait p50/p99  (\S+)/(\S+)\s+"
+                          r"job time p50/p99  (\S+)/(\S+)", text)
+        assert match and "-" not in match.groups(), text
+
     def test_health_and_kinds_match_serve_surface(self, coordinator):
         client = _client(coordinator)
         health = client.health()
@@ -374,3 +415,31 @@ class TestObservability:
         finally:
             node.stop()
             coord.shutdown(drain=False)
+
+
+class TestShutdown:
+    def test_second_shutdown_waits_for_the_first(self):
+        # A queued job holds a drained shutdown open.  A second caller
+        # (serve_forever's cleanup after POST /v1/shutdown) must not
+        # return, and let the process exit, before the first finished.
+        coord = ClusterCoordinator(port=0).start()
+        job = coord.submit(JobSpec(kind="vp_run",
+                                   payload={"source": EXIT_OK}))
+        first = threading.Thread(target=coord.shutdown, daemon=True)
+        first.start()
+        deadline = time.monotonic() + 10
+        while coord.stats()["accepting"]:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        stopped = []
+        second = threading.Thread(target=lambda: (
+            coord.shutdown(),
+            stopped.append(coord.telemetry.events.last("serve.stopped"))),
+            daemon=True)
+        second.start()
+        second.join(0.3)
+        assert second.is_alive()
+        coord.cancel(job.id)
+        first.join(10)
+        second.join(10)
+        assert stopped and stopped[0] is not None

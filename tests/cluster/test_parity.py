@@ -13,7 +13,8 @@ import time
 
 import pytest
 
-from repro.cluster import ClusterCoordinator, CoordinatorClient, WorkerNode
+from repro.cluster import ClusterCoordinator, WorkerNode
+from repro.serve.client import ServiceClient
 from repro.serve.executors import execute_job
 from repro.serve.jobs import null_context
 
@@ -82,7 +83,7 @@ class TestCampaignParity:
     def test_one_node_sharded(self, coordinator):
         nodes = _attach(coordinator, 1)
         try:
-            client = CoordinatorClient(coordinator.url, timeout=10)
+            client = ServiceClient(coordinator.url, timeout=10)
             done = client.submit_and_wait("fault_campaign",
                                           dict(self.PAYLOAD),
                                           shards=4, timeout=120)
@@ -95,7 +96,7 @@ class TestCampaignParity:
     def test_two_nodes_sharded(self, coordinator):
         nodes = _attach(coordinator, 2)
         try:
-            client = CoordinatorClient(coordinator.url, timeout=10)
+            client = ServiceClient(coordinator.url, timeout=10)
             done = client.submit_and_wait("fault_campaign",
                                           dict(self.PAYLOAD),
                                           shards=5, timeout=120)
@@ -111,7 +112,7 @@ class TestCampaignParity:
     def test_unsharded_job_passthrough(self, coordinator):
         nodes = _attach(coordinator, 1)
         try:
-            client = CoordinatorClient(coordinator.url, timeout=10)
+            client = ServiceClient(coordinator.url, timeout=10)
             done = client.submit_and_wait("fault_campaign",
                                           dict(self.PAYLOAD), timeout=120)
             assert done["state"] == "succeeded"
@@ -130,7 +131,7 @@ class TestNodeDeathParity:
                                    lease_timeout=3.0).start()
         survivor = victim = None
         try:
-            client = CoordinatorClient(coord.url, timeout=10)
+            client = ServiceClient(coord.url, timeout=10)
             survivor = WorkerNode(coord.url, name="survivor",
                                   poll_interval=0.02).start()
             victim = WorkerNode(coord.url, name="victim",
@@ -157,6 +158,35 @@ class TestNodeDeathParity:
             coord.shutdown(drain=False)
 
 
+class TestMixedDeployment:
+    def test_local_worker_and_node_share_a_sharded_campaign(self):
+        payload = {"source": SLOW_CAMPAIGN_SRC, "mutants": 12, "seed": 4}
+        direct = execute_job("fault_campaign", dict(payload),
+                             null_context())
+        coord = ClusterCoordinator(port=0, workers=1, node_timeout=2.0,
+                                   lease_timeout=5.0).start()
+        node = WorkerNode(coord.url, name="remote",
+                          poll_interval=0.02).start()
+        try:
+            deadline = time.monotonic() + 10
+            while len(coord.nodes) == 0:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            client = ServiceClient(coord.url, timeout=10)
+            done = client.submit_and_wait("fault_campaign", dict(payload),
+                                          shards=4, timeout=180)
+            assert done["state"] == "succeeded"
+            assert canon_campaign(done["result"]) == canon_campaign(direct)
+            items = coord.work.items_for_job(done["id"])
+            assert [item.state for item in items] == ["done"] * 4
+            # Each worker, local and remote, executed at least one shard.
+            assert {item.node for item in items} == {"worker-0",
+                                                     node.node_id}
+        finally:
+            node.stop()
+            coord.shutdown(drain=False)
+
+
 class TestVerifyParity:
     PAYLOAD = {"corpus": "torture:4", "matrix": "interp:nocache",
                "seed": 3, "max_instructions": 2000}
@@ -165,7 +195,7 @@ class TestVerifyParity:
         direct = execute_job("verify", dict(self.PAYLOAD), null_context())
         nodes = _attach(coordinator, 2)
         try:
-            client = CoordinatorClient(coordinator.url, timeout=10)
+            client = ServiceClient(coordinator.url, timeout=10)
             done = client.submit_and_wait("verify", dict(self.PAYLOAD),
                                           shards=4, timeout=300)
             assert done["state"] == "succeeded"
@@ -190,7 +220,7 @@ class TestFuzzParity:
         direct = execute_job("fuzz", dict(self.PAYLOAD), null_context())
         nodes = _attach(coordinator, 2)
         try:
-            client = CoordinatorClient(coordinator.url, timeout=10)
+            client = ServiceClient(coordinator.url, timeout=10)
             done = client.submit_and_wait("fuzz", dict(self.PAYLOAD),
                                           shards=2, timeout=300)
             assert done["state"] == "succeeded"

@@ -5,8 +5,8 @@ import time
 
 import pytest
 
-from repro.serve import BatchService, register_executor
-from repro.serve.api import ServiceServer
+from repro.cluster import ClusterCoordinator
+from repro.serve import register_executor
 from repro.serve.client import BackpressureError, ServiceClient, ServiceError
 from repro.serve.executors import _EXECUTORS
 
@@ -20,12 +20,10 @@ _start:
 
 @pytest.fixture
 def server():
-    service = BatchService(workers=2, queue_limit=8)
-    service.start()
-    srv = ServiceServer(service, port=0)  # ephemeral port
+    srv = ClusterCoordinator(port=0, workers=2, queue_limit=8)  # ephemeral
     srv.start()
     yield srv
-    srv.close()
+    srv.shutdown()
 
 
 @pytest.fixture
@@ -144,9 +142,8 @@ class TestBackpressureHTTP:
 
 class TestShutdownHTTP:
     def test_shutdown_endpoint_drains(self):
-        service = BatchService(workers=2, queue_limit=8)
-        service.start()
-        server = ServiceServer(service, port=0).start()
+        service = server = ClusterCoordinator(port=0, workers=2,
+                                              queue_limit=8).start()
         client = ServiceClient(server.url, timeout=10)
         job = client.submit("vp_run", {"source": EXIT_OK})
         reply = client.shutdown(drain=True)
@@ -159,4 +156,4 @@ class TestShutdownHTTP:
                 break
             time.sleep(0.1)
         assert service.get_job(job["id"]).state == "succeeded"
-        server.close()
+        server.shutdown()

@@ -7,8 +7,8 @@ import urllib.error
 
 import pytest
 
-from repro.serve import BatchService, register_executor
-from repro.serve.api import ServiceServer
+from repro.cluster import ClusterCoordinator
+from repro.serve import register_executor
 from repro.serve.client import (BackpressureError, ServiceClient,
                                 ServiceError, _is_transient)
 from repro.serve.executors import _EXECUTORS
@@ -108,9 +108,7 @@ class TestQueueFullBackpressure:
         release = threading.Event()
         register_executor("clog")(
             lambda payload, ctx: {"ok": release.wait(30)})
-        service = BatchService(workers=1, queue_limit=1)
-        service.start()
-        server = ServiceServer(service, port=0)
+        server = ClusterCoordinator(port=0, workers=1, queue_limit=1)
         server.start()
         client = ServiceClient(server.url, timeout=10)
         try:
@@ -137,5 +135,5 @@ class TestQueueFullBackpressure:
         finally:
             release.set()
             client.shutdown(drain=True)
-            server.close()
+            server.shutdown()
             _EXECUTORS.pop("clog", None)

@@ -2,12 +2,12 @@
 /v1/fuzz/frontier, and end-to-end trace propagation through a job."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
+from repro.cluster import ClusterCoordinator
 from repro.observe import TraceContext
-from repro.serve import BatchService
-from repro.serve.api import ServiceServer
 from repro.serve.client import ServiceClient
 from repro.serve.jobs import JobSpec
 from repro.telemetry import parse_prometheus, to_chrome_trace
@@ -34,12 +34,9 @@ loop:
 
 @pytest.fixture
 def server():
-    service = BatchService(workers=2, queue_limit=8)
-    service.start()
-    srv = ServiceServer(service, port=0)
-    srv.start()
-    yield srv
-    srv.close()
+    service = ClusterCoordinator(port=0, workers=2, queue_limit=8).start()
+    yield SimpleNamespace(service=service, url=service.url)
+    service.shutdown()
 
 
 @pytest.fixture

@@ -8,7 +8,8 @@ import pytest
 from repro.asm import assemble
 from repro.faultsim import FaultCampaign, default_campaign_mutants
 from repro.isa import RV32IMC_ZICSR
-from repro.serve import BatchService, JobSpec
+from repro.cluster import ClusterCoordinator
+from repro.serve import JobSpec
 from repro.serve.executors import execute_job
 from repro.testgen import StructuredGenerator
 
@@ -37,8 +38,9 @@ def direct_campaign_json(source: str) -> str:
 
 
 def service_campaign_dict(source: str, **service_kwargs) -> dict:
-    service = BatchService(**{"workers": 2, "queue_limit": 8,
-                              **service_kwargs}).start()
+    service = ClusterCoordinator(**{"port": 0, "workers": 2,
+                                    "queue_limit": 8,
+                                    **service_kwargs}).start()
     try:
         job = service.submit(JobSpec(
             kind="fault_campaign",
@@ -123,7 +125,8 @@ class TestRetiredNames:
                                       "backend": "fastpath"}) == interp
 
     def test_vp_run_fastpath_through_service(self):
-        service = BatchService(workers=1, queue_limit=4).start()
+        service = ClusterCoordinator(port=0, workers=1,
+                                     queue_limit=4).start()
         try:
             job = service.submit(JobSpec(kind="vp_run", payload={
                 "source": self.SOURCE, "backend": "fastpath"}))
@@ -154,7 +157,8 @@ class TestRetiredNames:
             execute_job("fuzz", dict(self.FUZZ, lockstep=True))
 
     def test_fuzz_lockstep_request_fails_through_service(self):
-        service = BatchService(workers=1, queue_limit=4).start()
+        service = ClusterCoordinator(port=0, workers=1,
+                                     queue_limit=4).start()
         try:
             job = service.submit(JobSpec(
                 kind="fuzz", payload=dict(self.FUZZ, lockstep=1),
@@ -211,7 +215,8 @@ class TestFuzzJobParity:
         assert strip_fuzz_clock(job) == strip_fuzz_clock(direct.to_dict())
 
     def test_fuzz_job_through_service(self):
-        service = BatchService(workers=2, queue_limit=8).start()
+        service = ClusterCoordinator(port=0, workers=2,
+                                     queue_limit=8).start()
         try:
             job = service.submit(JobSpec(kind="fuzz",
                                          payload=dict(self.PAYLOAD)))

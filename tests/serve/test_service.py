@@ -1,19 +1,14 @@
-"""Scheduler + worker pool: concurrency, backpressure, retries, shutdown."""
+"""Scheduling + local workers: concurrency, backpressure, retries,
+shutdown."""
 
 import threading
 import time
 
 import pytest
 
-from repro.serve import (
-    BatchService,
-    ExecutorError,
-    JobSpec,
-    QueueFull,
-    ServiceClosed,
-    register_executor,
-    resolve_workers,
-)
+from repro.cli import resolve_workers
+from repro.cluster import ClusterCoordinator, ServiceClosed
+from repro.serve import ExecutorError, JobSpec, QueueFull, register_executor
 from repro.serve.executors import _EXECUTORS
 
 EXIT_OK = """
@@ -41,7 +36,7 @@ def scratch_kinds():
 def make_service(**kwargs):
     kwargs.setdefault("workers", 2)
     kwargs.setdefault("queue_limit", 16)
-    return BatchService(**kwargs).start()
+    return ClusterCoordinator(port=0, **kwargs).start()
 
 
 class TestResolveWorkers:
@@ -335,8 +330,8 @@ class TestTelemetry:
         from repro.telemetry import Telemetry
 
         telemetry = Telemetry()
-        service = BatchService(workers=2, queue_limit=8,
-                               telemetry=telemetry).start()
+        service = ClusterCoordinator(port=0, workers=2, queue_limit=8,
+                                     telemetry=telemetry).start()
         try:
             job = service.submit(JobSpec(kind="vp_run",
                                          payload={"source": EXIT_OK}))
