@@ -381,11 +381,12 @@ def cmd_top(args) -> int:
 
 
 def resolve_workers(workers: Optional[int]) -> int:
-    """Resolve a worker-count flag: ``0``/``None`` auto-detects CPUs."""
-    import os
+    """Resolve ``serve --workers``: ``0``/``None`` means every CPU this
+    process may run on."""
+    from .pool import available_cpus
 
     if workers is None or workers == 0:
-        return os.cpu_count() or 1
+        return available_cpus()
     if workers < 0:
         raise ValueError(f"workers must be >= 0, got {workers}")
     return workers
@@ -530,21 +531,19 @@ def cmd_submit(args) -> int:
         # Fuzz jobs need no source program: the seed corpus is generated
         # service-side from the testgen suites (or a trivial seed).
         payload = {"isa": args.isa, "iterations": args.iterations,
-                   "seed": args.seed, "jobs": args.jobs,
-                   "seeds": args.fuzz_seeds}
+                   "seed": args.seed, "seeds": args.fuzz_seeds}
     elif args.kind == "verify":
         # Verify jobs likewise carry no source: the corpus spec names
         # the programs, rebuilt service-side deterministically.
         payload = {"isa": args.isa, "corpus": args.corpus,
-                   "matrix": args.matrix, "seed": args.seed,
-                   "jobs": args.jobs}
+                   "matrix": args.matrix, "seed": args.seed}
     else:
         payload = {"source": _read_source(args.source), "isa": args.isa}
     if args.kind in ("vp_run", "fault_campaign", "fuzz") and args.backend:
         # Only when given: the service applies its per-kind default.
         payload["backend"] = args.backend
     if args.kind == "fault_campaign":
-        payload.update(mutants=args.mutants, seed=args.seed, jobs=args.jobs,
+        payload.update(mutants=args.mutants, seed=args.seed,
                        checkpoints=not args.no_checkpoints)
         if args.digest_interval is not None:
             payload["digest_interval"] = args.digest_interval
@@ -738,9 +737,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="campaign PRNG seed; the same seed always draws "
                         "the same fault list")
     p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="mutant worker processes (1 = in-process, "
-                        "0 = auto-detect CPUs; falls back to 1 if "
-                        "workers cannot spawn)")
+                   help="worker processes forked after the golden run "
+                        "(1 = in-process, 0 = every CPU; never more than "
+                        "the CPUs; results are identical)")
     p.add_argument("--no-checkpoints", action="store_true",
                    help="disable warm-checkpoint acceleration for "
                         "transient mutants (classification is identical "
@@ -769,9 +768,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="master PRNG seed; iteration-bounded runs with the "
                         "same seed produce identical corpora for any --jobs")
     p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="evaluation worker processes (1 = in-process, "
-                        "0 = auto-detect CPUs; results are identical "
-                        "regardless of job count)")
+                   help="batch-evaluation worker processes (1 = "
+                        "in-process, 0 = every CPU; never more than the "
+                        "CPUs; results are identical)")
     p.add_argument("--seeds", choices=("suites", "trivial"),
                    default="suites",
                    help="seed corpus: the three testgen suites, or a "
@@ -824,8 +823,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "minimization (default: 24)")
     p.add_argument("--jobs", type=int, default=1, metavar="N",
                    help="worker processes over program ranges (1 = "
-                        "in-process, 0 = auto-detect CPUs; results are "
-                        "identical regardless of job count)")
+                        "in-process, 0 = every CPU; never more than the "
+                        "CPUs; results are identical)")
     p.add_argument("--json", action="store_true",
                    help="print the full machine-readable report")
     telemetry_flags(p)
@@ -846,7 +845,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8972)
     p.add_argument("--workers", type=int, default=0, metavar="N",
-                   help="worker count (0 = auto-detect CPUs)")
+                   help="worker count (0 = every CPU)")
     p.add_argument("--queue-limit", type=int, default=64, metavar="N",
                    help="admission queue capacity (full queue -> HTTP 429)")
     p.add_argument("--mode", choices=("thread", "process"),
@@ -925,9 +924,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "pass -)")
     p.add_argument("--fuzz-seeds", choices=("suites", "trivial"),
                    default="suites", help="fuzz: seed corpus kind")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="fault_campaign: in-job worker processes "
-                        "(0 = auto-detect CPUs)")
     p.add_argument("--no-checkpoints", action="store_true",
                    help="fault_campaign: disable checkpoint acceleration")
     p.add_argument("--digest-interval", type=int, default=None, metavar="K",
@@ -951,9 +947,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "worker -> VP) and export the merged Chrome "
                         "trace; requires --wait")
     p.add_argument("--shards", type=int, default=1, metavar="N",
-                   help="cluster coordinator: split a fault_campaign/"
-                        "fuzz/verify job into N shards (results stay "
-                        "byte-identical)")
+                   help="split a fault_campaign/fuzz/verify job into N "
+                        "shards, the service's only parallelism within a "
+                        "job (results stay byte-identical)")
     p.add_argument("--tenant", default=None,
                    help="tenant name for coordinator per-tenant quotas")
     p.set_defaults(func=cmd_submit, _no_telemetry_flags=True)

@@ -27,6 +27,7 @@ import json
 import selectors
 import socket
 import threading
+import traceback
 from typing import Any, Callable, Dict, Optional, Tuple
 
 __all__ = ["Router", "SelectorHttpServer"]
@@ -134,7 +135,11 @@ class SelectorHttpServer:
                         except OSError:
                             pass
                     else:
-                        self._service(key.data, mask)
+                        try:
+                            self._service(key.data, mask)
+                        except Exception:  # noqa: BLE001 — loop must survive
+                            traceback.print_exc()
+                            self._drop(key.data)
         finally:
             for key in list(self._selector.get_map().values()):
                 if isinstance(key.data, _Connection):
@@ -225,6 +230,8 @@ class SelectorHttpServer:
                 length = int(headers.get("content-length") or 0)
             except ValueError:
                 return False
+            if length < 0:
+                return False  # else the request would never leave inbuf
             if length > MAX_BODY_BYTES:
                 self._respond(conn, version, headers, 413,
                               {"error": "request body too large"})
@@ -248,9 +255,12 @@ class SelectorHttpServer:
         if raw_body:
             try:
                 parsed = json.loads(raw_body)
-            except json.JSONDecodeError as exc:
-                return self._respond(conn, version, headers, 400,
-                                     {"error": f"invalid JSON body: {exc}"})
+            except (ValueError, RecursionError) as exc:
+                # Malformed JSON, bytes that are not UTF-8, or nesting
+                # deeper than the parser's recursion limit.
+                return self._respond(conn, version, headers, 400, {
+                    "error": f"invalid JSON body: "
+                             f"{type(exc).__name__}: {exc}"})
             if not isinstance(parsed, dict):
                 return self._respond(
                     conn, version, headers, 400,

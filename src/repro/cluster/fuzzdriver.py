@@ -16,8 +16,9 @@ Determinism contract: the corpus trajectory is a pure function of
 thing that changed is *where* the pure evaluations ran.  Minimization
 evaluates single inputs on the coordinator's own evaluator —
 deterministic, so identical to node-side evaluation, and free of
-per-input network round trips.  ``FuzzResult.jobs`` stays 1 so
-the result envelope matches a ``jobs=1`` single-process run.
+per-input network round trips.  The service rejects a ``jobs``
+payload field other than 1, so ``FuzzResult.jobs`` stays 1 and the
+result envelope matches a ``jobs=1`` single-process run.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Callable, List, Optional, Tuple
 from ..fuzz.engine import FuzzConfig, FuzzEngine
 from ..fuzz.executor import EvalResult
 from ..isa.decoder import IsaConfig
-from ..serve.executors import shard_bounds
+from ..pool import split
 
 __all__ = ["DistributedFuzzEngine", "split_batch"]
 
@@ -39,16 +40,12 @@ def split_batch(batch: List[Tuple[int, ...]], shard_count: int
                 ) -> List[Tuple[int, List[Tuple[int, ...]]]]:
     """Contiguous ``(shard_index, inputs)`` chunks of one batch.
 
-    Uses the same balanced :func:`~repro.serve.executors.shard_bounds`
-    split as campaign sharding; empty chunks are dropped (small final
-    batches may not fill every shard).
+    The balanced :func:`~repro.pool.split` that campaign sharding and
+    local ``jobs`` use too; empty chunks, only ever the trailing ones,
+    are dropped (small final batches may not fill every shard).
     """
-    chunks = []
-    for index in range(shard_count):
-        lo, hi = shard_bounds(len(batch), shard_count, index)
-        if hi > lo:
-            chunks.append((index, batch[lo:hi]))
-    return chunks
+    return [(index, batch[lo:hi])
+            for index, (lo, hi) in enumerate(split(len(batch), shard_count))]
 
 
 class DistributedFuzzEngine(FuzzEngine):
@@ -59,13 +56,6 @@ class DistributedFuzzEngine(FuzzEngine):
                  telemetry=None) -> None:
         super().__init__(isa, config, telemetry=telemetry)
         self._evaluate_remote = evaluate_remote
-
-    def _start_pool(self) -> None:
-        # The cluster is the pool.  ``_jobs`` stays 1 so the result
-        # envelope (``FuzzResult.jobs``) is byte-identical to the
-        # single-process ``jobs=1`` reference run.
-        self._jobs = 1
-        self._pool = None
 
     def _evaluate_batch(self, batch: List[Tuple[int, ...]]
                         ) -> List[EvalResult]:

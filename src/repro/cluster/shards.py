@@ -11,10 +11,10 @@ spec (pinned by ``tests/cluster/test_parity.py``).
   work items.  Fault campaigns split into ``fault_campaign_shard``
   items over contiguous fault-index ranges and verify campaigns into
   ``verify_shard`` items over contiguous program ranges (both via
-  :func:`repro.serve.executors.shard_bounds`); everything else (and
-  ``shards=1``) is a single passthrough item.  Fuzz jobs are
-  *dynamically* sharded per batch by the coordinator's fuzz driver and
-  deliberately return a plan marker here.
+  :func:`repro.pool.shard_bounds`, the split local ``jobs`` use too);
+  everything else (and ``shards=1``) is a single passthrough item.
+  Fuzz jobs are *dynamically* sharded per batch by the coordinator's
+  fuzz driver and deliberately return a plan marker here.
 * :func:`merge_job_shards` restores submission order (shard index) and
   rebuilds the exact single-process result envelope via the same shared
   builders the passthrough executors use

@@ -22,10 +22,12 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from ..asm import Program
 from ..isa.decoder import IsaConfig
+from ..pool import Workers, resolve_jobs, split
 from ..telemetry.session import resolve as _resolve_telemetry
 from ..vp.cpu import STOP_EXIT, STOP_REQUESTED
 from ..vp.machine import Machine, MachineConfig, STOP_UNHANDLED_TRAP
@@ -41,7 +43,7 @@ OUTCOME_HANG = "hang"
 OUTCOMES = (OUTCOME_MASKED, OUTCOME_SDC, OUTCOME_TRAP, OUTCOME_HANG)
 
 #: Execution backend campaigns run on unless told otherwise: the
-#: ``FaultCampaign``/``CampaignSpec`` default, ``repro faults``, and the
+#: ``FaultCampaign`` default, ``repro faults``, and the
 #: ``fault_campaign`` service executors.  Every mutant re-runs one
 #: binary, so the JIT's process-wide code cache absorbs the compile
 #: cost; classifications are identical on every backend.
@@ -301,14 +303,26 @@ class FaultCampaign:
     def prepare_checkpoints(self, triggers: Sequence[int]) -> None:
         """Pre-build warm checkpoints at the given transient triggers.
 
-        Called once per campaign (and once per parallel worker) so that
-        every mutant restore is an exact hit; harmless no-op when
-        checkpointing is inactive.
+        Called once per campaign, before any mutant runs (and before
+        ``jobs`` workers fork), so that every mutant restore is an exact
+        hit; harmless no-op when checkpointing is inactive.
         """
         if not self._checkpoints_active or not triggers:
             return
         engine = self._ensure_engine()
         engine.prepare(triggers, self.instruction_budget)
+
+    def _ensure_shared_machine(self) -> None:
+        """Build the shared machine: the checkpoint engine's when
+        active, else a loaded machine and its snapshot."""
+        if self._shared_machine is not None:
+            return
+        if self._checkpoints_active:
+            self._ensure_engine()
+            return
+        self._shared_machine = self._fresh_machine()
+        self._shared_machine.load(self.program)
+        self._shared_snapshot = self._shared_machine.snapshot()
 
     def _machine_for(self, fault: Fault) -> Machine:
         if not self.reuse_machine:
@@ -316,13 +330,9 @@ class FaultCampaign:
             machine.load(self.program)
             return machine
         if self._shared_machine is None:
-            if self._checkpoints_active:
-                self._ensure_engine()
-            else:
-                self._shared_machine = self._fresh_machine()
-                self._shared_machine.load(self.program)
-                self._shared_snapshot = self._shared_machine.snapshot()
-                return self._shared_machine
+            self._ensure_shared_machine()
+            if self._engine is None:
+                return self._shared_machine  # just loaded: no restore
         if self._engine is not None:
             # The caller is about to mutate the shared machine outside
             # the engine's control; its position bookkeeping is now void.
@@ -442,38 +452,25 @@ class FaultCampaign:
         on_progress: Optional[Callable[[Dict], None]] = None,
         progress_interval: float = 1.0,
         jobs: int = 1,
-        chunk_size: Optional[int] = None,
     ) -> CampaignResult:
         """Classify every fault; returns the aggregated result.
 
-        ``jobs`` > 1 fans the fault list out to a multiprocessing worker
-        pool (see :mod:`repro.faultsim.parallel`); the result ordering
-        and classification are identical to the sequential run, and the
-        engine falls back to in-process execution (with a warning) when
-        workers cannot be spawned.  ``jobs=0`` auto-detects
-        ``os.cpu_count()``; ``chunk_size`` overrides the work-stealing
-        chunk granularity.
+        ``jobs`` > 1 classifies contiguous fault ranges on up to that
+        many worker processes forked after the golden run and the
+        checkpoint sweep (see :mod:`repro.pool`); ``jobs=0`` uses every
+        available CPU.  Results, their order and the telemetry counters
+        are identical to the in-process run.
 
         ``on_progress`` (if given) is called with a progress dict
         (``done``/``total``/``mutants_per_second``/``eta_seconds``) at
         most every ``progress_interval`` seconds and once at the end;
         the same records land in the telemetry event log when enabled.
         """
-        if jobs < 0:
-            raise ValueError(f"jobs must be >= 0, got {jobs}")
-        if jobs == 0:
-            import os
-            jobs = os.cpu_count() or 1
-        if jobs > 1:
-            from .parallel import run_parallel
-            return run_parallel(self, faults, jobs=jobs,
-                                chunk_size=chunk_size,
-                                on_progress=on_progress,
-                                progress_interval=progress_interval)
+        total = len(faults)
+        jobs = resolve_jobs(jobs, total)
         telemetry = self.telemetry
         events = telemetry.events
         golden = self.golden()
-        total = len(faults)
         # Build every warm checkpoint in one monotonic golden sweep before
         # classifying, so each transient mutant restores an exact hit no
         # matter what order the fault list arrives in.
@@ -490,19 +487,20 @@ class FaultCampaign:
         if telemetry.enabled:
             events.emit("campaign.started", total=total,
                         golden_instructions=golden.instructions,
-                        instruction_budget=self.instruction_budget)
+                        instruction_budget=self.instruction_budget,
+                        jobs=jobs)
         start = time.perf_counter()
         last_report = start
         results: List[MutantResult] = []
-        for index, fault in enumerate(faults):
-            with mutant_timer:
-                result = self.run_one(fault)
+        for index, result in enumerate(
+                self._results(faults, jobs, mutant_timer)):
             results.append(result)
             done_counter.inc()
             outcome_counters[result.outcome].inc()
             if not track:
                 continue
             if telemetry.enabled:
+                fault = result.fault
                 events.emit("mutant.classified", index=index,
                             fault=fault.describe(), target=fault.target,
                             kind=fault.kind, outcome=result.outcome,
@@ -535,5 +533,54 @@ class FaultCampaign:
                         campaign_result.mutants_per_second, 2),
                     normal_termination_fraction=round(
                         campaign_result.normal_termination_fraction, 4),
+                    jobs=jobs,
                 )
         return campaign_result
+
+    def _results(self, faults: Sequence[Fault], jobs: int, timer
+                 ) -> Iterator[MutantResult]:
+        """Every fault's result in fault order: classified here, or by
+        ``jobs`` workers forked from this prepared campaign over
+        contiguous fault ranges, their counters merged back."""
+        if jobs > 1:
+            if self.reuse_machine:
+                self._ensure_shared_machine()  # inherited, not rebuilt
+            with Workers(lambda bounds: self._run_range(faults, *bounds),
+                         jobs, len(faults)) as workers:
+                if workers.count > 1:
+                    for results, seconds, counters in workers.map(
+                            split(len(faults), workers.count)):
+                        self._merge_counters(counters)
+                        for result, busy in zip(results, seconds):
+                            timer.observe(busy)
+                            yield result
+                    return
+        for fault in faults:
+            with timer:
+                result = self.run_one(fault)
+            yield result
+
+    def _run_range(self, faults: Sequence[Fault], lo: int, hi: int
+                   ) -> Tuple[List[MutantResult], List[float],
+                              Dict[str, int]]:
+        """A worker's share: results of ``faults[lo:hi]``, the seconds
+        each took, and the counters they moved."""
+        before = self.counters()
+        results: List[MutantResult] = []
+        seconds: List[float] = []
+        for fault in faults[lo:hi]:
+            started = time.perf_counter()
+            results.append(self.run_one(fault))
+            seconds.append(time.perf_counter() - started)
+        after = self.counters()
+        return results, seconds, {name: after[name] - before[name]
+                                  for name in after
+                                  if after[name] != before[name]}
+
+    def _merge_counters(self, delta: Dict[str, int]) -> None:
+        """Add a worker's :meth:`counters` delta to this campaign's."""
+        for name, value in delta.items():
+            table, _, key = name.rpartition(".")
+            stats = (self._machine_stats if table == "faultsim.campaign"
+                     else self._engine.stats)
+            stats[key] += value

@@ -26,6 +26,7 @@ from .executor import (
     OUTCOME_TRAP,
     ProgramBuilder,
     ProgramEvaluator,
+    check_words,
     words_from_program,
 )
 from .feedback import EDGE_MAP_SIZE, FeedbackMap, TBEdgePlugin, edge_id
@@ -53,6 +54,7 @@ __all__ = [
     "ProgramEvaluator",
     "TBEdgePlugin",
     "TriageReport",
+    "check_words",
     "edge_id",
     "suite_seeds",
     "trivial_seed",

@@ -11,8 +11,8 @@ seed, iterations)``: all randomness flows through one seeded PRNG, and
 mutants are drawn in fixed-size batches *before* any of the batch's
 results are folded back into the corpus.  Executions are independent
 (the evaluator restores a pristine snapshot between runs), so a batch
-can be executed sequentially or fanned out to a spawn-safe worker pool
-— the same pattern as :mod:`repro.faultsim.parallel` — and the corpus
+can be executed sequentially or split over workers forked from the
+engine (:mod:`repro.pool`, the one parallel path) — and the corpus
 trajectory is bit-identical either way: same ``seed`` ⇒ same final
 corpus signatures for any ``jobs``.  (A wall-clock ``time_budget`` stops
 between batches and therefore trades this invariance for bounded
@@ -24,13 +24,12 @@ from __future__ import annotations
 import hashlib
 import random
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..coverage.report import empty_report
 from ..isa.decoder import Decoder, IsaConfig, RV32IMC_ZICSR
-from ..pool import process_pool
+from ..pool import Workers, split
 from ..telemetry.session import resolve as _resolve_telemetry
 from .corpus import Corpus, CorpusEntry
 from .executor import (
@@ -58,7 +57,7 @@ class FuzzConfig:
 
     iterations: int = 2000          # mutant executions (seeds/minimize extra)
     seed: int = 0                   # master PRNG seed
-    jobs: int = 1                   # worker processes (0 = auto, 1 = inline)
+    jobs: int = 1                   # worker processes (0 = every CPU)
     batch_size: int = 32            # mutants drawn before results fold back
     max_instructions: int = 5000    # per-execution budget (exhaustion = hang)
     max_body_words: int = MAX_BODY_WORDS
@@ -107,37 +106,6 @@ def suite_seeds(isa: IsaConfig = RV32IMC_ZICSR, seed: int = 0,
         if words:
             seeds.append((name, words))
     return seeds
-
-
-# ----------------------------------------------------------------------
-# Worker pool (spawn-safe, same pattern as faultsim.parallel)
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FuzzSpec:
-    """Everything a worker needs to build its evaluator — picklable."""
-
-    isa_name: str
-    max_instructions: int
-    backend: str = "interp"
-
-
-_WORKER_EVALUATOR: Optional[ProgramEvaluator] = None
-
-
-def _worker_init(spec: FuzzSpec) -> None:
-    global _WORKER_EVALUATOR
-    _WORKER_EVALUATOR = ProgramEvaluator(
-        IsaConfig.from_string(spec.isa_name),
-        max_instructions=spec.max_instructions,
-        backend=spec.backend,
-    )
-
-
-def _eval_chunk(job: Tuple[Tuple[int, ...], List[Tuple[int, ...]]]
-                ) -> Tuple[Tuple[int, ...], List[EvalResult]]:
-    indices, inputs = job
-    return indices, [_WORKER_EVALUATOR.evaluate(words) for words in inputs]
 
 
 # ----------------------------------------------------------------------
@@ -239,7 +207,8 @@ class FuzzEngine:
         self.executions = 0       # every VP run (seeds, mutants, trimming)
         self.mutant_execs = 0     # mutant runs only (the iteration budget)
         self._universe = empty_report(isa)
-        self._pool = None
+        self._jobs = 1
+        self._workers: Optional[Workers] = None
 
     # -- evaluation --------------------------------------------------------
 
@@ -249,53 +218,25 @@ class FuzzEngine:
 
     def _evaluate_batch(self, batch: List[Tuple[int, ...]]
                         ) -> List[EvalResult]:
-        """Evaluate a batch, in order; uses the pool when available.
+        """Evaluate a batch, in order, split over the run's workers.
 
         Executions are pure, so fan-out changes wall-clock only — results
         are reassembled into submission order before any corpus update.
         """
-        if self._pool is None or len(batch) <= 1:
+        workers = self._workers
+        if workers is None or len(batch) <= 1:
             return [self._evaluate_one(words) for words in batch]
-        jobs = self._jobs
-        size = max(1, -(-len(batch) // (jobs * 2)))
-        chunks = [
-            (tuple(range(start, min(start + size, len(batch)))),
-             batch[start:start + size])
-            for start in range(0, len(batch), size)
-        ]
-        ordered: List[Optional[EvalResult]] = [None] * len(batch)
-        for indices, results in self._pool.imap_unordered(_eval_chunk,
-                                                          chunks):
-            for index, result in zip(indices, results):
-                ordered[index] = result
+        results: List[EvalResult] = []
+        for part in workers.map([batch[lo:hi] for lo, hi
+                                 in split(len(batch), workers.count)]):
+            results.extend(part)
         self.executions += len(batch)
-        return ordered  # type: ignore[return-value]
+        return results
 
-    def _start_pool(self) -> None:
-        jobs = self.config.jobs
-        if jobs <= 0:
-            import os
-            jobs = os.cpu_count() or 1
-        self._jobs = max(1, jobs)
-        if self._jobs == 1:
-            return
-        spec = FuzzSpec(isa_name=self.isa.name,
-                        max_instructions=self.config.max_instructions,
-                        backend=self.config.backend)
-        try:
-            self._pool = process_pool(self._jobs, _worker_init, (spec,))
-        except (OSError, ImportError, ValueError, RuntimeError) as exc:
-            warnings.warn(
-                f"could not start {self._jobs} fuzz workers ({exc}); "
-                "continuing single-process", RuntimeWarning, stacklevel=2)
-            self._jobs = 1
-            self._pool = None
-
-    def _stop_pool(self) -> None:
-        if self._pool is not None:
-            self._pool.close()
-            self._pool.join()
-            self._pool = None
+    def _evaluate_inputs(self, inputs: List[Tuple[int, ...]]
+                         ) -> List[EvalResult]:
+        """One worker's share of a batch, on its (inherited) evaluator."""
+        return [self.evaluator.evaluate(words) for words in inputs]
 
     # -- corpus admission --------------------------------------------------
 
@@ -378,49 +319,56 @@ class FuzzEngine:
         started = time.perf_counter()
         deadline = (started + config.time_budget
                     if config.time_budget is not None else None)
-        self._start_pool()
-        if self.telemetry.enabled:
-            self.telemetry.events.emit(
-                "fuzz.started", isa=self.isa.name, seed=config.seed,
-                iterations=config.iterations, jobs=self._jobs,
-                seeds=len(seeds), batch_size=config.batch_size)
-        last_report = started
-        try:
-            # Seed round: evaluate and admit in order (dedup by signature).
-            results = self._evaluate_batch([words for _, words in seeds])
-            for (name, words), result in zip(seeds, results):
-                self._process(words, result, name=name)
-            # Mutation rounds.
-            while self.mutant_execs < config.iterations:
-                if deadline is not None \
-                        and time.perf_counter() >= deadline:
-                    break
-                batch_size = min(config.batch_size,
-                                 config.iterations - self.mutant_execs)
-                donors = self.corpus.donor_words()
-                batch = []
-                for _ in range(batch_size):
-                    parent = self.corpus.schedule(self.rng)
-                    batch.append(self.mutator.mutate(parent.words, self.rng,
-                                                     donors))
-                results = self._evaluate_batch(batch)
-                for words, result in zip(batch, results):
-                    self.mutant_execs += 1
-                    self._process(words, result)
-                now = time.perf_counter()
-                if (self.telemetry.enabled or on_progress is not None) \
-                        and now - last_report >= progress_interval:
-                    progress = self._progress(now - started)
-                    if self.telemetry.enabled:
-                        self.telemetry.events.emit("fuzz.progress",
-                                                   **progress)
-                    if on_progress is not None:
-                        on_progress(progress)
-                    last_report = now
-        finally:
-            self._stop_pool()
+        # One pool per run, forked from the built evaluator.
+        with Workers(self._evaluate_inputs, config.jobs,
+                     max(config.batch_size, len(seeds))) as self._workers:
+            self._jobs = self._workers.count
+            if self.telemetry.enabled:
+                self.telemetry.events.emit(
+                    "fuzz.started", isa=self.isa.name, seed=config.seed,
+                    iterations=config.iterations, jobs=self._jobs,
+                    seeds=len(seeds), batch_size=config.batch_size)
+            self._fuzz(seeds, started, deadline, on_progress,
+                       progress_interval)
+        self._workers = None
         elapsed = time.perf_counter() - started
         return self._finish(elapsed, on_progress)
+
+    def _fuzz(self, seeds, started: float, deadline: Optional[float],
+              on_progress: Optional[Callable[[Dict], None]],
+              progress_interval: float) -> None:
+        """The seed round, then mutation rounds until the budget ends."""
+        config = self.config
+        last_report = started
+        # Seed round: evaluate and admit in order (dedup by signature).
+        results = self._evaluate_batch([words for _, words in seeds])
+        for (name, words), result in zip(seeds, results):
+            self._process(words, result, name=name)
+        # Mutation rounds.
+        while self.mutant_execs < config.iterations:
+            if deadline is not None and time.perf_counter() >= deadline:
+                break
+            batch_size = min(config.batch_size,
+                             config.iterations - self.mutant_execs)
+            donors = self.corpus.donor_words()
+            batch = []
+            for _ in range(batch_size):
+                parent = self.corpus.schedule(self.rng)
+                batch.append(self.mutator.mutate(parent.words, self.rng,
+                                                 donors))
+            results = self._evaluate_batch(batch)
+            for words, result in zip(batch, results):
+                self.mutant_execs += 1
+                self._process(words, result)
+            now = time.perf_counter()
+            if (self.telemetry.enabled or on_progress is not None) \
+                    and now - last_report >= progress_interval:
+                progress = self._progress(now - started)
+                if self.telemetry.enabled:
+                    self.telemetry.events.emit("fuzz.progress", **progress)
+                if on_progress is not None:
+                    on_progress(progress)
+                last_report = now
 
     def _progress(self, elapsed: float) -> Dict:
         rate = self.executions / elapsed if elapsed > 0 else 0.0

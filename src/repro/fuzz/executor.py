@@ -99,6 +99,29 @@ def _classify(stop_reason: str, exit_code: Optional[int]) -> str:
     return OUTCOME_HANG
 
 
+def check_words(words, where: str = "words") -> Tuple[int, ...]:
+    """``words`` as a tuple of instruction words, or a ``ValueError``
+    that names ``where`` and the bad entry.
+
+    A word is a non-bool ``int`` in ``[0, 2**32)``; one whose low two
+    bits are not ``11`` is a compressed instruction and must fit in 16
+    bits, or :meth:`ProgramBuilder.encode_words` would emit a different
+    instruction.
+    """
+    if not isinstance(words, (list, tuple)):
+        raise ValueError(f"{where} must be a list of instruction words")
+    for index, word in enumerate(words):
+        if not isinstance(word, int) or isinstance(word, bool) \
+                or not 0 <= word < 1 << 32:
+            raise ValueError(f"{where}[{index}] is {word!r}, not an "
+                             "integer in [0, 2**32)")
+        if word & 0x3 != 0x3 and word >> 16:
+            raise ValueError(f"{where}[{index}] is {word:#x}: a "
+                             "compressed instruction (low bits not 11) "
+                             "must fit in 16 bits")
+    return tuple(words)
+
+
 class ProgramBuilder:
     """Wraps instruction-word lists into runnable :class:`Program` images."""
 

@@ -40,6 +40,7 @@ from __future__ import annotations
 import threading
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from ..pool import shard_bounds
 from .jobs import JobContext, null_context
 
 __all__ = [
@@ -160,6 +161,15 @@ def _int_field(payload: Dict[str, Any], name: str, default: int,
     return value
 
 
+def _one_process(payload: Dict[str, Any]) -> None:
+    """A service job runs in one process; ``shards`` splits it."""
+    if payload.get("jobs", 1) != 1:
+        raise ExecutorError(
+            "payload field 'jobs' is no longer supported; a service job "
+            "runs in one process, so split it with the job's 'shards' "
+            "field (repro submit --shards N) instead")
+
+
 def _backend_field(payload: Dict[str, Any], default: str = "interp") -> str:
     """The payload's ``backend``, canonical; ``default`` when it names
     none (single runs use ``interp``, campaigns pass
@@ -226,6 +236,7 @@ def campaign_session_from_payload(payload: Dict[str, Any]):
     from ..faultsim import (CAMPAIGN_BACKEND, FaultCampaign,
                             default_campaign_mutants)
 
+    _one_process(payload)
     isa = _isa_for(payload)
     program = _program_for(payload, isa)
     mutants = _int_field(payload, "mutants", 100, minimum=1)
@@ -268,37 +279,18 @@ def campaign_result_dict(golden_dict: Dict[str, Any],
     }
 
 
-def shard_bounds(total: int, shard_count: int, shard_index: int
-                 ) -> "Tuple[int, int]":
-    """The ``[lo, hi)`` slice of ``total`` items shard ``shard_index``
-    of ``shard_count`` owns — contiguous, balanced, and a pure function
-    of its arguments (never of cluster shape or arrival order)."""
-    if shard_count < 1:
-        raise ValueError(f"shard_count must be >= 1, got {shard_count}")
-    if not 0 <= shard_index < shard_count:
-        raise ValueError(f"shard_index {shard_index} out of range for "
-                         f"{shard_count} shards")
-    base, extra = divmod(total, shard_count)
-    lo = shard_index * base + min(shard_index, extra)
-    hi = lo + base + (1 if shard_index < extra else 0)
-    return lo, hi
-
-
 @register_executor("fault_campaign")
 def run_fault_campaign_job(payload: Dict[str, Any],
                            ctx: JobContext) -> Dict[str, Any]:
     """Coverage-guided fault campaign; the full classified result rides
     along under ``campaign`` (``CampaignResult.to_dict()``)."""
-    # jobs=1 keeps a service job single-process (the pool provides the
-    # concurrency); jobs=0 auto-detects CPUs, jobs>1 pins a count.
-    jobs = _int_field(payload, "jobs", 1, minimum=0)
     campaign, golden, faults = campaign_session_from_payload(payload)
     ctx.check()
 
     def on_progress(progress):
         ctx.check()
 
-    result = campaign.run(faults, jobs=jobs, on_progress=on_progress,
+    result = campaign.run(faults, on_progress=on_progress,
                           progress_interval=0.2)
     from dataclasses import asdict
 
@@ -360,13 +352,11 @@ def fuzz_session_from_payload(payload: Dict[str, Any]):
             "payload field 'lockstep' is no longer supported; the block "
             "cache on/off oracle is `repro verify --corpus fuzz:N "
             "--matrix cache`")
+    _one_process(payload)
     isa = _isa_for(payload)
     config = FuzzConfig(
         iterations=_int_field(payload, "iterations", 2000, minimum=1),
         seed=_int_field(payload, "seed", 0),
-        # jobs=1 keeps a service job single-process (the service pool
-        # provides the concurrency); jobs=0 auto-detects CPUs.
-        jobs=_int_field(payload, "jobs", 1, minimum=0),
         batch_size=_int_field(payload, "batch_size", 32, minimum=1),
         max_instructions=_int_field(payload, "max_instructions", 5000,
                                     minimum=1),
@@ -391,7 +381,7 @@ def run_fuzz_job(payload: Dict[str, Any], ctx: JobContext) -> Dict[str, Any]:
     Unlike the other kinds, ``source`` is optional — the seed corpus
     defaults to the generated testgen suites (``seeds: "suites"``) or a
     single trivial instruction (``seeds: "trivial"``).  Same ``seed`` ⇒
-    identical ``corpus_signatures``, whatever ``jobs`` is.
+    identical ``corpus_signatures``, whatever ``shards`` is.
     """
     from ..fuzz import FuzzEngine
 
@@ -450,14 +440,17 @@ def run_fuzz_eval(payload: Dict[str, Any], ctx: JobContext) -> Dict[str, Any]:
     results into submission order with no effect on the corpus
     trajectory.
     """
+    from ..fuzz.executor import check_words
+
     inputs = payload.get("inputs")
-    if not isinstance(inputs, list) or not inputs or not all(
-            isinstance(words, list) and all(
-                isinstance(word, int) and not isinstance(word, bool)
-                for word in words)
-            for words in inputs):
+    if not isinstance(inputs, list) or not inputs:
         raise ExecutorError("payload field 'inputs' must be a non-empty "
                             "list of instruction-word lists")
+    try:
+        inputs = [check_words(words, f"payload field 'inputs'[{index}]")
+                  for index, words in enumerate(inputs)]
+    except ValueError as exc:
+        raise ExecutorError(str(exc)) from None
     isa_name = payload.get("isa", "rv32imc_zicsr")
     max_instructions = _int_field(payload, "max_instructions", 5000,
                                   minimum=1)
@@ -473,7 +466,7 @@ def run_fuzz_eval(payload: Dict[str, Any], ctx: JobContext) -> Dict[str, Any]:
     with guard:
         for words in inputs:
             ctx.check()
-            results.append(evaluator.evaluate(tuple(words)).to_dict())
+            results.append(evaluator.evaluate(words).to_dict())
     return {"results": results, "count": len(results)}
 
 
@@ -488,6 +481,7 @@ def verify_session_from_payload(payload: Dict[str, Any]):
     """
     from ..verify import DiffCampaign, VerifyCampaignConfig
 
+    _one_process(payload)
     isa = _isa_for(payload)
     corpus = payload.get("corpus", "suites")
     matrix = payload.get("matrix", "backends")
@@ -505,9 +499,6 @@ def verify_session_from_payload(payload: Dict[str, Any]):
         checkpoint_split=_int_field(payload, "checkpoint_split", 200,
                                     minimum=1),
         minimize_evals=_int_field(payload, "minimize_evals", 24),
-        # jobs=1 keeps a service job single-process (the pool provides
-        # the concurrency); jobs=0 auto-detects CPUs.
-        jobs=_int_field(payload, "jobs", 1, minimum=0),
     )
     try:
         campaign = DiffCampaign(isa, config)

@@ -22,6 +22,7 @@ so even an executor that never checks terminates.
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 import time
 from dataclasses import dataclass, field
@@ -107,12 +108,21 @@ class JobSpec:
             raise ValueError("job kind must be a non-empty string")
         if not isinstance(self.payload, dict):
             raise ValueError("job payload must be a JSON object")
+        for name in ("priority", "max_retries"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
+            raise ValueError(f"max_retries must be >= 0, "
+                             f"got {self.max_retries}")
         for name in ("deadline_seconds", "timeout_seconds"):
             value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ValueError(f"{name} must be positive when given")
+            if value is not None and (
+                    not isinstance(value, (int, float))
+                    or isinstance(value, bool)
+                    or not 0 < value < math.inf):
+                raise ValueError(f"{name} must be a finite positive "
+                                 f"number when given, got {value!r}")
         if self.tenant is not None and (
                 not isinstance(self.tenant, str) or not self.tenant):
             raise ValueError("tenant must be a non-empty string when given")

@@ -11,8 +11,8 @@ preserved (:mod:`repro.verify.escalate`).
 
 Determinism contract: a campaign is a pure function of ``(isa, config)``
 — the corpus is seeded, the matrix parse is pure, per-program results
-are independent, and escalation is deterministic — so ``jobs=N`` local
-pools, the ``verify`` service kind, and cluster ``verify_shard`` ranges
+are independent, and escalation is deterministic — so ``jobs=N`` forked
+workers, the ``verify`` service kind, and cluster ``verify_shard`` ranges
 all reproduce the single-process report byte-for-byte (wall-clock
 ``elapsed_seconds`` aside).
 
@@ -38,12 +38,13 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..fuzz.executor import ProgramBuilder, words_from_program
+from ..fuzz.executor import ProgramBuilder, check_words, words_from_program
 from ..isa.decoder import IsaConfig
 from ..isa.encoder import encode
+from ..pool import Workers, split
 from ..vp.cpu import STOP_MAX_INSNS
 from ..vp.machine import Machine
 from .digest import StateDigest, capture_state, compare_digests
@@ -72,7 +73,7 @@ class VerifyCampaignConfig:
     repeats: int = 4                # repeat-loop iterations per program
     checkpoint_split: int = 200     # ckpt-resume: snapshot after N insns
     minimize_evals: int = 24        # lockstep re-runs per minimization
-    jobs: int = 1                   # worker processes (0 = auto, 1 = inline)
+    jobs: int = 1                   # worker processes (0 = every CPU)
 
 
 class RepeatBuilder(ProgramBuilder):
@@ -176,8 +177,15 @@ def build_corpus(isa: IsaConfig, spec: str, seed: int
             for line_number, line in enumerate(handle):
                 if not line.strip():
                     continue
-                row = json.loads(line)
-                words = tuple(int(word) for word in row["words"])
+                where = f"corpus file {path!r} line {line_number + 1}"
+                try:
+                    row = json.loads(line)
+                except (ValueError, RecursionError) as exc:
+                    raise ValueError(f"{where}: not JSON ({exc})") from None
+                if not isinstance(row, dict) or "words" not in row:
+                    raise ValueError(f"{where}: expected an object with a "
+                                     "'words' list")
+                words = check_words(row["words"], f"{where}: field 'words'")
                 if words:
                     corpus.append(
                         (str(row.get("name", f"file-{line_number:04d}")),
@@ -266,24 +274,6 @@ class VerifyResult:
 
 
 # ----------------------------------------------------------------------
-# Worker pool (spawn-safe, same pattern as fuzz/faultsim)
-# ----------------------------------------------------------------------
-
-_WORKER_CAMPAIGN: Optional["DiffCampaign"] = None
-
-
-def _worker_init(isa_name: str, config: VerifyCampaignConfig) -> None:
-    global _WORKER_CAMPAIGN
-    _WORKER_CAMPAIGN = DiffCampaign(IsaConfig.from_string(isa_name),
-                                    replace(config, jobs=1))
-
-
-def _worker_range(bounds: Tuple[int, int]) -> List[Dict[str, object]]:
-    lo, hi = bounds
-    return _WORKER_CAMPAIGN.run_range(lo, hi)
-
-
-# ----------------------------------------------------------------------
 # The campaign
 # ----------------------------------------------------------------------
 
@@ -355,7 +345,7 @@ class DiffCampaign:
         Per-program work is independent and deterministic, so any
         partition of ``range(len(corpus))`` concatenated back in index
         order reproduces the full-run escalation list exactly — the
-        property local pools and cluster shards both rest on.
+        property ``jobs`` workers and cluster shards both rest on.
         """
         corpus = self.corpus()
         runners = self._runners()
@@ -408,8 +398,9 @@ class DiffCampaign:
     def run(self,
             on_progress: Optional[Callable[[int], None]] = None,
             progress_interval: float = 0.2) -> VerifyResult:
-        """Run the full campaign; ``jobs>1`` fans program ranges out to
-        spawn-started worker processes (byte-identical results)."""
+        """Run the full campaign; ``jobs>1`` verifies contiguous program
+        ranges on worker processes forked after the corpus is built (see
+        :mod:`repro.pool`), with byte-identical results."""
         started = time.perf_counter()
         meta = self.meta()
         # Touch every campaign counter up front so a clean run still
@@ -423,26 +414,23 @@ class DiffCampaign:
                 matrix=self.matrix.spec, seed=self.config.seed,
                 programs=meta["programs"], pairs=len(self.matrix.pairs))
         total = meta["programs"]
-        jobs = self.config.jobs
-        if jobs == 0:
-            import os
+        last = [started]
 
-            jobs = os.cpu_count() or 1
-        jobs = max(1, min(jobs, total)) if total else 1
-        if jobs > 1:
-            escalations = self._run_pooled(jobs, total)
-        else:
-            last = [started]
+        def tick(done: int) -> None:
+            if on_progress is None:
+                return
+            now = time.perf_counter()
+            if now - last[0] >= progress_interval:
+                last[0] = now
+                on_progress(done)
 
-            def tick(done: int) -> None:
-                if on_progress is None:
-                    return
-                now = time.perf_counter()
-                if now - last[0] >= progress_interval:
-                    last[0] = now
-                    on_progress(done)
-
-            escalations = self.run_range(0, total, on_progress=tick)
+        with Workers(lambda bounds: self.run_range(*bounds),
+                     self.config.jobs, total) as workers:
+            if workers.count == 1:
+                escalations = self.run_range(0, total, on_progress=tick)
+            else:
+                escalations = self._merge_ranges(
+                    workers, split(total, workers.count), tick)
         elapsed = time.perf_counter() - started
         result = VerifyResult(meta=meta, escalations=escalations,
                               elapsed_seconds=elapsed)
@@ -457,26 +445,19 @@ class DiffCampaign:
                 elapsed_seconds=round(elapsed, 6))
         return result
 
-    def _run_pooled(self, jobs: int, total: int
-                    ) -> List[Dict[str, object]]:
-        """Contiguous index ranges over a worker pool, merged in order.
-
-        Falls back to inline execution when workers cannot start (some
-        sandboxes); the result is identical because ranges are
-        independent and merged by range order.
-        """
-        from ..pool import process_pool
-        from ..serve.executors import shard_bounds
-
-        bounds = [shard_bounds(total, jobs, index) for index in range(jobs)]
-        bounds = [(lo, hi) for lo, hi in bounds if hi > lo]
-        try:
-            with process_pool(len(bounds), _worker_init,
-                              (self.isa.name, self.config)) as pool:
-                chunks = pool.map(_worker_range, bounds)
-        except (OSError, ValueError, ImportError, RuntimeError):
-            chunks = [self.run_range(lo, hi) for lo, hi in bounds]
+    def _merge_ranges(self, workers: Workers,
+                      ranges: List[Tuple[int, int]],
+                      tick: Callable[[int], None]
+                      ) -> List[Dict[str, object]]:
+        """Escalations of forked workers' ranges, in range order, with
+        the counters :meth:`run_range` moved in them."""
         escalations: List[Dict[str, object]] = []
-        for chunk in chunks:
-            escalations.extend(chunk)
+        for (lo, hi), records in zip(ranges, workers.map(ranges)):
+            escalations.extend(records)
+            self._metrics.counter("programs").inc(hi - lo)
+            self._metrics.counter("comparisons").inc(
+                (hi - lo) * len(self.matrix.pairs))
+            self._metrics.counter("divergences").inc(len(records))
+            self._metrics.counter("escalations").inc(len(records))
+            tick(hi)
         return escalations

@@ -23,6 +23,8 @@ def _router(method, path, query, body):
         raise RuntimeError("handler exploded")
     if path == "/retry":
         return 429, {"error": "busy"}, {"Retry-After": "2"}
+    if path == "/unserializable":
+        return 200, {"not json": {1, 2}}
     return 404, {"error": f"no route: {path}"}
 
 
@@ -186,3 +188,75 @@ class TestConnections:
             assert blob.count(b"HTTP/1.1 200") == 2
         finally:
             raw.close()
+
+
+class TestHostileBodies:
+    """No request body, however malformed, may stop the event loop."""
+
+    @staticmethod
+    def bodies(seed=20261018, count=8):
+        """A seeded mix of bodies ``json.loads`` cannot turn into a job
+        object: invalid UTF-8, nesting past the recursion limit,
+        truncated JSON and JSON that is not an object."""
+        import random
+
+        rng = random.Random(seed)
+        job = json.dumps({"kind": "vp_run", "priority": 1,
+                          "payload": {"source": "_start:\n ecall\n"}})
+        yield b"\x80"
+        yield b"[" * 100_000 + b"]" * 100_000
+        yield b'{"kind": "vp_run", "payload": ' + b"[" * 100_000
+        for _ in range(count):
+            yield rng.choice([b"\xff", b"\xc3\x28", b"\x80"]) \
+                + bytes(rng.randrange(256) for _ in range(rng.randrange(8)))
+            depth = rng.randrange(2_000, 50_000)
+            yield rng.choice([b"[", b'{"a":']) * depth
+            yield job[:rng.randrange(1, len(job) - 1)].encode()
+            yield rng.choice([b"[1, 2]", b"42", b'"job"', b"null",
+                              b"true", b"[" + job.encode() + b"]"])
+
+    def test_every_bad_body_is_a_400_and_health_still_answers(self):
+        import time
+
+        from repro.cluster import ClusterCoordinator
+
+        coordinator = ClusterCoordinator(port=0).start()
+        started = time.monotonic()
+        try:
+            for body in self.bodies():
+                conn = http.client.HTTPConnection(
+                    coordinator.frontend.host, coordinator.frontend.port,
+                    timeout=10)
+                try:
+                    conn.request("POST", "/v1/jobs", body=body)
+                    response = conn.getresponse()
+                    assert response.status == 400, body[:40]
+                    assert "error" in json.loads(response.read())
+                finally:
+                    conn.close()
+                status, blob = _get(f"{coordinator.url}/v1/health")
+                assert status == 200 and json.loads(blob)["status"] == "ok"
+        finally:
+            coordinator.shutdown(drain=False)
+        assert time.monotonic() - started < 30
+
+    def test_negative_content_length_drops_only_its_connection(
+            self, server):
+        import socket
+
+        raw = socket.create_connection((server.host, server.port),
+                                       timeout=5)
+        try:
+            raw.sendall(b"POST /echo HTTP/1.1\r\nHost: x\r\n"
+                        b"Content-Length: -1000000\r\n\r\n")
+            assert raw.recv(65536) == b""  # dropped, not answered
+        finally:
+            raw.close()
+        status, _ = _get(f"{server.url}/echo", timeout=5)
+        assert status == 200
+
+    def test_failing_response_drops_only_its_connection(self, server):
+        with pytest.raises((http.client.HTTPException, OSError)):
+            _get(f"{server.url}/unserializable")
+        status, _ = _get(f"{server.url}/echo")
+        assert status == 200

@@ -1,24 +1,22 @@
-"""Parallel campaign engine: determinism, fallback, telemetry merge."""
+"""``FaultCampaign.run(jobs=N)`` on the shared fork-after-prepare pool:
+determinism, fallback, telemetry."""
 
-import pickle
 import warnings
 
 import pytest
 
+import repro.pool as pool_mod
 from repro.asm import assemble
 from repro.coverage import measure_coverage
 from repro.faultsim import (
     CampaignResult,
-    CampaignSpec,
     FaultCampaign,
     GoldenRun,
     MutantBudget,
-    default_chunk_size,
     generate_mutants,
-    run_parallel,
 )
-from repro.faultsim import parallel as parallel_mod
 from repro.isa import RV32IMC_ZICSR
+from repro.pool import resolve_jobs, split
 from repro.telemetry import Telemetry, telemetry_session
 
 EXIT = "\n    li a7, 93\n    ecall\n"
@@ -69,6 +67,16 @@ def outcomes(result):
             for r in result.results]
 
 
+@pytest.fixture(autouse=True)
+def four_cpus(monkeypatch):
+    """Resolve ``jobs`` as on a 4-CPU host, so pools start anywhere."""
+    monkeypatch.setattr(pool_mod, "available_cpus", lambda: 4)
+
+
+def no_pool(*args, **kwargs):
+    pytest.fail("this run must not build a pool")
+
+
 class TestDeterminism:
     def test_parallel_matches_sequential(self):
         """jobs=2 and jobs=4 produce the sequential ordering + classes."""
@@ -81,21 +89,23 @@ class TestDeterminism:
             assert parallel.golden == baseline.golden
             assert parallel.counts == baseline.counts
 
-    def test_chunk_size_does_not_change_results(self):
-        campaign = make_campaign()
-        faults = seeded_faults(campaign, mutants=20)
-        baseline = campaign.run(faults)
-        tiny = make_campaign().run(faults, jobs=2, chunk_size=1)
-        assert outcomes(tiny) == outcomes(baseline)
-
     def test_jobs_one_uses_sequential_path(self, monkeypatch):
         campaign = make_campaign()
         faults = seeded_faults(campaign, mutants=10)
-        monkeypatch.setattr(
-            parallel_mod, "_make_pool",
-            lambda *a, **k: pytest.fail("jobs=1 must not build a pool"))
+        monkeypatch.setattr(pool_mod, "process_pool", no_pool)
         result = campaign.run(faults, jobs=1)
         assert result.total == len(faults)
+
+    def test_workers_inherit_parent_golden(self):
+        """Workers fork after the golden run and the checkpoint sweep:
+        they build no machine of their own, so the merged counters are
+        the sequential run's."""
+        faults = seeded_faults(make_campaign(), mutants=20)
+        sequential, parallel = make_campaign(), make_campaign()
+        sequential.run(faults)
+        parallel.run(faults, jobs=2)
+        assert parallel.counters() == sequential.counters()
+        assert parallel.counters()["faultsim.campaign.machines_built"] == 2
 
 
 class TestFallback:
@@ -104,68 +114,60 @@ class TestFallback:
         faults = seeded_faults(campaign, mutants=10)
         baseline = make_campaign().run(faults)
 
-        def broken_pool(jobs, spec):
+        def broken_pool(*args, **kwargs):
             raise OSError("no fork for you")
 
-        monkeypatch.setattr(parallel_mod, "_make_pool", broken_pool)
-        with pytest.warns(RuntimeWarning, match="falling back"):
+        monkeypatch.setattr(pool_mod, "process_pool", broken_pool)
+        with pytest.warns(RuntimeWarning, match="running in-process"):
             result = campaign.run(faults, jobs=4)
+        assert outcomes(result) == outcomes(baseline)
+
+    def test_no_fork_falls_back_with_warning(self, monkeypatch):
+        import multiprocessing
+
+        campaign = make_campaign()
+        faults = seeded_faults(campaign, mutants=10)
+        baseline = make_campaign().run(faults)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
+        monkeypatch.setattr(pool_mod, "process_pool", no_pool)
+        with pytest.warns(RuntimeWarning, match="cannot fork"):
+            result = campaign.run(faults, jobs=2)
         assert outcomes(result) == outcomes(baseline)
 
     def test_invalid_jobs_rejected(self):
         campaign = make_campaign()
-        with pytest.raises(ValueError, match="jobs"):
-            run_parallel(campaign, [], jobs=0)
+        for jobs in (-1, 1.5, True, "2"):
+            with pytest.raises(ValueError, match="jobs"):
+                campaign.run([], jobs=jobs)
 
     def test_single_fault_stays_in_process(self, monkeypatch):
         campaign = make_campaign()
         faults = seeded_faults(campaign, mutants=10)[:1]
-        monkeypatch.setattr(
-            parallel_mod, "_make_pool",
-            lambda *a, **k: pytest.fail("one mutant must not build a pool"))
+        monkeypatch.setattr(pool_mod, "process_pool", no_pool)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             result = campaign.run(faults, jobs=4)
         assert result.total == 1
 
 
-class TestSpec:
-    def test_spec_is_picklable(self):
-        campaign = make_campaign()
-        spec = parallel_mod._spec_for(campaign)
-        clone = pickle.loads(pickle.dumps(spec))
-        assert clone.isa_name == campaign.isa.name
-        assert clone.golden == campaign.golden()
-        assert clone.program.segments == campaign.program.segments
-
-    def test_worker_reuses_parent_golden(self):
-        campaign = make_campaign()
-        spec = parallel_mod._spec_for(campaign)
-        parallel_mod._worker_init(spec)
-        try:
-            worker = parallel_mod._WORKER_CAMPAIGN
-            assert worker is not None
-            assert worker.golden() == campaign.golden()
-        finally:
-            parallel_mod._WORKER_CAMPAIGN = None
-
-
 class TestChunking:
-    def test_default_chunk_size_bounds(self):
-        assert default_chunk_size(0, 4) == 1
-        assert default_chunk_size(1, 4) == 1
-        assert 1 <= default_chunk_size(100, 4) <= parallel_mod.MAX_CHUNK
-        # Huge campaigns saturate at the cap so stealing keeps working.
-        assert default_chunk_size(1_000_000, 2) == parallel_mod.MAX_CHUNK
-
     def test_chunks_cover_all_faults(self):
+        """Workers get contiguous, balanced, in-order fault ranges."""
         for total in (1, 7, 64, 65, 200):
             for jobs in (2, 4):
-                size = default_chunk_size(total, jobs)
-                covered = sum(
-                    len(range(start, min(start + size, total)))
-                    for start in range(0, total, size))
-                assert covered == total
+                ranges = split(total, resolve_jobs(jobs, total))
+                assert ranges[0][0] == 0 and ranges[-1][1] == total
+                assert all(hi == lo for (_, hi), (lo, _)
+                           in zip(ranges, ranges[1:]))
+                sizes = [hi - lo for lo, hi in ranges]
+                assert max(sizes) - min(sizes) <= 1
+
+    def test_worker_count_bounds(self):
+        assert resolve_jobs(0, 100) == 4      # every CPU
+        assert resolve_jobs(8, 100) == 4      # never more than the CPUs
+        assert resolve_jobs(4, 3) == 3        # ... or the work
+        assert resolve_jobs(4, 0) == 1
 
 
 class TestThroughputMetric:
@@ -184,37 +186,44 @@ class TestThroughputMetric:
 
 
 class TestTelemetryMerge:
-    def test_parallel_run_merges_worker_metrics(self):
-        campaign = make_campaign()
-        faults = seeded_faults(campaign, mutants=30)
+    def _metrics(self, jobs, faults):
         with telemetry_session(Telemetry()) as session:
-            result = campaign.run(faults, jobs=2)
+            result = make_campaign().run(faults, jobs=jobs)
             snap = session.metrics.to_dict()
             events = list(session.events)
+        return result, snap, events
+
+    def test_parallel_run_merges_worker_metrics(self):
+        faults = seeded_faults(make_campaign(), mutants=30)
+        _, sequential, _ = self._metrics(1, faults)
+        result, snap, events = self._metrics(2, faults)
         assert snap["faultsim.campaign.mutants_done"]["value"] == len(faults)
-        assert snap["faultsim.campaign.jobs"]["value"] == 2
+        assert snap["faultsim.campaign.mutant_seconds"]["count"] == len(
+            faults)
         outcome_total = sum(
             snap[f"faultsim.campaign.outcome.{o}"]["value"]
             for o in ("masked", "sdc", "trap", "hang"))
         assert outcome_total == len(faults)
-        worker_keys = [key for key in snap
-                       if key.startswith("faultsim.campaign.worker.")
-                       and key.endswith(".mutants")]
-        assert worker_keys, "per-worker throughput metrics missing"
-        assert sum(snap[key]["value"] for key in worker_keys) == len(faults)
-        # The parent's golden machine plus one shared machine per worker.
+        # Workers inherit the parent's machines: the counters, machines
+        # built included, are the sequential run's.
+        counters = [key for key in sequential
+                    if key.startswith(("faultsim.checkpoint.",
+                                       "faultsim.campaign.machines_"))]
+        assert "faultsim.campaign.machines_built" in counters
+        for key in counters:
+            assert snap[key]["value"] == sequential[key]["value"], key
         assert snap["faultsim.campaign.machines_reused"]["value"] == len(
             faults)
-        assert snap["faultsim.campaign.machines_built"]["value"] == (
-            1 + len(worker_keys))
+        assert not any(key.startswith("faultsim.campaign.worker.")
+                       for key in snap)
 
         started = [e for e in events if e["type"] == "campaign.started"]
         finished = [e for e in events if e["type"] == "campaign.finished"]
-        workers = [e for e in events if e["type"] == "campaign.worker"]
+        classified = [e for e in events if e["type"] == "mutant.classified"]
         assert started and started[0]["jobs"] == 2
         assert finished and finished[0]["jobs"] == 2
         assert finished[0]["counts"] == result.counts
-        assert sum(w["mutants"] for w in workers) == len(faults)
+        assert [e["index"] for e in classified] == list(range(len(faults)))
 
     def test_progress_callback_fires(self):
         campaign = make_campaign()
@@ -223,4 +232,6 @@ class TestTelemetryMerge:
         campaign.run(faults, jobs=2, on_progress=seen.append,
                      progress_interval=0.0)
         assert seen, "on_progress never called"
+        assert [p["done"] for p in seen[:-1]] == list(
+            range(1, len(faults) + 1))
         assert seen[-1]["done"] == seen[-1]["total"] == len(faults)

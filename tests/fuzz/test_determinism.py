@@ -90,9 +90,13 @@ class TestFuzzTrajectory:
         second, _ = self._run(seed=2)
         assert first.signature_digests() != second.signature_digests()
 
-    def test_parallel_identical_to_sequential(self):
+    def test_parallel_identical_to_sequential(self, monkeypatch):
         # Bit-identical results need no parallel hardware — a 2-worker
-        # pool on a 1-CPU host exercises the same code path.
+        # pool on a 1-CPU host exercises the same code path, so resolve
+        # ``jobs`` as on a 2-CPU host.
+        import repro.pool
+
+        monkeypatch.setattr(repro.pool, "available_cpus", lambda: 2)
         sequential, seq_engine = self._run(jobs=1)
         parallel, par_engine = self._run(jobs=2)
         if parallel.jobs != 2:

@@ -40,6 +40,33 @@ class TestJobSpec:
         with pytest.raises(ValueError):
             JobSpec.from_dict(bad)
 
+    @pytest.mark.parametrize("field, value", [
+        ("priority", "high"),
+        ("priority", 1.5),
+        ("priority", True),
+        ("priority", None),
+        ("max_retries", "2"),
+        ("max_retries", False),
+        ("max_retries", 1.0),
+        ("deadline_seconds", "5"),
+        ("deadline_seconds", float("inf")),
+        ("deadline_seconds", float("nan")),
+        ("deadline_seconds", True),
+        ("timeout_seconds", "5"),
+        ("timeout_seconds", float("inf")),
+        ("timeout_seconds", [5]),
+    ])
+    def test_wrong_type_names_the_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            JobSpec.from_dict({"kind": "x", field: value})
+
+    def test_numbers_of_either_kind_accepted(self):
+        spec = JobSpec.from_dict({"kind": "x", "priority": -2,
+                                  "deadline_seconds": 3,
+                                  "timeout_seconds": 0.5})
+        assert (spec.priority, spec.deadline_seconds,
+                spec.timeout_seconds) == (-2, 3, 0.5)
+
     def test_unknown_fields_rejected(self):
         with pytest.raises(ValueError, match="unknown job fields"):
             JobSpec.from_dict({"kind": "x", "nonsense": 1})

@@ -170,10 +170,47 @@ class TestRetiredNames:
         assert job.attempts == 1  # a bad request is not retried
         assert "--matrix cache" in job.error
 
+    @pytest.mark.parametrize("kind", ["fault_campaign", "fuzz", "verify"])
+    @pytest.mark.parametrize("jobs", [0, 2, "2"])
+    def test_in_job_jobs_rejected_naming_shards(self, kind, jobs):
+        from repro.serve.executors import ExecutorError
+
+        payload = {"fault_campaign": {"source": self.SOURCE, "mutants": 2},
+                   "fuzz": dict(self.FUZZ),
+                   "verify": {"corpus": "torture:1"}}[kind]
+        with pytest.raises(ExecutorError, match="'shards'"):
+            execute_job(kind, dict(payload, jobs=jobs))
+
+    def test_in_job_jobs_one_still_accepted(self):
+        accepted = execute_job("fuzz", dict(self.FUZZ, jobs=1))
+        assert strip_fuzz_clock(accepted) == \
+            strip_fuzz_clock(execute_job("fuzz", dict(self.FUZZ)))
+
     def test_fuzz_lockstep_false_still_accepted(self):
         accepted = execute_job("fuzz", dict(self.FUZZ, lockstep=False))
         assert strip_fuzz_clock(accepted) == \
             strip_fuzz_clock(execute_job("fuzz", dict(self.FUZZ)))
+
+
+class TestFuzzEvalWords:
+    """``fuzz_eval`` checks every word the way ``file:`` corpora do."""
+
+    @pytest.mark.parametrize("inputs, message", [
+        ([[19, -1]], r"'inputs'\[0\]\[1\] is -1"),
+        ([[2 ** 32]], r"'inputs'\[0\]\[0\] is 4294967296"),
+        ([[19], [0x10001]], r"'inputs'\[1\]\[0\] is 0x10001"),
+        ([[True]], r"'inputs'\[0\]\[0\] is True"),
+        ([19], r"'inputs'\[0\] must be a list"),
+    ])
+    def test_fuzz_eval_checks_every_word(self, inputs, message):
+        from repro.serve.executors import ExecutorError
+
+        with pytest.raises(ExecutorError, match=message):
+            execute_job("fuzz_eval", {"inputs": inputs})
+
+    def test_valid_words_evaluate(self):
+        result = execute_job("fuzz_eval", {"inputs": [[0x00100093, 0x4501]]})
+        assert result["count"] == 1
 
 
 class TestVpRunParity:

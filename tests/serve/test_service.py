@@ -41,8 +41,8 @@ def make_service(**kwargs):
 
 class TestResolveWorkers:
     def test_zero_and_none_autodetect(self):
-        import os
-        expected = os.cpu_count() or 1
+        from repro.pool import available_cpus
+        expected = available_cpus()
         assert resolve_workers(0) == expected
         assert resolve_workers(None) == expected
 

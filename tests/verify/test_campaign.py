@@ -40,6 +40,33 @@ class TestCorpus:
         assert corpus == [("p0", (0x00100093,)),
                           ("p1", (0x00200113, 0x00308193))]
 
+    @pytest.mark.parametrize("row, message", [
+        ('{"name": "p0"}', "'words' list"),
+        ('[19, 19]', "'words' list"),
+        ('{"words": 19}', "field 'words' must be a list"),
+        ('{"words": [19, -1]}', r"field 'words'\[1\] is -1"),
+        ('{"words": [4294967296]}', r"field 'words'\[0\] is 4294967296"),
+        ('{"words": [65536]}', "compressed instruction"),
+        ('{"words": [true]}', r"field 'words'\[0\] is True"),
+        ('{"words": ["19"]}', r"field 'words'\[0\] is '19'"),
+        ('{"words": [19.0]}', r"field 'words'\[0\] is 19.0"),
+        ('{"words": [19', "not JSON"),
+    ])
+    def test_bad_row_names_file_line_and_field(self, tmp_path, row,
+                                               message):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"words": [19]}\n\n' + row + "\n")
+        with pytest.raises(ValueError, match=message) as excinfo:
+            build_corpus(RV32IMC_ZICSR, f"file:{path}", seed=0)
+        assert f"corpus file '{path}' line 3" in str(excinfo.value)
+
+    def test_every_word_form_accepted(self, tmp_path):
+        path = tmp_path / "words.jsonl"
+        words = [0x00100093, 0x4501, 0xFFFFFFFF, 0]
+        path.write_text(json.dumps({"words": words}) + "\n")
+        corpus = build_corpus(RV32IMC_ZICSR, f"file:{path}", seed=0)
+        assert corpus == [("file-0000", tuple(words))]
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("\n")
