@@ -92,19 +92,25 @@ def _split_operands(text: str) -> List[str]:
 
 
 def _strip_comment(line: str) -> str:
-    for marker in ("#", "//", ";"):
-        in_string = False
-        result = []
-        i = 0
-        while i < len(line):
-            ch = line[i]
-            if ch == '"':
-                in_string = not in_string
-            if not in_string and line.startswith(marker, i):
-                return "".join(result)
-            result.append(ch)
-            i += 1
-        line = "".join(result)
+    """``line`` up to its earliest comment marker (``#``, ``//`` or
+    ``;``) outside a double-quoted string."""
+    if '"' not in line:
+        cut = len(line)
+        for marker in ("#", "//", ";"):
+            i = line.find(marker, 0, cut)
+            if i >= 0:
+                cut = i
+        return line[:cut]
+    in_string = escaped = False
+    for i, ch in enumerate(line):
+        if escaped:
+            escaped = False
+        elif ch == '"':
+            in_string = not in_string
+        elif in_string:
+            escaped = ch == "\\"
+        elif ch == "#" or ch == ";" or line.startswith("//", i):
+            return line[:i]
     return line
 
 

@@ -9,6 +9,7 @@ chain) that makes QEMU fast, reproduced here because the Scale4Edge tools
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
@@ -231,7 +232,7 @@ class Cpu:
         self._ram_base = 0x1_0000_0000
         self._ram_end = 0
         self._ram: Optional[Ram] = None
-        self._ram_data: Optional[bytearray] = None
+        self._ram_data: Optional[mmap.mmap] = None
         self._ram_dirty = None
         self._ram_shift = 0
         #: Data-access counters: window hits vs bus-dispatch fallbacks
@@ -383,7 +384,7 @@ class Cpu:
             value = sign_extend(value, width * 8)
         return value
 
-    def load_window_bytes(self, addr: int, length: int) -> bytearray:
+    def load_window_bytes(self, addr: int, length: int) -> bytes:
         """The longest prefix of ``[addr, addr + length)`` inside the RAM
         fast-path window, read in one slice and counted as fast loads
         (empty when ``addr`` lies outside it).  Memory hooks do not see
@@ -392,7 +393,7 @@ class Cpu:
             self._refresh_ram_window()
         base = self._ram_base
         if not base <= addr < self._ram_end:
-            return bytearray()
+            return b""
         count = min(length, self._ram_end - addr)
         self.mem_fast_loads += count
         return self._ram_data[addr - base:addr - base + count]

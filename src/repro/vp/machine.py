@@ -55,19 +55,22 @@ SYSCALL_EXIT = 93
 class MachineSnapshot:
     """A complete machine checkpoint (see :meth:`Machine.snapshot`).
 
-    Captured: CPU architectural state (pc, GPRs, FPRs, CSRs), the RAM
-    image, and every device's guest-visible state — CLINT timer
-    registers, UART TX log / RX queue / interrupt enable, GPIO pins
-    *including* :attr:`~repro.vp.devices.gpio.Gpio.out_history`, and the
-    exit device's value.
+    Captured: CPU architectural state (pc, GPRs, FPRs, CSRs), RAM, and
+    every device's guest-visible state — CLINT timer registers, UART TX
+    log / RX queue / interrupt enable, GPIO pins *including*
+    :attr:`~repro.vp.devices.gpio.Gpio.out_history`, and the exit
+    device's value.
 
-    RAM is stored either as a **full image** (``ram`` set, ``parent``
-    ``None``) or as a **delta**: only the pages dirtied since ``parent``
-    was taken (``ram_pages`` maps page index -> page bytes).  Deltas form
-    a chain back to a full-image root; :meth:`page_bytes` resolves one
-    page through the chain and :meth:`materialize_ram` rebuilds the whole
-    image.  The checkpoint engine uses delta chains so that snapshotting
-    every fault trigger point costs O(pages written), not O(RAM).
+    RAM is stored as pages plus a parent.  ``ram_pages`` maps page index
+    -> page bytes for the pages written since ``parent`` was taken or,
+    for a root (``parent`` ``None``), since the RAM was built; a page
+    that no node of the chain holds reads as zero.  So no snapshot holds
+    a whole RAM image: a fresh machine's root holds no page, and a root
+    taken after :meth:`Machine.load` holds the pages the loader wrote.
+    Snapshotting costs O(pages written), never O(RAM).
+    :meth:`page_bytes` resolves one page through the chain;
+    :meth:`materialize_ram` rebuilds the whole image for inspection
+    (no restore uses it).
 
     Intentionally excluded (reconstructed or deliberately reset on
     :meth:`Machine.restore`):
@@ -88,42 +91,38 @@ class MachineSnapshot:
     regs: tuple
     fregs: tuple
     csrs: dict
-    ram: Optional[bytes]
     clint: tuple
     uart: tuple
     gpio: tuple
     exit_value: int
-    #: Delta-chain fields (full-image snapshots: all at their defaults).
-    ram_pages: Optional[dict] = None
+    ram_pages: dict
+    page_size: int
+    ram_size: int
     parent: Optional["MachineSnapshot"] = None
-    page_size: int = 0
     depth: int = 0
 
     def page_bytes(self, index: int) -> bytes:
         """Contents of RAM page ``index`` in this snapshot's state,
-        resolved through the delta chain."""
+        resolved through the chain (zero when no node holds it)."""
         node = self
-        while node.ram is None:
+        while node is not None:
             blob = node.ram_pages.get(index)
             if blob is not None:
                 return blob
             node = node.parent
-        start = index * node.page_size
-        return node.ram[start:start + node.page_size]
+        return bytes(self.page_size)
 
     def materialize_ram(self) -> bytes:
         """The full RAM image for this snapshot (chain flattened)."""
-        if self.ram is not None:
-            return self.ram
         chain = []
         node = self
-        while node.ram is None:
+        while node is not None:
             chain.append(node)
             node = node.parent
-        image = bytearray(node.ram)
-        size = node.page_size
-        for delta in reversed(chain):  # root-most delta first
-            for index, blob in delta.ram_pages.items():
+        image = bytearray(self.ram_size)
+        size = self.page_size
+        for node in reversed(chain):  # root first
+            for index, blob in node.ram_pages.items():
                 image[index * size:index * size + size] = blob
         return bytes(image)
 
@@ -271,17 +270,16 @@ class Machine:
         With ``parent`` set to the machine's current RAM epoch (the last
         snapshot taken or restored on this machine), RAM is captured as a
         **delta**: only the pages dirtied since then, chained to
-        ``parent``.  Otherwise a full image is captured.  Either way the
-        new snapshot becomes the machine's RAM epoch.
+        ``parent``.  Otherwise the snapshot is a root holding the pages
+        written since the RAM was built.  Either way the new snapshot
+        becomes the machine's RAM epoch.
         """
+        ram = self.ram
         if parent is not None and parent is self._ram_epoch:
-            ram = None
-            ram_pages = {index: self.ram.page_bytes(index)
-                         for index in sorted(self.ram.dirty_pages())}
+            pages = ram.dirty_pages()
             depth = parent.depth + 1
         else:
-            ram = bytes(self.ram.data)
-            ram_pages = None
+            pages = ram.written_pages()
             parent = None
             depth = 0
         snap = MachineSnapshot(
@@ -290,56 +288,58 @@ class Machine:
             regs=self.cpu.regs.snapshot(),
             fregs=self.cpu.fregs.snapshot(),
             csrs=self.cpu.csrs.snapshot(),
-            ram=ram,
             clint=(self.clint.mtime, self.clint.mtimecmp, self.clint.msip),
             uart=(bytes(self.uart.tx_log), tuple(self.uart._rx_queue),
                   self.uart.interrupt_enable),
             gpio=(self.gpio.out, self.gpio.inputs,
                   tuple(self.gpio.out_history)),
             exit_value=self.exit_device.value,
-            ram_pages=ram_pages,
+            ram_pages={index: ram.page_bytes(index)
+                       for index in sorted(pages)},
+            page_size=ram.page_size,
+            ram_size=ram.size,
             parent=parent,
-            page_size=self.ram.page_size,
             depth=depth,
         )
         self._ram_epoch = snap
-        self.ram.clear_dirty()
+        ram.clear_dirty()
         return snap
 
     def _restore_ram(self, snapshot: "MachineSnapshot") -> int:
         """Rewrite RAM to ``snapshot``'s state; returns pages copied.
 
-        When the machine's current RAM provably extends a snapshot on the
-        same delta chain (the epoch invariant), only the pages that can
-        differ are rewritten: the machine's dirty set plus every page
-        recorded on the chain segments between the epoch, the target, and
-        their lowest common ancestor.  Anything else falls back to a full
-        image copy.
+        Only pages that can differ are rewritten.  When the machine's
+        current RAM provably extends a snapshot on the same chain (the
+        epoch invariant), those are the machine's dirty set plus every
+        page recorded on the chain segments between the epoch, the
+        target, and their lowest common ancestor.  With no common
+        ancestor they are the pages this RAM has written plus every page
+        of the target's chain: all other pages are zero on both sides.
         """
-        epoch = self._ram_epoch
-        if (epoch is not None
-                and snapshot.page_size == self.ram.page_size):
-            pages = self.ram.dirty_pages()
-            a, b = epoch, snapshot
-            while a is not None and b is not None and a is not b:
-                if a.depth >= b.depth:
-                    if a.ram_pages:
-                        pages.update(a.ram_pages)
-                    a = a.parent
-                else:
-                    if b.ram_pages:
-                        pages.update(b.ram_pages)
-                    b = b.parent
-            if a is b and a is not None:  # common ancestor found
-                for index in pages:
-                    self.ram.write_page(index, snapshot.page_bytes(index))
-                self._ram_epoch = snapshot
-                self.ram.clear_dirty()
-                return len(pages)
-        self.ram.load_image(snapshot.materialize_ram())
+        ram = self.ram
+        if (snapshot.page_size, snapshot.ram_size) != (ram.page_size,
+                                                      ram.size):
+            raise ValueError("snapshot was taken on a different RAM size")
+        pages = ram.dirty_pages()
+        a, b = self._ram_epoch, snapshot
+        while a is not None and b is not None and a is not b:
+            if a.depth >= b.depth:
+                pages.update(a.ram_pages)
+                a = a.parent
+            else:
+                pages.update(b.ram_pages)
+                b = b.parent
+        if a is not b:  # no common ancestor
+            pages = ram.written_pages()
+            b = snapshot
+            while b is not None:
+                pages.update(b.ram_pages)
+                b = b.parent
+        for index in pages:
+            ram.write_page(index, snapshot.page_bytes(index))
         self._ram_epoch = snapshot
-        self.ram.clear_dirty()
-        return self.ram.page_count
+        ram.clear_dirty()
+        return len(pages)
 
     def restore(self, snapshot: "MachineSnapshot") -> int:
         """Restore a checkpoint taken on *this machine configuration*.
@@ -350,7 +350,7 @@ class Machine:
         :class:`MachineSnapshot` for exactly what is captured and what
         is intentionally excluded.  Returns the number of RAM pages
         rewritten (O(dirty) when the snapshot shares a delta chain with
-        the machine's last checkpoint).
+        the machine's last checkpoint, O(pages written) otherwise).
         """
         self.entry = snapshot.entry
         self.cpu.pc = snapshot.pc

@@ -5,15 +5,16 @@ the small :class:`Device` protocol (``load``/``store`` on offsets within its
 window).  :class:`Ram` is the ordinary byte-addressable memory; MMIO
 peripherals live in :mod:`repro.vp.devices`.
 
-:class:`Ram` additionally tracks *dirty pages* — the page-granular set of
-regions written since the last :meth:`Ram.clear_dirty`.  The machine
-checkpoint engine (:meth:`repro.vp.machine.Machine.snapshot`) uses this to
-build delta snapshots and O(dirty) restores instead of copying the whole
-RAM image per checkpoint.
+:class:`Ram` tracks *dirty pages* — the page-granular set of regions
+written since the last :meth:`Ram.clear_dirty` — and *written pages*,
+every page that may hold a non-zero byte.  The machine checkpoint engine
+(:meth:`repro.vp.machine.Machine.snapshot`) uses the two to store and
+restore only pages, never the whole RAM image.
 """
 
 from __future__ import annotations
 
+import mmap
 import struct
 from bisect import bisect_right
 from typing import Dict, List, Optional, Set, Tuple
@@ -24,7 +25,7 @@ _WIDTH_MASKS = {1: 0xFF, 2: 0xFFFF, 4: 0xFFFFFFFF}
 
 #: Bound little-endian (un)packers for the two multi-byte access widths.
 #: Shared by :class:`Ram`, the CPU's RAM fast path, and the JIT memory
-#: templates — one :class:`struct.Struct` call replaces a bytearray
+#: templates — one :class:`struct.Struct` call replaces a buffer
 #: slice plus ``int.from_bytes``/``to_bytes`` on every aligned access.
 UNPACK_WORD = struct.Struct("<I").unpack_from
 UNPACK_HALF = struct.Struct("<H").unpack_from
@@ -61,7 +62,7 @@ class _StuckPages(set):
 
     __slots__ = ("_data", "_offset", "_page", "_mask", "_one")
 
-    def __init__(self, data: bytearray) -> None:
+    def __init__(self, data: mmap.mmap) -> None:
         super().__init__()
         self._data = data
 
@@ -98,16 +99,23 @@ class _StuckPages(set):
 
 
 class Ram(Device):
-    """Flat little-endian RAM backed by a bytearray, with dirty-page
-    tracking for delta checkpoints.
+    """Flat little-endian RAM with dirty-page tracking for delta
+    checkpoints.
+
+    ``data`` is a private anonymous mapping (``MAP_PRIVATE``): the kernel
+    hands out zero pages on first touch, so building a Ram touches no
+    page and resident memory is only what is written, and a forked
+    worker's writes stay copy-on-write, invisible to its parent.
 
     Every mutating entry point (:meth:`store`, :meth:`write_bytes`,
     :meth:`fill`) records the touched page indices in the dirty set;
     :meth:`dirty_pages` / :meth:`clear_dirty` let checkpoint code copy
-    only what changed since the last snapshot or restore.  The restore
-    helpers :meth:`write_page` / :meth:`load_image` intentionally bypass
-    dirty marking — they re-establish a known-clean state and the caller
-    clears the set afterwards.
+    only what changed since the last snapshot or restore, and
+    :meth:`clear_dirty` folds the set into :meth:`written_pages`, so the
+    store paths pay nothing for it.  The restore helper
+    :meth:`write_page` intentionally bypasses dirty marking — the caller
+    re-establishes a known state and clears the set afterwards — but
+    counts its page as written.
 
     :meth:`install_stuck` / :meth:`remove_stuck` hold one bit of one byte
     at 0 or 1, the permanent memory fault model, without leaving the
@@ -126,8 +134,11 @@ class Ram(Device):
         self.size = size
         self.page_size = page_size
         self._page_shift = page_size.bit_length() - 1
-        self.data = bytearray(size)
+        self.data = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
         self._dirty: Set[int] = set()
+        #: Pages written before the last :meth:`clear_dirty`, plus the
+        #: pages :meth:`write_page` rewrote; every other page is zero.
+        self._written: Set[int] = set()
         #: ``(offset, mask, stuck_one)`` of the installed stuck bit, or
         #: ``None``.  The compiled tier keys its code on whether one is
         #: installed.
@@ -149,12 +160,18 @@ class Ram(Device):
         return set(self._dirty)
 
     def clear_dirty(self) -> None:
+        self._written |= self._dirty
         self._dirty.clear()
+
+    def written_pages(self) -> Set[int]:
+        """Every page that may hold a non-zero byte: the pages written
+        since the Ram was built (a copy).  All other pages read as zero."""
+        return self._written | self._dirty
 
     def page_bytes(self, index: int) -> bytes:
         """Current contents of page ``index``."""
         start = index << self._page_shift
-        return bytes(self.data[start:start + self.page_size])
+        return self.data[start:start + self.page_size]
 
     def write_page(self, index: int, blob: bytes) -> None:
         """Overwrite page ``index`` *without* marking it dirty.
@@ -164,13 +181,7 @@ class Ram(Device):
         """
         start = index << self._page_shift
         self.data[start:start + self.page_size] = blob
-        if self.stuck is not None:
-            self._dirty.force()
-
-    def load_image(self, blob: bytes) -> None:
-        """Replace the whole RAM image *without* marking pages dirty
-        (checkpoint-restore helper, see :meth:`write_page`)."""
-        self.data[:] = blob
+        self._written.add(index)
         if self.stuck is not None:
             self._dirty.force()
 
@@ -248,12 +259,12 @@ class Ram(Device):
     def read_bytes(self, offset: int, length: int) -> bytes:
         if offset < 0 or offset + length > self.size:
             raise BusError(offset, "RAM read beyond size")
-        return bytes(self.data[offset:offset + length])
+        return self.data[offset:offset + length]
 
     def fill(self, value: int = 0) -> None:
         # Mutate in place: the CPU's RAM fast path caches a reference to
-        # ``self.data``, so the buffer object's identity must be stable
-        # for the lifetime of the Ram (only the bus mapping may change it).
+        # ``self.data``, so the mapping's identity must be stable for the
+        # lifetime of the Ram (only the bus mapping may change it).
         self.data[:] = bytes([value & 0xFF]) * self.size
         self._dirty.update(range(self.page_count))
 

@@ -64,6 +64,25 @@ class TestBasics:
         """)
         assert len(words_of(prog)) == 3
 
+    @pytest.mark.parametrize("first, second", [
+        (first, second) for first in ("#", "//", ";")
+        for second in ("#", "//", ";") if first != second])
+    def test_line_is_cut_at_the_earliest_marker(self, first, second):
+        prog = assemble(f"addi a0, a0, 1 {first} note {second} x\n"
+                        f"li a1, 2{first}{second}\n"
+                        f"{first} whole line {second} too")
+        assert prog.text_segment == assemble("addi a0, a0, 1\n"
+                                             "li a1, 2").text_segment
+
+    @pytest.mark.parametrize("line, blob", [
+        ('.ascii "a#b;c//d"', b"a#b;c//d"),
+        ('.ascii "a#b;c//d" ; end # of // line', b"a#b;c//d"),
+        ('.asciz "//;#" // end ; of # line', b"//;#\x00"),
+        ('.ascii "q\\"#;//" # an escaped quote', b'q"#;//'),
+    ])
+    def test_markers_inside_a_string_are_data(self, line, blob):
+        assert assemble(f".data\n{line}").segments[-1][1] == blob
+
     def test_label_on_own_line(self):
         prog = assemble("""
         start:

@@ -133,7 +133,7 @@ def test_restore_rebinds_the_window():
 
 
 def test_page_rewrites_stay_visible_through_the_window():
-    """write_page / load_image / fill mutate the buffer in place, so a
+    """write_page / fill mutate the buffer in place, so a
     primed window keeps reading the live bytes with no invalidation."""
     machine = make_machine()
     cpu = machine.cpu

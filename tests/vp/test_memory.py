@@ -1,9 +1,18 @@
 """RAM and system bus tests."""
 
+import multiprocessing
+import os
+import resource
+
 import pytest
 
-from repro.vp import BusError, Ram, SystemBus
+import repro.pool as pool_mod
+from repro.vp import BusError, Machine, Ram, SystemBus
 from repro.vp.memory import Device
+
+
+def minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
 class TestRam:
@@ -169,6 +178,66 @@ class TestDirtyPages:
         assert ram.dirty_pages() == set()
 
 
+class TestWrittenPages:
+    """The written set: every page that may hold a non-zero byte."""
+
+    def test_clear_dirty_folds_into_the_written_set(self):
+        ram = Ram(4096, page_size=256)
+        assert ram.written_pages() == set()
+        ram.store(300, 4, 1)
+        assert ram.written_pages() == {1}
+        ram.clear_dirty()
+        ram.write_bytes(1000, b"x")
+        assert ram.dirty_pages() == {3}
+        assert ram.written_pages() == {1, 3}
+
+    def test_write_page_counts_as_written_not_dirty(self):
+        ram = Ram(4096, page_size=256)
+        ram.write_page(5, b"\x01" * 256)
+        assert ram.dirty_pages() == set()
+        assert ram.written_pages() == {5}
+
+
+class TestAnonymousMapping:
+    """RAM is a private anonymous mapping: untouched pages cost nothing,
+    and a forked worker's writes never reach its parent."""
+
+    def test_building_a_machine_and_its_root_touches_no_ram_page(self):
+        Machine().snapshot()  # imports and first-use caches
+        before = minor_faults()
+        machine = Machine()
+        root = machine.snapshot()
+        # A touched 4 MiB RAM costs 1024 faults of 4 KiB pages.
+        assert minor_faults() - before < 64
+        assert root.ram_pages == {}
+        assert machine.ram.load(machine.ram.size - 4, 4) == 0
+
+    def test_forked_workers_cannot_write_the_parents_ram(self, monkeypatch):
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("this platform cannot fork")
+        monkeypatch.setattr(pool_mod, "available_cpus", lambda: 2)
+        machine = Machine()
+        ram = machine.ram
+        ram.store(0x100, 4, 0x12345678)
+        image = bytes(ram.data)
+        dirty = ram.dirty_pages()
+        parent = os.getpid()
+
+        def scribble(page):
+            ram.write_bytes(page * ram.page_size, b"\xaa" * ram.page_size)
+            ram.clear_dirty()
+            return os.getpid(), ram.load(page * ram.page_size, 4)
+
+        with pool_mod.Workers(scribble, jobs=2, work=2) as workers:
+            assert workers.count == 2
+            seen = list(workers.map([1, 7]))
+        assert [value for _pid, value in seen] == [0xAAAAAAAA] * 2
+        assert all(pid != parent for pid, _value in seen)
+        assert bytes(ram.data) == image
+        assert ram.dirty_pages() == dirty
+        assert ram.written_pages() == dirty
+
+
 class TestStuckBit:
     """Ram.install_stuck: the buffer holds the forced bit, every write
     path forces it again, and its page stays dirty until removal."""
@@ -208,14 +277,13 @@ class TestStuckBit:
 
     def test_page_stays_dirty_and_restore_helpers_force(self):
         ram = self.stuck_ram()
-        image = bytes(ram.data)
+        image = [ram.page_bytes(index) for index in range(ram.page_count)]
         ram.clear_dirty()
         assert ram.dirty_pages() == {1}
         ram.write_page(1, bytes(256))
         assert ram.load(301, 1) == 0x08
-        ram.load_image(bytes(1024))
-        assert ram.load(301, 1) == 0x08
-        ram.load_image(image)
+        for index, blob in enumerate(image):
+            ram.write_page(index, blob)
         assert ram.load(300, 4) == 0x11223B44
 
     def test_remove_keeps_the_byte_and_its_dirty_page(self):

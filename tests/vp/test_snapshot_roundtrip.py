@@ -6,9 +6,11 @@ that a mid-execution checkpoint captures and restores CLINT, UART, GPIO
 (including ``out_history``), and the exit device exactly.
 """
 
+import pytest
+
 from repro.asm import assemble
 from repro.isa import RV32IMC_ZICSR
-from repro.vp import Machine, MachineConfig
+from repro.vp import RAM_BASE, Machine, MachineConfig
 
 EXIT = "\n    li a7, 93\n    ecall\n"
 
@@ -143,14 +145,16 @@ class TestDeltaSnapshots:
     def test_child_snapshot_stores_only_dirty_pages(self):
         machine = self.make_machine()
         base = machine.snapshot()
-        assert base.ram is not None          # root is a full image
+        # A root holds the pages written since the RAM was built: here
+        # the loaded program, not a full image.
+        assert base.parent is None
+        assert set(base.ram_pages) == machine.ram.written_pages()
+        assert 0 < len(base.ram_pages) < machine.ram.page_count
         machine.run(max_instructions=4)
         machine.ram.store(0x2000, 4, 0xCAFE)
         child = machine.snapshot(parent=base)
-        assert child.ram is None             # delta node
         assert child.parent is base
-        assert child.ram_pages is not None
-        assert 0 < len(child.ram_pages) < machine.ram.page_count
+        assert set(child.ram_pages) == {0x2000 // machine.ram.page_size}
 
     def test_page_bytes_walks_the_chain(self):
         machine = self.make_machine()
@@ -160,7 +164,7 @@ class TestDeltaSnapshots:
         page = 0x2000 // machine.ram.page_size
         assert child.page_bytes(page)[:4] == \
             (0x11223344).to_bytes(4, "little")
-        # An untouched page resolves through to the root image.
+        # An untouched page resolves through the chain to the root.
         other = machine.ram.page_count - 1
         assert child.page_bytes(other) == base.page_bytes(other)
 
@@ -203,8 +207,62 @@ class TestDeltaSnapshots:
         donor = self.make_machine()
         donor.ram.store(0x3000, 4, 9)
         snap = donor.snapshot()
-        machine.restore(snap)                # no shared epoch: full path
+        machine.restore(snap)                # no shared epoch
         assert bytes(machine.ram.data) == bytes(donor.ram.data)
+
+    def test_fresh_machine_root_holds_no_page(self):
+        machine = Machine(MachineConfig(isa=RV32IMC_ZICSR))
+        root = machine.snapshot()
+        assert root.ram_pages == {}
+        assert root.materialize_ram() == bytes(machine.ram.size)
+
+    def test_loaded_root_holds_exactly_the_loader_pages(self):
+        program = assemble(ALL_DEVICES + ".data\nbuf: .zero 600\n",
+                           isa=RV32IMC_ZICSR)
+        machine = Machine(MachineConfig(isa=RV32IMC_ZICSR))
+        machine.load(program)
+        size = machine.ram.page_size
+        expected = set()
+        for addr, blob in program.segments:
+            offset = addr - RAM_BASE
+            expected.update(range(offset // size,
+                                  (offset + len(blob) - 1) // size + 1))
+        root = machine.snapshot()
+        assert set(root.ram_pages) == expected
+        assert root.materialize_ram() == bytes(machine.ram.data)
+
+    def test_unlisted_page_reads_as_zero(self):
+        machine = self.make_machine()
+        base = machine.snapshot()
+        machine.ram.store(0x2000, 4, 1)
+        child = machine.snapshot(parent=base)
+        other = machine.ram.page_count - 1
+        assert other not in child.ram_pages and other not in base.ram_pages
+        assert child.page_bytes(other) == bytes(machine.ram.page_size)
+
+    def test_foreign_restore_copies_only_written_pages(self):
+        machine = self.make_machine()
+        machine.ram.store(0x2000, 4, 7)
+        machine.snapshot()                   # an epoch on another chain
+        machine.ram.store(0x5000, 4, 8)
+        donor = self.make_machine()
+        root = donor.snapshot()
+        donor.ram.store(0x3000, 4, 9)
+        snap = donor.snapshot(parent=root)
+        pages = machine.restore(snap)
+        assert bytes(machine.ram.data) == snap.materialize_ram()
+        assert machine.ram.load(0x2000, 4) == 0
+        assert machine.ram.load(0x5000, 4) == 0
+        assert machine.ram.load(0x3000, 4) == 9
+        assert pages < machine.ram.page_count
+        assert pages == len(machine.ram.written_pages())
+
+    def test_restore_rejects_another_ram_size(self):
+        small = Machine(MachineConfig(isa=RV32IMC_ZICSR,
+                                      ram_size=64 * 1024))
+        snap = self.make_machine().snapshot()
+        with pytest.raises(ValueError, match="RAM size"):
+            small.restore(snap)
 
     def test_restore_then_rerun_matches_direct_run(self):
         direct = self.make_machine()
