@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Bounded end-to-end smoke test for the compiled execution tier.
 
-Three phases, each comparing the ``compiled`` backend against ``interp``
+Four phases, each comparing the ``compiled`` backend against ``interp``
 on the same program and asserting the properties CI cares about:
 
 **Phase 1 — F1 compute loop:**
@@ -33,7 +33,21 @@ on the same program and asserting the properties CI cares about:
 * RunResult, registers, the raw CSR file (the ``mip`` shadow included)
   and ``mtime`` are byte-identical to ``interp``.
 
-**Every phase — translation is reused across machines:** every run
+**Phase 4 — slow paths inside register-cached loops:**
+
+* fused self-loops and traces hold guest registers and the RAM access
+  counters in Python locals; each program leaves or pauses such a loop
+  a different way — (a) a UART store every iteration (the bus slow
+  path returns and the loop goes on), (b) a misaligned load whose
+  handler rewrites looped registers and returns, (c) a store to the
+  exit device mid-loop, (d) a stuck-at fault on a register the loop
+  reads and writes, (e) stores to the page of a RAM stuck bit — each as
+  one self-looping block and as a two-block trace, on fresh machines;
+* the raw state (RunResult, raw GPRs, CSR file, memory counters, dirty
+  pages, every block's ``exec_count``, UART output and the GPRs a trap
+  hook saw) is byte-identical to ``interp``.
+
+**Phases 1-3 — translation is reused across machines:** every run
 after the first, each on a fresh machine, decodes no new word (the
 shared decode memo's miss count does not move), and every compiled run
 after the first is served from the code cache (hits, no misses, so no
@@ -318,10 +332,137 @@ def interrupt_phase() -> None:
           f"{trace_irqs} in the trace)")
 
 
+SLOW_ITERS = 300      # iterations of each slow-path loop
+SLOW_EVENT = 137      # the iteration of a program's one-off event
+
+
+def slow_path_program(shape: str, body_a: str, body_b: str,
+                      prologue: str = "", handler: str = "mret") -> str:
+    """``SLOW_ITERS`` iterations of ``body_a`` then ``body_b`` (``;``
+    separates instructions): one self-looping block (``fused``) or two
+    blocks a direct jump joins (``trace``)."""
+    def lines(text):
+        return "\n".join(f"    {insn.strip()}" for insn in text.split(";")
+                         if insn.strip())
+    join = "    j second\nsecond:\n" if shape == "trace" else ""
+    return f"""
+_start:
+    la t0, handler
+    csrw mtvec, t0
+    la s0, buf
+{lines(prologue)}
+    li t0, 0
+    li t1, {SLOW_ITERS}
+loop:
+{lines(body_a)}
+{join}{lines(body_b)}
+    addi t0, t0, 1
+    blt t0, t1, loop
+    li a0, 0
+    li a7, 93
+    ecall
+.align 2
+handler:
+{lines(handler)}
+.data
+buf: .word 3, 5, 7, 11, 13, 17, 19, 23
+"""
+
+
+#: name -> (body_a, body_b, prologue, handler, faults).  ``faults`` is
+#: a list of (target, index or "buf+N", bit, kind) tuples.
+SLOW_PATH_CASES = {
+    "uart-store": (
+        "lw t2, 0(s0); add a0, a0, t2; sb a0, 0(s1)",
+        "xor a1, a1, a0; sw a1, 4(s0)", "li s1, 0x10000000", "mret", []),
+    "misaligned-load": (
+        "add a0, a0, t0; lw t2, 0(s0); add a1, a1, t2; sw a1, 8(s0)",
+        f"addi t5, t0, -{SLOW_EVENT}; seqz t5, t5; add s0, s0, t5", "",
+        "andi s0, s0, -4; addi a1, a1, 1000; addi a2, a2, 1; mret", []),
+    "exit-store": (
+        f"lw t2, 0(s0); add a0, a0, t2; addi t5, t0, -{SLOW_EVENT};"
+        " seqz t5, t5; andi t6, a0, 0x7f; slli t6, t6, 1; or t5, t5, t6;"
+        " sw t5, 0(s2); sw a0, 4(s0); addi a1, a1, 7",
+        "xor a1, a1, a0", "li s2, 0x00100000", "mret", []),
+    "stuck-register": (
+        "add a0, a0, t0; xor a0, a0, t1; lw t2, 0(s0)",
+        "add a0, a0, t2; sw a0, 0(s0)", "", "mret",
+        [("gpr", 10, 4, "stuck_at_1"), ("gpr", 10, 9, "stuck_at_0")]),
+    "stuck-ram-page": (
+        "add a0, a0, t0; sw a0, 4(s0); lw t2, 4(s0)",
+        "add a1, a1, t2; sb a1, 12(s0)", "", "mret",
+        [("memory", "buf+5", 2, "stuck_at_1")]),
+}
+
+
+def _slow_path_state(program, backend, faults):
+    from repro.faultsim import Fault, inject
+    from repro.isa import RV32IMC_ZICSR
+    from repro.vp import Machine, MachineConfig, Plugin
+
+    class TrapRecorder(Plugin):
+        name = "trap-recorder"
+
+        def __init__(self):
+            self.seen = []
+
+        def on_trap(self, cpu, cause, pc):
+            self.seen.append((cause, pc, tuple(cpu.regs._regs)))
+
+    machine = Machine(MachineConfig(isa=RV32IMC_ZICSR, backend=backend,
+                                    jit_threshold=1, jit_trace_threshold=1))
+    machine.load(program)
+    for target, index, bit, kind in faults:
+        if isinstance(index, str):
+            index = program.symbols["buf"] + int(index.split("+")[1])
+        inject(machine, Fault(target, index, bit, kind))
+    recorder = TrapRecorder()
+    machine.add_plugin(recorder)
+    result = machine.run(max_instructions=1_000_000)
+    cpu = machine.cpu
+    state = (result, cpu.pc, tuple(cpu.regs._regs),
+             tuple(sorted(cpu.csrs._regs.items())), cpu.csrs.instret,
+             cpu.csrs.cycle, machine.mem_stats(),
+             tuple(sorted(machine.ram.dirty_pages())),
+             tuple(sorted((pc, block.exec_count)
+                          for pc, block in cpu._tb_cache.items())),
+             bytes(machine.uart.tx_log), tuple(recorder.seen))
+    return state, machine
+
+
+def slow_path_phase() -> None:
+    from repro.asm import assemble
+    from repro.isa import RV32IMC_ZICSR
+
+    for name, (body_a, body_b, prologue, handler, faults) in \
+            SLOW_PATH_CASES.items():
+        for shape in ("fused", "trace"):
+            program = assemble(slow_path_program(
+                shape, body_a, body_b, prologue, handler),
+                isa=RV32IMC_ZICSR)
+            expected, _ = _slow_path_state(program, "interp", faults)
+            state, machine = _slow_path_state(program, "compiled", faults)
+            blocks = machine.cpu._tb_cache.values()
+            if shape == "trace":
+                engaged = any(block.trace is not None for block in blocks)
+            else:
+                engaged = any(
+                    block.compiled is not None and block.trace is None
+                    and "while True:" in block.compiled.__jit_source__
+                    for block in blocks)
+            assert engaged, f"{name}/{shape}: the loop shape did not engage"
+            assert state == expected, (
+                f"{name}/{shape}: compiled diverged from the interpreter:\n"
+                f"  interp:   {expected}\n  compiled: {state}")
+    print(f"jit smoke [slow paths]: {len(SLOW_PATH_CASES)} programs x "
+          f"fused/trace identical to interp")
+
+
 def main() -> int:
     compute_phase()
     memory_phase()
     interrupt_phase()
+    slow_path_phase()
     print("jit smoke: OK")
     return 0
 

@@ -93,24 +93,32 @@ def _split_operands(text: str) -> List[str]:
 
 def _strip_comment(line: str) -> str:
     """``line`` up to its earliest comment marker (``#``, ``//`` or
-    ``;``) outside a double-quoted string."""
-    if '"' not in line:
+    ``;``) outside a double-quoted string and a ``'x'`` character
+    literal (the one character form expressions accept)."""
+    if '"' not in line and "'" not in line:
         cut = len(line)
         for marker in ("#", "//", ";"):
             i = line.find(marker, 0, cut)
             if i >= 0:
                 cut = i
         return line[:cut]
-    in_string = escaped = False
-    for i, ch in enumerate(line):
-        if escaped:
-            escaped = False
+    in_string = False
+    i = 0
+    end = len(line)
+    while i < end:
+        ch = line[i]
+        if in_string:
+            if ch == "\\":
+                i += 1  # the escaped character is data
+            elif ch == '"':
+                in_string = False
         elif ch == '"':
-            in_string = not in_string
-        elif in_string:
-            escaped = ch == "\\"
+            in_string = True
+        elif ch == "'" and line[i + 2:i + 3] == "'":
+            i += 2  # a character literal is one unit
         elif ch == "#" or ch == ";" or line.startswith("//", i):
             return line[:i]
+        i += 1
     return line
 
 

@@ -32,6 +32,18 @@ UNSAFE = frozenset({
 
 SCRATCH_SIZE = 1024
 
+#: Destination registers: every GPR but the base register (x0 included:
+#: writes are architectural no-ops).
+_DEST_REGS = tuple(i for i in range(32) if i != BASE_REG)
+#: Destinations of the compressed forms that reserve x0 (c.li, c.slli,
+#: c.mv, c.add) and of c.lui, which also reserves x2.
+_NONZERO_DEST_REGS = tuple(i for i in range(1, 32) if i != BASE_REG)
+_LUI_DEST_REGS = tuple(i for i in range(3, 32) if i != BASE_REG)
+
+#: Instruction formats the ALU emitter draws from, in draw-pool order.
+_ALU_SYNTAXES = ("R", "I", "SHIFT", "U", "R2", "CR", "CI", "FR", "FMVX",
+                 "FMVF")
+
 
 @dataclass
 class TortureConfig:
@@ -55,19 +67,28 @@ class TortureGenerator:
         self.isa = isa
         self.config = config or TortureConfig()
         self.decoder = Decoder(isa)
-        self._specs_by_syntax = {}
+        by_syntax = {}
         for spec in self.decoder.specs:
             if spec.name in UNSAFE:
                 continue
-            self._specs_by_syntax.setdefault(spec.syntax, []).append(spec)
+            by_syntax.setdefault(spec.syntax, []).append(spec)
+        # The draw pools, built once: every program draws from them.
+        self._alu_pool = [
+            (syntax, spec) for syntax in _ALU_SYNTAXES
+            for spec in by_syntax.get(syntax, [])
+            if not spec.reads_mem and not spec.writes_mem
+            and not spec.is_branch and not spec.is_jump
+            and spec.module != "Zicsr"]
+        self._memory_pool = [spec for spec in self.decoder.specs
+                             if (spec.reads_mem or spec.writes_mem)
+                             and spec.name not in UNSAFE]
+        self._branch_pool = by_syntax.get("BRANCH", []) + \
+            by_syntax.get("CBZ", [])
 
     # -- operand pickers ---------------------------------------------------
 
     def _any_reg(self, rng: random.Random) -> str:
-        # x0 included: writes are architectural no-ops, reads exercise the
-        # zero wiring.  The base register is excluded from destinations.
-        choices = [i for i in range(32) if i != BASE_REG]
-        return gpr_name(rng.choice(choices))
+        return gpr_name(rng.choice(_DEST_REGS))
 
     def _src_reg(self, rng: random.Random) -> str:
         return gpr_name(rng.choice(range(32)))
@@ -85,18 +106,9 @@ class TortureGenerator:
     # -- instruction emitters ------------------------------------------------
 
     def _emit_alu(self, rng: random.Random, lines: List[str]) -> None:
-        pools = []
-        for syntax in ("R", "I", "SHIFT", "U", "R2", "CR", "CI", "FR",
-                       "FMVX", "FMVF"):
-            pools.extend(
-                (syntax, spec) for spec in self._specs_by_syntax.get(syntax, [])
-                if not spec.reads_mem and not spec.writes_mem
-                and not spec.is_branch and not spec.is_jump
-                and spec.module != "Zicsr"
-            )
-        if not pools:
+        if not self._alu_pool:
             return
-        syntax, spec = rng.choice(pools)
+        syntax, spec = rng.choice(self._alu_pool)
         if syntax == "R":
             lines.append(f"{spec.name} {self._any_reg(rng)}, "
                          f"{self._src_reg(rng)}, {self._src_reg(rng)}")
@@ -121,8 +133,7 @@ class TortureGenerator:
                          f"{self._src_reg(rng)}")
         elif syntax == "CR":
             if spec.name in ("c.mv", "c.add"):
-                dst = gpr_name(rng.choice(
-                    [i for i in range(1, 32) if i != BASE_REG]))
+                dst = gpr_name(rng.choice(_NONZERO_DEST_REGS))
                 src = gpr_name(rng.randrange(1, 32))
                 lines.append(f"{spec.name} {dst}, {src}")
             else:  # c.sub/c.xor/c.or/c.and
@@ -137,12 +148,10 @@ class TortureGenerator:
             lines.append(f"c.addi {self._any_reg(rng)}, "
                          f"{rng.randint(-32, 31)}")
         elif name == "c.li":
-            dst = gpr_name(rng.choice([i for i in range(1, 32)
-                                       if i != BASE_REG]))
+            dst = gpr_name(rng.choice(_NONZERO_DEST_REGS))
             lines.append(f"c.li {dst}, {rng.randint(-32, 31)}")
         elif name == "c.lui":
-            dst = gpr_name(rng.choice([i for i in range(3, 32)
-                                       if i != BASE_REG]))
+            dst = gpr_name(rng.choice(_LUI_DEST_REGS))
             value = rng.choice([1, 2, 3, 30, 31])
             lines.append(f"c.lui {dst}, {value}")
         elif name in ("c.srli", "c.srai", "c.andi"):
@@ -150,8 +159,7 @@ class TortureGenerator:
                 rng.randint(-32, 31)
             lines.append(f"{name} {self._prime_reg(rng)}, {operand}")
         elif name == "c.slli":
-            dst = gpr_name(rng.choice([i for i in range(1, 32)
-                                       if i != BASE_REG]))
+            dst = gpr_name(rng.choice(_NONZERO_DEST_REGS))
             lines.append(f"c.slli {dst}, {rng.randint(1, 31)}")
         elif name == "c.addi16sp":
             pass  # touching sp would corrupt the (unused) stack; skip
@@ -160,12 +168,9 @@ class TortureGenerator:
                          f"{rng.randrange(4, 1024, 4)}")
 
     def _emit_memory(self, rng: random.Random, lines: List[str]) -> None:
-        candidates = [s for s in self.decoder.specs
-                      if (s.reads_mem or s.writes_mem)
-                      and s.name not in UNSAFE]
-        if not candidates:
+        if not self._memory_pool:
             return
-        spec = rng.choice(candidates)
+        spec = rng.choice(self._memory_pool)
         base = gpr_name(BASE_REG)
         name = spec.name
         if name in ("lb", "lbu", "sb"):
@@ -191,11 +196,9 @@ class TortureGenerator:
 
     def _emit_branch(self, rng: random.Random, lines: List[str],
                      label_counter: List[int]) -> None:
-        branches = [s for s in self._specs_by_syntax.get("BRANCH", [])]
-        branches += [s for s in self._specs_by_syntax.get("CBZ", [])]
-        if not branches:
+        if not self._branch_pool:
             return
-        spec = rng.choice(branches)
+        spec = rng.choice(self._branch_pool)
         label = f"t{label_counter[0]}"
         label_counter[0] += 1
         if spec.syntax == "CBZ":

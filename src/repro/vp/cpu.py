@@ -500,43 +500,20 @@ class Cpu:
             self._poll_at = 0
         return block
 
-    def _get_block(self, pc: int) -> TranslationBlock:
+    def _translate(self, pc: int) -> TranslationBlock:
+        """Translate the block at ``pc`` on a block-cache miss (every
+        block, with the cache disabled) and cache it."""
         if pc & self._fetch_align_mask:
             raise Trap(csrdef.CAUSE_MISALIGNED_FETCH, pc)
         if not self.block_cache_enabled:
             self.tb_misses += 1
             return self._build_block(pc)
-        block = self._tb_cache.get(pc)
-        if block is None:
-            if (self.max_blocks is not None
-                    and len(self._tb_cache) >= self.max_blocks):
-                self.flush_translation_cache()
-            self.tb_misses += 1
-            block = self._build_block(pc)
-            self._tb_cache[pc] = block
-        else:
-            self.tb_hits += 1
-        return block
-
-    def _next_block(self) -> TranslationBlock:
-        """The block at ``self.pc``, taking the chain link when valid.
-
-        A chained transition (the previous block's statically known
-        successor) skips the ``_tb_cache`` dict lookup entirely; it still
-        counts as a ``tb_hits`` event so cache statistics stay meaningful.
-        """
-        pc = self.pc
-        prev = self._chain_from
-        self._chain_from = None
-        if prev is not None:
-            nxt = prev.next
-            if nxt is not None and nxt.start_pc == pc:
-                self.tb_hits += 1
-                return nxt
-        block = self._get_block(pc)
-        if (prev is not None and prev.chain_pc == pc
-                and self.block_cache_enabled):
-            prev.next = block
+        if (self.max_blocks is not None
+                and len(self._tb_cache) >= self.max_blocks):
+            self.flush_translation_cache()
+        self.tb_misses += 1
+        block = self._build_block(pc)
+        self._tb_cache[pc] = block
         return block
 
     # ------------------------------------------------------------------
@@ -619,11 +596,15 @@ class Cpu:
         return self._execute_block(block)
 
     def _enter_block(self) -> Optional[TranslationBlock]:
-        """Poll interrupts if the deadline has passed, then fetch the
-        block at ``pc``.
+        """Poll interrupts if the deadline has passed, then find the
+        block at ``pc``: the chain link of the block that just completed
+        when it lands there, else the block cache, else
+        :meth:`_translate`.
 
-        Returns ``None`` when an interrupt or a fetch/translate trap was
-        taken instead (no instruction retired).
+        A chained transition skips the ``_tb_cache`` dict lookup; it
+        still counts as a ``tb_hits`` event so cache statistics stay
+        meaningful.  Returns ``None`` when an interrupt or a
+        fetch/translate trap was taken instead (no instruction retired).
         """
         if self.csrs.cycle >= self._poll_at:
             interrupt = self._pending_interrupt()
@@ -631,11 +612,27 @@ class Cpu:
                 self._wfi_pending = False
                 self._take_trap(interrupt, 0)
                 return None
-        try:
-            return self._next_block()
-        except Trap as trap:
-            self._take_trap(trap.cause, trap.tval)
-            return None
+        pc = self.pc
+        prev = self._chain_from
+        if prev is not None:
+            self._chain_from = None
+            block = prev.next
+            if block is not None and block.start_pc == pc:
+                self.tb_hits += 1
+                return block
+        block = self._tb_cache.get(pc)
+        if block is not None:
+            self.tb_hits += 1
+        else:
+            try:
+                block = self._translate(pc)
+            except Trap as trap:
+                self._take_trap(trap.cause, trap.tval)
+                return None
+        if (prev is not None and prev.chain_pc == pc
+                and self.block_cache_enabled):
+            prev.next = block
+        return block
 
     def _execute_block(self, block: TranslationBlock) -> int:
         """Interpret ``block`` with every hook honoured; returns the

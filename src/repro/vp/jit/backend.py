@@ -36,7 +36,8 @@ from typing import List, Optional
 from ...isa import semantics as sem
 from ...isa.registers import RegisterFile, StuckRegisterFile
 from ..backends import ExecutionBackend
-from .compiler import (TRACE_MAX_BLOCKS, BlockCompiler, CompileError)
+from .compiler import (TRACE_MAX_BLOCKS, BlockCompiler, CompileError,
+                       _trap_exit, _TrapExit)
 from .templates import BRANCH_CONDS, EMITTERS
 
 __all__ = ["CompiledBackend", "JitStats", "DEFAULT_THRESHOLD",
@@ -183,6 +184,11 @@ class CompiledBackend(ExecutionBackend):
                           and not self._compiler.hb)
 
     def _step(self, remaining) -> int:
+        """One block step: its trace, its compiled function or the
+        interpreter.  Generated code leaves through :class:`_TrapExit`
+        to take a trap (a bus fault, or a trap site of a fused loop or
+        trace, after it wrote its register locals back); the trap is
+        taken here."""
         cpu = self.cpu
         block = cpu._enter_block()
         if block is None:
@@ -190,33 +196,35 @@ class CompiledBackend(ExecutionBackend):
         fn = block.compiled
         if fn is not None and block.compiled_version == self._token:
             trace = block.trace
+            if trace is None:
+                if (self._trace_ok and block.chain_pc is not None
+                        and block.start_pc not in self._no_trace):
+                    block.trace_heat += 1
+                    if block.trace_heat >= self.trace_threshold:
+                        trace = self._compile_trace(block)
+            elif block.trace_token != self._token:
+                trace = block.trace = None  # stale; allow rebuild
             if trace is not None:
-                if block.trace_token == self._token:
+                try:
                     retired = trace(cpu, remaining)
-                    self.stats.trace_retired += retired
-                    return retired
-                block.trace = None  # stale specialization; allow rebuild
-            elif (self._trace_ok and block.chain_pc is not None
-                    and block.start_pc not in self._no_trace):
-                block.trace_heat += 1
-                if block.trace_heat >= self.trace_threshold:
-                    trace = self._compile_trace(block)
-                    if trace is not None:
-                        retired = trace(cpu, remaining)
-                        self.stats.trace_retired += retired
-                        return retired
-            retired = fn(cpu, remaining)
-            self.stats.compiled_retired += retired
-            return retired
-        if (self._compile_ok and block.exec_count + 1 >= self.threshold
+                except _TrapExit as leave:
+                    retired = _trap_exit(cpu, *leave.args)
+                self.stats.trace_retired += retired
+                return retired
+        elif (self._compile_ok and block.exec_count + 1 >= self.threshold
                 and block.start_pc not in self._no_compile):
             fn = self._compile(block)
-            if fn is not None:
-                retired = fn(cpu, remaining)
-                self.stats.compiled_retired += retired
-                return retired
-        retired = cpu._execute_block(block)
-        self.stats.interp_retired += retired
+        else:
+            fn = None
+        if fn is None:
+            retired = cpu._execute_block(block)
+            self.stats.interp_retired += retired
+            return retired
+        try:
+            retired = fn(cpu, remaining)
+        except _TrapExit as leave:
+            retired = _trap_exit(cpu, *leave.args)
+        self.stats.compiled_retired += retired
         return retired
 
     def _compile(self, block):

@@ -3,11 +3,11 @@
 :class:`BlockCompiler` turns a finalized
 :class:`~repro.vp.cpu.TranslationBlock` into one specialized Python
 function ``_tb(cpu, remaining) -> retired`` compiled with
-:func:`compile`/``exec``.  Three shapes, picked per block:
+:func:`compile`/``exec``.  Four shapes:
 
 * **direct**  — no instruction/memory hooks and an untraced plain or
-  stuck-at register file: registers are raw-list accesses (a stuck bit
-  folded into reads of its register), per-instruction
+  stuck-at register file: registers are raw-list accesses ``R[n]`` (a
+  stuck bit folded into reads of its register), per-instruction
   pc/next_pc bookkeeping disappears, retired/cycle accounting is
   constant-folded into each exit path.  Block hooks keep this shape
   but rule out the fused and trace shapes, which run several block
@@ -16,7 +16,11 @@ function ``_tb(cpu, remaining) -> retired`` compiled with
   conditional branch back to its own start (a single-block spin loop):
   the whole block becomes a native ``while`` loop that re-checks the
   instruction budget and the interrupt deadline between iterations,
-  exactly where the interpreter's run loop would.
+  exactly where the interpreter's run loop would.  It holds every
+  register it touches, and the RAM fast-path access counters, in Python
+  locals, written back in one ``finally`` that every way out passes.
+* **trace**   — a chain of direct-shape blocks (:meth:`compile_trace`),
+  with the same locals and write-back as the fused shape.
 * **method**  — instruction or memory hooks attached, or a traced or
   otherwise subclassed register file: an unrolled interpreter
   preserving the per-instruction hook ordering, pc/next_pc visibility,
@@ -47,7 +51,8 @@ from ...isa import csr as csrdef
 from ...isa import semantics as sem
 from ..memory import PACK_HALF, PACK_WORD, UNPACK_HALF, UNPACK_WORD
 from ..trap import BusError, MachineExit, Trap
-from .templates import BRANCH_CONDS, CONTROL_EMITTERS, EMITTERS, MASK, Ctx
+from .templates import (BRANCH_CONDS, CONTROL_EMITTERS, EMITTERS, MASK,
+                        Ctx, Locals)
 
 __all__ = ["BlockCompiler", "CompileError", "TRACE_MAX_BLOCKS",
            "CODE_CACHE_MAX_ENTRIES", "CodeCache", "code_cache_stats"]
@@ -69,6 +74,15 @@ _NEVER = float("inf")
 
 class CompileError(Exception):
     """Internal codegen failure; the backend falls back to interpreting."""
+
+
+class _TrapExit(Exception):
+    """A trap leaving generated code; ``args`` are :func:`_trap_exit`'s
+    after ``cpu``.  Raised by the bus helpers on a bus fault and by
+    fused and trace functions at a trap site; the backend takes the trap
+    where it called the function.  A function holding registers in
+    locals has written them back by then (trap hooks see them), and no
+    generated function needs a handler of its own."""
 
 
 # -- runtime helpers shared by all generated functions ----------------------
@@ -104,15 +118,14 @@ def _bus_load(cpu, addr, width, retired, cycles, pc, fallthrough,
     """Direct-shape load slow path: full bus dispatch for an access the
     RAM window does not serve.  Returns the value masked to canonical
     u32 (device models may return wider values, and the generated
-    register write skips its mask), or ``None`` once the access fault
-    has been taken — the caller then returns ``retired``."""
+    register write skips its mask); a bus fault raises
+    :class:`_TrapExit` for the access fault."""
     cpu._poll_at = 0  # a device may change the interrupt state
     try:
         value = cpu.bus.load(addr, width)
     except BusError:
-        _trap_exit(cpu, csrdef.CAUSE_LOAD_ACCESS, addr, retired, cycles,
-                   pc, fallthrough, decoded)
-        return None
+        raise _TrapExit(csrdef.CAUSE_LOAD_ACCESS, addr, retired, cycles,
+                        pc, fallthrough, decoded) from None
     except MachineExit:
         _exit_flush(cpu, retired, cycles, pc, fallthrough, decoded)
         raise
@@ -122,20 +135,18 @@ def _bus_load(cpu, addr, width, retired, cycles, pc, fallthrough,
 
 def _bus_store(cpu, addr, width, value, retired, cycles, pc, fallthrough,
                decoded):
-    """Direct-shape store slow path; returns ``True`` once the access
-    fault has been taken (the caller then returns ``retired``)."""
+    """Direct-shape store slow path; a bus fault raises
+    :class:`_TrapExit` for the access fault."""
     cpu._poll_at = 0  # a device may change the interrupt state
     try:
         cpu.bus.store(addr, width, value)
     except BusError:
-        _trap_exit(cpu, csrdef.CAUSE_STORE_ACCESS, addr, retired, cycles,
-                   pc, fallthrough, decoded)
-        return True
+        raise _TrapExit(csrdef.CAUSE_STORE_ACCESS, addr, retired, cycles,
+                        pc, fallthrough, decoded) from None
     except MachineExit:
         _exit_flush(cpu, retired, cycles, pc, fallthrough, decoded)
         raise
     cpu.mem_bus_stores += 1
-    return False
 
 
 def _horizon(cpu, budget_left, insns, taken):
@@ -280,7 +291,13 @@ class BlockCompiler:
         self.direct = direct_ok and not self.hi and not self.hm
         #: ``(reg, mask, stuck_one)`` of a stuck-at register file, folded
         #: into direct-shape reads of that register (``None``: plain).
-        self.stuck = stuck
+        #: The code depends on ``(reg, stuck_one)`` only (``stuck_fold``);
+        #: the mask is the namespace constant ``_SK``, so every bit of one
+        #: register shares one code object.
+        self.stuck = stuck if self.direct else None
+        self.stuck_fold = None
+        if self.stuck is not None:
+            self.stuck_fold = (self.stuck[0], self.stuck[2])
         self.chain_enabled = chain_enabled
         # Capture the CPU's RAM fast-path window so direct-mode memory
         # templates can fold the bounds in as constants.  Generated code
@@ -301,7 +318,8 @@ class BlockCompiler:
         #: The compiler half of every code-cache key: all of this
         #: snapshot the emitters read.
         self.shape = (self.direct, bool(self.hb), bool(self.hi),
-                      bool(self.hm), stuck, chain_enabled, self.win)
+                      bool(self.hm), self.stuck_fold, chain_enabled,
+                      self.win)
 
     # ------------------------------------------------------------------
 
@@ -327,10 +345,10 @@ class BlockCompiler:
         return self._emit_method(block)
 
     def _base_namespace(self) -> dict:
-        return {
+        namespace = {
             "Trap": Trap, "MachineExit": MachineExit,
             "BusError": BusError, "_trap_exit": _trap_exit,
-            "_exit_flush": _exit_flush,
+            "_TrapExit": _TrapExit, "_exit_flush": _exit_flush,
             "_bus_load": _bus_load, "_bus_store": _bus_store,
             "_horizon": _horizon, "HB": self.hb, "HI": self.hi,
             "_u4": UNPACK_WORD, "_u2": UNPACK_HALF,
@@ -338,6 +356,10 @@ class BlockCompiler:
             "_MEM": self.mem, "_DIRTY": self.dirty,
             "__builtins__": {"abs": abs},
         }
+        if self.stuck is not None:
+            _reg, mask, stuck_one = self.stuck
+            namespace["_SK"] = mask if stuck_one else ~mask & MASK
+        return namespace
 
     def _namespace(self, block) -> dict:
         namespace = self._base_namespace()
@@ -434,7 +456,7 @@ class BlockCompiler:
         src.add(indent + 1, f"return {i + 1}")
 
     def _emit_direct(self, block) -> str:
-        ctx = Ctx(block, direct=True, win=self.win, stuck=self.stuck)
+        ctx = Ctx(block, direct=True, win=self.win, stuck=self.stuck_fold)
         ops = block.ops
         n = len(ops)
         last_d, last_exec = ops[-1][0], ops[-1][1]
@@ -497,11 +519,36 @@ class BlockCompiler:
         src.lines.append(body_text)
         return src.text()
 
-    # -- fused self-loop shape ------------------------------------------
+    # -- loop shapes: fused self-loops and traces -------------------------
+
+    def _emit_loop(self, body: _Src, local: Locals) -> str:
+        """A fused or trace function around ``body`` (its loop, at indent
+        0): every register and counter ``local`` recorded is loaded into
+        a local once and written back in one ``finally``, which every way
+        out passes — the loop, budget and interrupt exits, a trap entry
+        (a :class:`_TrapExit`, taken by the backend after the write-back)
+        and ``MachineExit``.  The bus slow path and the interrupt poll
+        read neither."""
+        src = _Src()
+        src.add(0, "def _tb(cpu, remaining):")
+        src.extend(1, self._bindings("\n".join(body.lines), direct=True))
+        src.add(1, "_c = cpu.csrs")
+        src.add(1, "ret = 0")
+        src.extend(1, local.loads())
+        stores = local.stores()
+        if not stores:
+            src.extend(1, body.lines)
+            return src.text()
+        src.add(1, "try:")
+        src.extend(2, body.lines)
+        src.add(1, "finally:")
+        src.extend(2, stores)
+        return src.text()
 
     def _emit_fused(self, block) -> str:
-        ctx = Ctx(block, direct=True, fused=True, win=self.win,
-                  stuck=self.stuck)
+        local = Locals()
+        ctx = Ctx(block, direct=True, win=self.win, stuck=self.stuck_fold,
+                  local=local)
         ops = block.ops
         n = len(ops)
         last_d = ops[-1][0]
@@ -509,26 +556,17 @@ class BlockCompiler:
         taken_total = ctx.prefix[n - 1] + last_taken
         base_total = ctx.prefix[n - 1] + last_base
 
-        body = _Src()
+        body = []
         for i in range(n - 1):
-            body.extend(0, EMITTERS[ops[i][1]](ctx, i))
+            body += EMITTERS[ops[i][1]](ctx, i)
         cond = BRANCH_CONDS[ops[-1][1]](ctx, last_d)
-        body_text = "\n".join(body.lines)
-        pure = ("_bus_load(" not in body_text
-                and "_bus_store(" not in body_text)
-        if pure:
-            return self._emit_fused_batched(
-                block, body.lines, cond, n, taken_total, base_total, last_ft)
-        return self._emit_fused_polling(
-            block, body.lines, cond, n, taken_total, base_total, last_ft)
-
-    def _fused_prologue(self, body_text: str) -> _Src:
-        src = _Src()
-        src.add(0, "def _tb(cpu, remaining):")
-        src.extend(1, self._bindings(body_text, direct=True))
-        src.add(1, "_c = cpu.csrs")
-        src.add(1, "ret = 0")
-        return src
+        if any("_bus_" in line for line in body):
+            loop = self._fused_polling(block, body, cond, n, taken_total,
+                                       base_total, last_ft)
+        else:
+            loop = self._fused_batched(block, body, cond, n, taken_total,
+                                       base_total, last_ft)
+        return self._emit_loop(loop, local)
 
     def _loop_exit(self, src: _Src, indent: int, pc: int,
                    chain_m: Optional[int] = None) -> None:
@@ -549,34 +587,32 @@ class BlockCompiler:
         budget check, then the interrupt poll, which runs only once the
         cycle count reaches the CPU's deadline (an event inside the loop,
         a device access, sets it to 0)."""
-        src.add(indent, "if ret >= remaining:")
-        self._loop_exit(src, indent + 1, pc, chain_m)
-        src.add(indent, "if (_c.cycle >= cpu._poll_at"
+        src.add(indent, "if ret >= remaining or (_c.cycle >= cpu._poll_at"
                         " and cpu._pending_interrupt() is not None):")
         self._loop_exit(src, indent + 1, pc, chain_m)
 
-    def _emit_fused_polling(self, block, body_lines, cond, n,
-                            taken_total, base_total, last_ft) -> str:
+    def _fused_polling(self, block, body_lines, cond, n,
+                       taken_total, base_total, last_ft) -> _Src:
         """One iteration per boundary check — blocks touching memory
-        (loads may read device time, stores may arm interrupts)."""
-        start = block.start_pc
-        src = self._fused_prologue("\n".join(body_lines))
-        src.add(1, "while True:")
-        src.extend(2, body_lines)
-        src.add(2, f"if {cond}:")
-        src.add(3, f"ret += {n}")
-        src.add(3, f"_c.cycle += {taken_total}")
-        src.add(3, "block.exec_count += 1")
-        self._boundary_checks(src, 3, start)
-        src.add(3, "continue")
+        (loads may read device time, stores may arm interrupts).  The
+        iteration counts itself first, as the interpreter's block entry
+        does, so one that traps or exits midway is counted too."""
+        src = _Src()
+        src.add(0, "while True:")
+        src.add(1, "block.exec_count += 1")
+        src.extend(1, body_lines)
+        src.add(1, f"if {cond}:")
         src.add(2, f"ret += {n}")
-        src.add(2, f"_c.cycle += {base_total}")
-        src.add(2, "block.exec_count += 1")
-        self._loop_exit(src, 2, last_ft)
-        return src.text()
+        src.add(2, f"_c.cycle += {taken_total}")
+        self._boundary_checks(src, 2, block.start_pc)
+        src.add(2, "continue")
+        src.add(1, f"ret += {n}")
+        src.add(1, f"_c.cycle += {base_total}")
+        self._loop_exit(src, 1, last_ft)
+        return src
 
-    def _emit_fused_batched(self, block, body_lines, cond, n,
-                            taken_total, base_total, last_ft) -> str:
+    def _fused_batched(self, block, body_lines, cond, n,
+                       taken_total, base_total, last_ft) -> _Src:
         """Pure-ALU self-loop: batch iterations up to the deadline.
 
         With no memory or CSR access in the body, nothing inside the
@@ -586,28 +622,27 @@ class BlockCompiler:
         ``mip`` shadow is therefore written at the same boundaries in
         every shape.
         """
-        start = block.start_pc
-        src = self._fused_prologue("\n".join(body_lines))
-        src.add(1, "while True:")
-        src.add(2, f"_n = _horizon(cpu, remaining - ret, {n}, "
+        src = _Src()
+        src.add(0, "while True:")
+        src.add(1, f"_n = _horizon(cpu, remaining - ret, {n}, "
                    f"{taken_total})")
-        src.add(2, "_it = 0")
-        src.add(2, "while _it < _n:")
-        src.add(3, "_it += 1")
-        src.extend(3, body_lines)
-        src.add(3, f"if {cond}:")
-        src.add(4, "continue")
+        src.add(1, "_it = 0")
+        src.add(1, "while _it < _n:")
+        src.add(2, "_it += 1")
+        src.extend(2, body_lines)
+        src.add(2, f"if {cond}:")
+        src.add(3, "continue")
         # Branch fell through: account _it - 1 taken iterations plus
         # this not-taken one, exactly like the interpreter's exit.
-        src.add(3, f"ret += _it * {n}")
-        src.add(3, f"_c.cycle += (_it - 1) * {taken_total} + {base_total}")
-        src.add(3, "block.exec_count += _it")
-        self._loop_exit(src, 3, last_ft)
-        src.add(2, f"ret += _n * {n}")
-        src.add(2, f"_c.cycle += _n * {taken_total}")
-        src.add(2, "block.exec_count += _n")
-        self._boundary_checks(src, 2, start)
-        return src.text()
+        src.add(2, f"ret += _it * {n}")
+        src.add(2, f"_c.cycle += (_it - 1) * {taken_total} + {base_total}")
+        src.add(2, "block.exec_count += _it")
+        self._loop_exit(src, 2, last_ft)
+        src.add(1, f"ret += _n * {n}")
+        src.add(1, f"_c.cycle += _n * {taken_total}")
+        src.add(1, "block.exec_count += _n")
+        self._boundary_checks(src, 1, block.start_pc)
+        return src
 
     # -- multi-block trace shape ----------------------------------------
 
@@ -686,11 +721,12 @@ class BlockCompiler:
 
     def _emit_trace(self, blocks) -> str:
         head = blocks[0]
+        local = Locals()
         ctxs = []
         offset = 0
         for block in blocks:
-            ctxs.append(Ctx(block, direct=True, fused=True, base=offset,
-                            win=self.win, stuck=self.stuck))
+            ctxs.append(Ctx(block, direct=True, base=offset, win=self.win,
+                            stuck=self.stuck_fold, local=local))
             offset += len(block.ops)
         last = blocks[-1]
         last_ops = last.ops
@@ -701,9 +737,11 @@ class BlockCompiler:
             last_d = last_ops[-1][0]
             target = (last_ops[-1][2] + last_d.imm) & MASK
             looped = target == head.start_pc
-        indent = 2 if looped else 1
+        indent = 1 if looped else 0
 
         body = _Src()
+        if looped:
+            body.add(0, "while True:")
         for m, block in enumerate(blocks[:-1]):
             self._emit_trace_body(body, indent, ctxs[m], m, block)
             self._boundary_checks(body, indent, block.chain_pc, m)
@@ -736,12 +774,7 @@ class BlockCompiler:
             # step exactly as it would after an interpreted block.
             self._emit_trace_body(body, indent, ctxs[m], m, blocks[m])
             self._loop_exit(body, indent, blocks[m].chain_pc, m)
-
-        src = self._fused_prologue("\n".join(body.lines))
-        if looped:
-            src.add(1, "while True:")
-        src.lines.extend(body.lines)
-        return src.text()
+        return self._emit_loop(body, local)
 
     # -- method (bookkeeping) shape -------------------------------------
 

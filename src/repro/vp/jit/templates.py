@@ -6,15 +6,21 @@ decoded operands folded in as constants.  The table is keyed by the
 execute *function object*, so every spec that reuses a base callback
 (all of RV32C does) is covered automatically.
 
-Two rendering modes, chosen per block by the compiler:
+Three register renderings, chosen per block by the compiler; :class:`Ctx`
+is the one place a register is named:
 
 * **direct** — registers are accessed as ``R[n]`` on the raw backing
   list (only legal when the register file is an untraced plain
   :class:`~repro.isa.registers.RegisterFile` or
   :class:`~repro.isa.registers.StuckRegisterFile`, whose stuck bit every
-  read of that register folds in); written values are masked
-  to canonical 32-bit form exactly where ``RegisterFile.write`` would
-  mask them, and ``x0`` writes are elided at compile time.
+  read of that register folds in through the namespace constant
+  ``_SK``); written values are masked to canonical 32-bit form exactly
+  where ``RegisterFile.write`` would mask them, and ``x0`` writes are
+  elided at compile time.
+* **locals** — the direct rendering inside a fused self-loop or trace:
+  each register the function touches is the Python local ``r{n}``, and
+  the RAM fast-path access counters are the locals ``_fl``/``_fs``;
+  :class:`Locals` renders their loads and write-back.
 * **method** — registers go through the bound ``read``/``write``
   methods, preserving access tracing and other register-file subclasses.
 
@@ -26,7 +32,7 @@ line — that file is the normative reference; change both together.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Optional
 
 from ...isa import semantics as sem
 from ...isa import csr as csrdef
@@ -48,6 +54,34 @@ def _sb(expr: str) -> str:
     return f"(({expr}) ^ 0x80000000)"
 
 
+class Locals:
+    """The guest registers and RAM access counters one fused or trace
+    function holds in Python locals.
+
+    Shared by the :class:`Ctx` of every member of the function, which
+    records each register it names; the compiler then loads every
+    touched register once before the loop and writes back the written
+    ones, and the counters, wherever control leaves the function.
+    """
+
+    #: Counter local -> the CPU attribute it accumulates into.
+    COUNTERS = {"_fl": "cpu.mem_fast_loads", "_fs": "cpu.mem_fast_stores"}
+
+    def __init__(self) -> None:
+        self.used: set = set()
+        self.written: set = set()
+        self.counters: set = set()
+
+    def loads(self) -> List[str]:
+        return ([f"r{n} = R[{n}]" for n in sorted(self.used)]
+                + [f"{name} = 0" for name in sorted(self.counters)])
+
+    def stores(self) -> List[str]:
+        return ([f"R[{n}] = r{n}" for n in sorted(self.written)]
+                + [f"{self.COUNTERS[name]} += {name}"
+                   for name in sorted(self.counters)])
+
+
 class Ctx:
     """Per-block codegen context handed to every emitter.
 
@@ -57,23 +91,25 @@ class Ctx:
     renderers shared by all memory emitters.
     """
 
-    def __init__(self, block, direct: bool, fused: bool = False,
-                 base: int = 0, win=None, stuck=None) -> None:
+    def __init__(self, block, direct: bool, base: int = 0, win=None,
+                 stuck=None, local: Optional[Locals] = None) -> None:
         self.block = block
         self.direct = direct
-        #: Direct-mode reads of the stuck register (``stuck`` is a
-        #: StuckRegisterFile's ``(reg, mask, stuck_one)``) render with
-        #: the bit forced, the value its ``read`` returns; writes stay raw.
+        #: Direct-mode reads of the stuck register (``stuck`` is
+        #: ``(reg, stuck_one)`` of a StuckRegisterFile) render with the
+        #: bit forced through the namespace constant ``_SK`` (the mask, or
+        #: its complement for stuck-at-0), the value its ``read``
+        #: returns; writes stay raw.  The mask is not in the source, so
+        #: every bit of one register shares one code object.
         self._stuck_reg = None
         if stuck is not None:
-            reg, mask, stuck_one = stuck
-            self._stuck_reg = reg
-            self._stuck_read = (f"(R[{reg}] | {mask:#x})" if stuck_one
-                                else f"(R[{reg}] & {~mask & MASK:#x})")
-        #: In the fused self-loop and trace shapes the retired count is
-        #: offset by the running ``ret`` local; prior iterations and
+            self._stuck_reg, stuck_one = stuck
+            self._stuck_op = "|" if stuck_one else "&"
+        #: In the fused self-loop and trace shapes, registers and access
+        #: counters are the locals ``local`` records, and the retired
+        #: count is offset by the running ``ret``; prior iterations and
         #: members have already added their cycles to ``csrs.cycle``.
-        self.fused = fused
+        self.local = local
         #: Namespace name offset: instruction ``i`` of this block binds
         #: ``d_{base+i}`` / ``x_{base+i}``.  Non-zero only for trace
         #: members, whose blocks share one function namespace.
@@ -91,29 +127,45 @@ class Ctx:
 
     # -- register access ------------------------------------------------
 
+    def _name(self, num: int) -> str:
+        if self.local is None:
+            return f"R[{num}]"
+        self.local.used.add(num)
+        return f"r{num}"
+
     def r(self, num: int) -> str:
         """Read of GPR ``num`` (x0 reads the raw slot, like the file)."""
         if not self.direct:
             return f"_rd({num})"
         if num == self._stuck_reg:
-            return self._stuck_read
-        return f"R[{num}]"
+            return f"({self._name(num)} {self._stuck_op} _SK)"
+        return self._name(num)
 
     def w(self, num: int, expr: str, canonical: bool = False) -> List[str]:
         """Write ``expr`` to GPR ``num``; ``canonical`` skips the mask."""
         if self.direct:
             if num == 0:
                 return []
+            if self.local is not None:
+                self.local.written.add(num)
             if canonical:
-                return [f"R[{num}] = {expr}"]
-            return [f"R[{num}] = ({expr}) & 0xFFFFFFFF"]
+                return [f"{self._name(num)} = {expr}"]
+            return [f"{self._name(num)} = ({expr}) & 0xFFFFFFFF"]
         return [f"_wr({num}, {expr})"]
+
+    def count(self, name: str) -> str:
+        """Count one RAM fast-path access: ``name`` is ``_fl`` (a load)
+        or ``_fs`` (a store)."""
+        if self.local is None:
+            return f"{Locals.COUNTERS[name]} += 1"
+        self.local.counters.add(name)
+        return f"{name} += 1"
 
     # -- accounting constants -------------------------------------------
 
     def ret_at(self, i: int) -> str:
         """Instructions retired when instruction ``i`` traps."""
-        return f"ret + {i}" if self.fused else str(i)
+        return f"ret + {i}" if self.local is not None else str(i)
 
     def cyc_at(self, i: int) -> str:
         """Cycles to flush when instruction ``i`` traps (its base cost
@@ -127,9 +179,13 @@ class Ctx:
         return self.ops[i][3]
 
     def trap_exit(self, i: int, cause, tval: str) -> str:
-        """``return _trap_exit(...)`` with instruction ``i``'s constants."""
-        return (f"return _trap_exit(cpu, {cause}, {tval}, "
-                f"{self.flush_args(i)})")
+        """Take a trap at instruction ``i``: ``return _trap_exit(...)``,
+        or, with registers in locals, ``raise _TrapExit(...)`` so the
+        function writes them back before the trap is taken."""
+        if self.local is None:
+            return (f"return _trap_exit(cpu, {cause}, {tval}, "
+                    f"{self.flush_args(i)})")
+        return f"raise _TrapExit({cause}, {tval}, {self.flush_args(i)})"
 
     def exit_flush(self, i: int) -> str:
         """Accounting flush before re-raising ``MachineExit``."""
@@ -277,7 +333,8 @@ def emit_remu(ctx: Ctx, i: int) -> List[str]:
 # the full bus dispatch with the interpreter's trap semantics.  That
 # slow path lives out of line in the compiler's ``_bus_load`` /
 # ``_bus_store`` helpers, keeping the generated source (and its compile
-# time) small.
+# time) small; they raise ``_TrapExit`` on a bus fault, which leaves
+# the function (after any register write-back) for the backend to take.
 
 def _addr_lines(ctx: Ctx, d) -> List[str]:
     """Effective-address computation for the fast-path shape.
@@ -316,9 +373,7 @@ def _load_emitter(width: int, signed: bool) -> Emitter:
                       f"    {ctx.trap_exit(i, csrdef.CAUSE_MISALIGNED_LOAD, _masked_a(ctx))}"]
         # The register write below skips its mask (the fast path is
         # canonical by construction), so _bus_load masks the bus value.
-        slow = [f"_v = _bus_load(cpu, _a, {width}, {ctx.flush_args(i)})",
-                "if _v is None:",
-                f"    return {ctx.ret_at(i)}"]
+        slow = [f"_v = _bus_load(cpu, _a, {width}, {ctx.flush_args(i)})"]
         if ctx.win is not None:
             base, end, _shift = ctx.win
             if width == 4:
@@ -329,7 +384,7 @@ def _load_emitter(width: int, signed: bool) -> Emitter:
                 read = f"_v = _u2(_mem, _a - {base:#x})[0]"
             lines += [f"if _ramok and {base:#x} <= _a < {end - width + 1:#x}:",
                       f"    {read}",
-                      "    cpu.mem_fast_loads += 1",
+                      f"    {ctx.count('_fl')}",
                       "else:",
                       "    _a &= 0xFFFFFFFF"]
             lines += ["    " + line for line in slow]
@@ -359,9 +414,8 @@ def _store_emitter(width: int) -> Emitter:
         if width > 1:
             lines += [f"if _a % {width}:",
                       f"    {ctx.trap_exit(i, csrdef.CAUSE_MISALIGNED_STORE, _masked_a(ctx))}"]
-        slow = [f"if _bus_store(cpu, _a, {width}, {ctx.r(d.rs2)}, "
-                f"{ctx.flush_args(i)}):",
-                f"    return {ctx.ret_at(i)}"]
+        slow = [f"_bus_store(cpu, _a, {width}, {ctx.r(d.rs2)}, "
+                f"{ctx.flush_args(i)})"]
         if ctx.win is not None:
             base, end, shift = ctx.win
             # Register values are canonical u32, so only sub-word widths
@@ -376,7 +430,7 @@ def _store_emitter(width: int) -> Emitter:
                       f"    _o = _a - {base:#x}",
                       f"    {write}",
                       f"    _dirty.add(_o >> {shift})",
-                      "    cpu.mem_fast_stores += 1",
+                      f"    {ctx.count('_fs')}",
                       "else:",
                       "    _a &= 0xFFFFFFFF"]
             lines += ["    " + line for line in slow]

@@ -83,6 +83,19 @@ class TestBasics:
     def test_markers_inside_a_string_are_data(self, line, blob):
         assert assemble(f".data\n{line}").segments[-1][1] == blob
 
+    @pytest.mark.parametrize("line, value", [
+        ("li a0, '#'", ord("#")),
+        ("li a0, ';'", ord(";")),
+        ("addi a0, a0, '#' # c", ord("#")),
+        ("li a0, '\"' # c", ord('"')),
+        ("li a0, '/' // c", ord("/")),
+    ])
+    def test_markers_inside_a_char_literal_are_data(self, line, value):
+        assert words_of(assemble(line))[-1].imm == value
+
+    def test_char_literal_markers_in_data(self):
+        assert assemble(".data\n.byte '#', ';' ; c").segments[-1][1] == b"#;"
+
     def test_label_on_own_line(self):
         prog = assemble("""
         start:

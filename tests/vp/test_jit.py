@@ -264,12 +264,20 @@ def test_stuck_register_matches_interpreter_on_direct_shape(reg, stuck_one):
 def test_stuck_bit_is_folded_into_generated_reads():
     machine, _ = _stuck_run("compiled", 7, True)
     mask = 1 << 22
-    sources = [block.compiled.__jit_source__ for block in
-               machine.cpu._tb_cache.values() if block.compiled is not None]
-    sources += [block.trace.__jit_source__ for block in
-                machine.cpu._tb_cache.values() if block.trace is not None]
-    assert any(f"(R[7] | {mask:#x})" in src for src in sources)
-    assert not any("_rd(" in src for src in sources)
+    fns = [block.compiled for block in machine.cpu._tb_cache.values()
+           if block.compiled is not None]
+    fns += [block.trace for block in machine.cpu._tb_cache.values()
+            if block.trace is not None]
+    # The mask is the namespace constant _SK, not a literal in the
+    # source, so every bit of x7 shares these code objects.
+    folded = [fn for fn in fns
+              if "(R[7] | _SK)" in fn.__jit_source__
+              or "(r7 | _SK)" in fn.__jit_source__]
+    assert folded
+    for fn in folded:
+        assert fn.__globals__["_SK"] == mask
+        assert f"{mask:#x}" not in fn.__jit_source__
+    assert not any("_rd(" in fn.__jit_source__ for fn in fns)
 
 
 def test_traced_stuck_register_file_keeps_method_shape():
