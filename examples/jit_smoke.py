@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Bounded end-to-end smoke test for the compiled execution tier.
 
-Four phases, each comparing the ``compiled`` backend against ``interp``
+Five phases, each comparing the ``compiled`` backend against ``interp``
 on the same program and asserting the properties CI cares about:
 
 **Phase 1 — F1 compute loop:**
@@ -46,6 +46,16 @@ on the same program and asserting the properties CI cares about:
 * the raw state (RunResult, raw GPRs, CSR file, memory counters, dirty
   pages, every block's ``exec_count``, UART output and the GPRs a trap
   hook saw) is byte-identical to ``interp``.
+
+**Phase 5 — exact instruction budgets:**
+
+* the F1 loop (a batched fused loop), the F5 loop (a trace), a polling
+  fused loop and the phase-4 programs each run with every budget from 1
+  to twice their loop body's length, and with a few large budgets, each
+  on a fresh machine with every block compiled and traced at once;
+* every run that ends ``max_insns`` retired exactly its budget, and the
+  raw state (RunResult, GPRs, CSR file, ``mtime``, dirty pages, every
+  block's ``exec_count``) is byte-identical to ``interp``.
 
 **Phases 1-3 — translation is reused across machines:** every run
 after the first, each on a fresh machine, decodes no new word (the
@@ -458,11 +468,89 @@ def slow_path_phase() -> None:
           f"fused/trace identical to interp")
 
 
+# A self-loop that loads and stores: the polling fused shape.
+POLL_WORKLOAD = """
+_start:
+    la s0, buf
+    li t0, 0
+    li t1, 2000
+loop:
+    lw t2, 0(s0)
+    add t2, t2, t0
+    sw t2, 4(s0)
+    addi t0, t0, 1
+    blt t0, t1, loop
+    li a0, 0
+    li a7, 93
+    ecall
+.data
+buf: .word 3, 5
+"""
+
+#: Budgets past the first iterations, the same for every program.
+LARGE_BUDGETS = (997, 4099, 12_347, 65_537)
+
+
+def _budget_state(program, backend, budget, faults=()):
+    from repro.faultsim import Fault, inject
+    from repro.isa import RV32IMC_ZICSR
+    from repro.vp import Machine, MachineConfig
+
+    machine = Machine(MachineConfig(isa=RV32IMC_ZICSR, backend=backend,
+                                    jit_threshold=1, jit_trace_threshold=1))
+    machine.load(program)
+    for target, index, bit, kind in faults:
+        if isinstance(index, str):
+            index = program.symbols["buf"] + int(index.split("+")[1])
+        inject(machine, Fault(target, index, bit, kind))
+    result = machine.run(max_instructions=budget)
+    cpu = machine.cpu
+    return (result, tuple(cpu.regs._regs), cpu.csrs.snapshot(),
+            machine.clint.mtime, tuple(sorted(machine.ram.dirty_pages())),
+            tuple(sorted((pc, block.exec_count)
+                         for pc, block in cpu._tb_cache.items())))
+
+
+def budget_phase() -> None:
+    from repro.asm import assemble
+    from repro.isa import RV32IMC_ZICSR
+
+    # name -> (source, loop body length, faults)
+    programs = {"f1-fused-batched": (WORKLOAD, 9, []),
+                "f5-trace": (MEM_WORKLOAD, 42, []),
+                "fused-polling": (POLL_WORKLOAD, 5, [])}
+    for name, (body_a, body_b, prologue, handler, faults) in \
+            SLOW_PATH_CASES.items():
+        length = 2 + len((body_a + ";" + body_b).split(";"))
+        for shape in ("fused", "trace"):
+            programs[f"{name}/{shape}"] = (
+                slow_path_program(shape, body_a, body_b, prologue, handler),
+                length + (shape == "trace"), faults)
+    runs = 0
+    for name, (source, length, faults) in programs.items():
+        program = assemble(source, isa=RV32IMC_ZICSR)
+        for budget in (*range(1, 2 * length + 1), *LARGE_BUDGETS):
+            expected = _budget_state(program, "interp", budget, faults)
+            state = _budget_state(program, "compiled", budget, faults)
+            result = state[0]
+            assert (result.stop_reason != "max_insns"
+                    or result.instructions == budget), (
+                f"{name}: budget {budget} retired {result.instructions}")
+            assert state == expected, (
+                f"{name}: budget {budget}: compiled diverged from the "
+                f"interpreter:\n  interp:   {expected}\n"
+                f"  compiled: {state}")
+            runs += 1
+    print(f"jit smoke [exact budgets]: {runs} budgets over "
+          f"{len(programs)} programs, each exact and identical to interp")
+
+
 def main() -> int:
     compute_phase()
     memory_phase()
     interrupt_phase()
     slow_path_phase()
+    budget_phase()
     print("jit smoke: OK")
     return 0
 

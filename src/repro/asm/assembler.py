@@ -372,8 +372,12 @@ class Assembler:
         return [(name, args)]
 
     def _expand_li(self, rd: str, expr: str) -> List[Tuple[str, List[str]]]:
+        text = expr.strip()
         try:
-            value = int(expr, 0)
+            if len(text) == 3 and text[0] == text[-1] == "'":
+                value = ord(text[1])  # a character literal is a constant
+            else:
+                value = int(text, 0)
         except ValueError:
             # Symbolic: always the full two-instruction form.
             return [

@@ -29,11 +29,12 @@ from ..asm import Program
 from ..isa.decoder import IsaConfig
 from ..pool import Workers, resolve_jobs, split
 from ..telemetry.session import resolve as _resolve_telemetry
-from ..vp.cpu import STOP_EXIT, STOP_REQUESTED
+from ..vp.cpu import STOP_EXIT
 from ..vp.machine import Machine, MachineConfig, STOP_UNHANDLED_TRAP
 from .checkpoint import CheckpointEngine
 from .faults import Fault, TRANSIENT
-from .injector import InjectionError, check_transient, inject, remove_fault
+from .injector import (InjectionError, check_transient, inject, remove_fault,
+                       run_transient)
 
 OUTCOME_MASKED = "masked"
 OUTCOME_SDC = "sdc"
@@ -378,23 +379,20 @@ class FaultCampaign:
         machine = self._machine_for(fault)
         cpu = machine.cpu
         files = (cpu.regs, cpu.fregs, cpu.csrs)
+        budget = self.instruction_budget
         try:
-            plugin = inject(machine, fault)
+            if fault.kind == TRANSIENT:
+                result, _fired = run_transient(machine, fault, budget)
+            else:
+                inject(machine, fault)
+                result = machine.run(max_instructions=budget)
         except InjectionError:
             # Not applicable to this binary (e.g. address out of range):
             # architecturally invisible, classify as masked.
             return MutantResult(fault, OUTCOME_MASKED)
-        budget = self.instruction_budget
-        try:
-            result = machine.run(max_instructions=budget)
-            if result.stop_reason == STOP_REQUESTED:
-                # The transient flip rewrote translated code and stopped
-                # the run before the next instruction: go on from fresh
-                # translations, as the checkpoint engine's restore does.
-                result = machine.run(max_instructions=budget, resume=True)
         finally:
             if machine is self._shared_machine:
-                remove_fault(machine, plugin, files)
+                remove_fault(machine, files)
         return self._classify(fault, result, machine)
 
     @property

@@ -18,9 +18,9 @@ Three cooperating mechanisms make per-mutant cost proportional to the
 3. **Golden-trace early classification.**  During the golden pass the
    engine records a full architectural digest (pc, GPRs, FPRs, CSRs
    including cycle/instret, device state, and a hash of every page
-   written since reset) at the first block start on or after every
+   written since reset) at the first block boundary on or after every
    ``digest_interval`` retired instructions, keyed by the retired count
-   at that block start.  A mutant that reaches a block boundary with the
+   at that boundary.  A mutant that reaches a block boundary with the
    same retired count and the same digest has re-converged with the
    golden timeline and is classified ``masked`` on the spot: the
    remainder of its execution is deterministic and identical to the
@@ -29,16 +29,20 @@ Three cooperating mechanisms make per-mutant cost proportional to the
 Equivalence contract: classifications are byte-identical to full-replay
 runs.
 
-* Attempt counts position triggers.  The golden sweep's per-instruction
-  tracer counts one attempt per ``on_insn_exec`` invocation, exactly like
-  :class:`~repro.faultsim.injector.TransientInjectorPlugin`, and stops
-  the golden machine before the trigger's attempt executes.
+* Exact budgets position triggers.  A trigger counts retired
+  instructions; the sweep stops the golden machine on it with
+  ``run(max_instructions=trigger, resume=True)``, which is exact in every
+  tier (the block it ends in runs only its prefix), just as a mutant
+  without checkpoints runs to its trigger
+  (:func:`~repro.faultsim.injector.run_transient`).
 * Block-boundary digests keyed by retired instructions detect
-  re-convergence.  The mutant side is an instruction-count watch in the
-  run loop (:meth:`~repro.vp.backends.ExecutionBackend.set_watch`), not
-  a plugin: the loop pauses at the first block boundary at or after each
-  digest key, and mutants keep every compiled shape, traces and fused
-  loops included.  The digest compares complete architectural state plus
+  re-convergence.  Both sides go through an instruction-count watch in
+  the run loop (:meth:`~repro.vp.backends.ExecutionBackend.set_watch`),
+  not a plugin: the loop pauses at the first block boundary at or after
+  each digest key, where the golden sweep records a digest and a mutant
+  compares with it.  No campaign run attaches a plugin, so the sweep and
+  the mutants keep every compiled shape, traces and fused loops
+  included.  The digest compares complete architectural state plus
   every page either timeline has written, so a match implies the
   mutant's future equals the golden future wherever the check runs.
 * Moving a check changes only speed.  Block boundaries after a resume
@@ -61,7 +65,6 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..vp.cpu import RunResult, STOP_EXIT, STOP_REQUESTED, StopRun
 from ..vp.machine import Machine, MachineSnapshot
-from ..vp.plugins import Plugin
 from .faults import Fault, TRANSIENT
 from .injector import apply_transient_flip
 
@@ -87,33 +90,6 @@ class Checkpoint:
     trigger: int
     snapshot: MachineSnapshot
     dirty_cum: FrozenSet[int]
-
-
-class _GoldenTracer(Plugin):
-    """Counts instruction attempts on the golden machine, stops the run
-    exactly at a requested attempt, and records state digests at block
-    starts."""
-
-    name = "checkpoint-golden-tracer"
-
-    def __init__(self, engine: "CheckpointEngine") -> None:
-        self._engine = engine
-        self.count = 0
-        self.stop_at: Optional[int] = None
-
-    def on_block_exec(self, cpu, block) -> None:
-        n = cpu.csrs.instret
-        engine = self._engine
-        if n >= engine._next_digest and engine._digests_enabled:
-            engine._record_digest(n)
-
-    def on_insn_exec(self, cpu, decoded, pc) -> None:
-        n = self.count
-        if n == self.stop_at:
-            # Stop *before* this instruction executes; on resume the hook
-            # fires again for the same instruction and counting proceeds.
-            raise StopRun
-        self.count = n + 1
 
 
 class CheckpointEngine:
@@ -150,24 +126,21 @@ class CheckpointEngine:
             raise ValueError(
                 f"digest_interval must be >= 1, got {digest_interval}")
         self.digest_interval = digest_interval
-        self._tracer = _GoldenTracer(self)
         self._checkpoints: Dict[int, Checkpoint] = {}
         self._sorted_triggers: List[int] = []
-        #: Golden digests keyed by the retired count at the block start
-        #: they were taken at, and those keys in ascending order.
+        #: Golden digests keyed by the retired count at the block
+        #: boundary they were taken at, and those keys in ascending order.
         self._digests: Dict[int, tuple] = {}
         self._digest_keys: List[int] = []
-        self._digests_enabled = True
-        #: Retired count from which the next golden block start records
-        #: a digest.  Only ever grows, so a re-forwarded stretch of the
-        #: golden timeline is not hashed twice.
-        self._next_digest = digest_interval
-        #: Attempt count the machine currently sits at on the *golden*
+        #: Retired count from which the next golden block boundary
+        #: records a digest (infinity once recording stopped).  Only ever
+        #: grows, so a re-forwarded stretch of the golden timeline is not
+        #: hashed twice.
+        self._next_digest: float = digest_interval
+        #: Retired count the machine currently sits at on the *golden*
         #: timeline, or None when the state is mutant-polluted.
         self._positioned: Optional[int] = None
         self._golden_complete = False
-        #: Total attempts in the full golden run (valid once complete).
-        self.total_attempts: Optional[int] = None
         self.stats = {key: 0 for key in self.STAT_KEYS}
         self._dirty_cum_base: FrozenSet[int] = frozenset()
         # Root of the chain: full snapshot of the freshly loaded machine.
@@ -207,15 +180,20 @@ class CheckpointEngine:
         if checkpoint.snapshot.ram_pages is not None:
             self.stats["pages_copied"] += len(checkpoint.snapshot.ram_pages)
 
-    def _record_digest(self, retired: int) -> None:
+    def _record_digest(self, key: float) -> float:
+        """The golden sweep's watch: record a digest keyed by the retired
+        count at this block boundary (at or past ``key``) and return the
+        next key."""
+        retired = self.machine.cpu.csrs.instret
         cum = self._dirty_cum_base | self.machine.ram.dirty_pages()
         if len(cum) > DIGEST_PAGE_LIMIT:
-            self._digests_enabled = False
-            return
+            self._next_digest = _NEVER
+            return _NEVER
         self._digests[retired] = self._state_tuple(tuple(sorted(cum)))
         self._digest_keys.append(retired)
         interval = self.digest_interval
         self._next_digest = (retired // interval + 1) * interval
+        return self._next_digest
 
     def _matches(self, retired: int, cum_base: FrozenSet[int]) -> bool:
         """Whether the machine's state equals the golden digest keyed by
@@ -253,6 +231,7 @@ class CheckpointEngine:
             tuple(sorted(csrs._regs.items())),
             csrs.cycle,
             csrs.instret,
+            csrs.instret_offset,
             (machine.clint.mtime, machine.clint.mtimecmp, machine.clint.msip),
             (bytes(machine.uart.tx_log), tuple(machine.uart._rx_queue),
              machine.uart.interrupt_enable),
@@ -267,57 +246,49 @@ class CheckpointEngine:
         i = bisect_right(self._sorted_triggers, trigger) - 1
         return self._checkpoints[self._sorted_triggers[i]]
 
-    def _forward_to(self, target: Optional[int], budget: int) -> RunResult:
-        """Advance the golden machine (tracer attached) to attempt
-        ``target``, or to program exit when ``target`` is None."""
-        self._tracer.stop_at = target
-        machine = self.machine
-        machine.add_plugin(self._tracer)
-        try:
-            return machine.run(max_instructions=budget, resume=True)
-        finally:
-            machine.remove_plugin(self._tracer)
-            self._tracer.stop_at = None
-
-    def _position(self, trigger: int, budget: int
-                  ) -> Tuple[FrozenSet[int], int]:
-        """Put the machine at golden attempt ``trigger``.
+    def _position(self, trigger: int
+                  ) -> Tuple[Optional[FrozenSet[int]], int]:
+        """Put the machine at golden retired count ``trigger``.
 
         Returns ``(cumulative written-page set, instructions executed to
-        get there)`` — zero when a stored checkpoint restored warm.
-        Stores a checkpoint at new triggers so duplicates restore warm.
+        get there)`` — zero when a stored checkpoint restored warm; the
+        set is ``None`` when the golden run exits first.  Stores a
+        checkpoint at new triggers so duplicates restore warm.  The
+        golden machine runs on an exact budget and records digests
+        through the run-loop watch.
         """
         checkpoint = self._checkpoints.get(trigger)
         if checkpoint is not None:
             if self._positioned != trigger:
                 self._restore_snapshot(checkpoint.snapshot, trigger)
-                self._tracer.count = trigger
                 self._positioned = trigger
             return checkpoint.dirty_cum, 0
+        if self._golden_complete and trigger > self.golden_instructions:
+            return None, 0
         ancestor = self._nearest_at_or_below(trigger)
         if self._positioned != ancestor.trigger:
             self._restore_snapshot(ancestor.snapshot, ancestor.trigger)
-            self._tracer.count = ancestor.trigger
         self._dirty_cum_base = ancestor.dirty_cum
-        instret_before = self.machine.cpu.csrs.instret
-        result = self._forward_to(trigger, budget)
-        forwarded = self.machine.cpu.csrs.instret - instret_before
+        machine = self.machine
+        instret_before = machine.cpu.csrs.instret
+        backend = machine.cpu.backend
+        backend.set_watch(self._record_digest, self._next_digest)
+        try:
+            result = machine.run(max_instructions=trigger, resume=True)
+        finally:
+            backend.set_watch()
+        forwarded = machine.cpu.csrs.instret - instret_before
         if result.stop_reason == STOP_EXIT:
             # Golden exited before the trigger: the whole run is now
             # digest-covered and the trigger is unreachable.
-            self._finish_golden()
+            self._golden_complete = True
             self._positioned = None
-            return frozenset(), forwarded
-        cum = frozenset(ancestor.dirty_cum
-                        | self.machine.ram.dirty_pages())
-        snap = self.machine.snapshot(parent=ancestor.snapshot)
+            return None, forwarded
+        cum = frozenset(ancestor.dirty_cum | machine.ram.dirty_pages())
+        snap = machine.snapshot(parent=ancestor.snapshot)
         self._store(Checkpoint(trigger, snap, cum))
         self._positioned = trigger
         return cum, forwarded
-
-    def _finish_golden(self) -> None:
-        self.total_attempts = self._tracer.count
-        self._golden_complete = True
 
     def prepare(self, triggers: Sequence[int], budget: int) -> None:
         """Sweep the golden machine once through ``triggers`` (sorted),
@@ -326,34 +297,18 @@ class CheckpointEngine:
         Incremental: later calls with new triggers restore the nearest
         stored checkpoint at or below each and fast-forward the gap; the
         monotonic digest threshold keeps already-recorded ranges
-        hash-free.
+        hash-free.  A trigger past the golden run's instruction count
+        never fires and gets no checkpoint.
         """
         for trigger in sorted(set(triggers)):
-            if trigger == 0 or trigger in self._checkpoints:
-                continue
-            if (self._golden_complete
-                    and trigger >= self.total_attempts):
-                continue
-            self._position(trigger, budget)
+            if (trigger not in self._checkpoints
+                    and trigger <= self.golden_instructions):
+                self._position(trigger)
         if not self._golden_complete:
             # Tail: run the golden timeline to exit so digests cover the
             # whole program (needed for early classification anywhere).
-            if self._positioned is None:
-                last = self._checkpoints[self._sorted_triggers[-1]]
-                self._restore_snapshot(last.snapshot, last.trigger)
-                self._tracer.count = last.trigger
-                self._dirty_cum_base = last.dirty_cum
-            else:
-                current = self._checkpoints[self._positioned]
-                self._dirty_cum_base = current.dirty_cum
-            result = self._forward_to(None, budget)
-            if result.stop_reason != STOP_EXIT:
-                raise ValueError(
-                    "golden replay did not terminate normally "
-                    f"({result.stop_reason})"
-                )
-            self._finish_golden()
-            self._positioned = None
+            if self._position(budget)[0] is not None:
+                raise ValueError("golden replay did not terminate normally")
 
     # -- mutant-side machinery -----------------------------------------
 
@@ -368,16 +323,15 @@ class CheckpointEngine:
         """
         if fault.kind != TRANSIENT:
             raise ValueError("checkpoint engine only runs transient faults")
-        trigger = fault.trigger
-        if not self._checkpoints or not self._golden_complete:
-            self.prepare([trigger], budget)
-        if self._golden_complete and trigger >= self.total_attempts:
+        if not self._golden_complete:
+            self.prepare([fault.trigger], budget)
+        cum_base, forwarded = self._position(fault.trigger)
+        if cum_base is None:
             # The flip would fire after the program exited: it never
             # fires, so the mutant *is* the golden run.
             self.stats["early_exits"] += 1
             self.stats["instructions_skipped"] += self.golden_instructions
             return None, True
-        cum_base, forwarded = self._position(trigger, budget)
         machine = self.machine
         # Prefix instructions this mutant did NOT re-execute thanks to the
         # warm start (minus any fast-forward gap just filled).

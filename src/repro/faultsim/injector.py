@@ -1,6 +1,8 @@
 """Fault injection machinery: applying a :class:`~repro.faultsim.faults.Fault`
 to a live :class:`~repro.vp.machine.Machine`.
 
+Permanent faults are applied before a run, by :func:`inject`:
+
 * **Code faults** patch the loaded binary (the XEMU-style binary mutant)
   and flush the translation cache.
 * **Permanent register/CSR faults** interpose subclassed register files
@@ -8,8 +10,13 @@ to a live :class:`~repro.vp.machine.Machine`.
 * **Permanent memory faults** install a stuck bit in the RAM itself
   (:meth:`~repro.vp.memory.Ram.install_stuck`), which the CPU's RAM fast
   path honours.
-* **Transient faults** install a countdown plugin that flips the target
-  bit after the configured number of retired instructions.
+
+A **transient fault** flips its bit after ``trigger`` retired
+instructions.  :func:`run_transient` runs the machine to the trigger on
+an exact instruction budget, flips the bit (:func:`apply_transient_flip`)
+and resumes; no plugin is attached, so compiled code keeps all of its
+shapes.  The checkpoint engine starts from a snapshot at the trigger
+instead and applies the same flip.
 
 :func:`remove_fault` undoes :func:`inject` on a machine that runs the
 next mutant too, after a snapshot restore.
@@ -17,13 +24,12 @@ next mutant too, after a snapshot restore.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 from ..isa.csr import CsrFile
 from ..isa.registers import FPRegisterFile, StuckRegisterFile
-from ..vp.cpu import StopRun
+from ..vp.cpu import RunResult, STOP_MAX_INSNS
 from ..vp.machine import Machine, RAM_BASE
-from ..vp.plugins import Plugin
 from .faults import (
     Fault,
     STUCK_AT_1,
@@ -91,24 +97,20 @@ def _ram_offset(ram_size: int, address: int) -> int:
 
 def check_transient(machine: Machine, fault: Fault) -> None:
     """Raise :class:`InjectionError` if ``fault`` could never be flipped
-    on ``machine`` — checked before a mutant runs, so the plugin and the
-    checkpoint engine classify it the same way (``masked``)."""
+    on ``machine`` — checked before a mutant runs, so both transient
+    paths classify it the same way (``masked``)."""
     if fault.target == TARGET_MEMORY:
         _ram_offset(machine.ram.size, fault.index)
 
 
-def apply_transient_flip(cpu, fault: Fault) -> bool:
+def apply_transient_flip(cpu, fault: Fault) -> None:
     """Flip the fault's target bit in ``cpu``'s architectural state *now*.
 
-    Shared by :class:`TransientInjectorPlugin` (which fires it after its
-    countdown) and the checkpoint engine (which restores a warm snapshot
-    at the trigger point and applies the flip immediately) — one
-    implementation, so both paths produce identical mutants.
-
-    A memory flip into translated code flushes the translation cache, so
-    the flipped instruction runs as it now reads; returns ``True`` then.
-    A caller in the middle of a block must not finish it from its
-    already-decoded instructions.
+    Shared by :func:`run_transient` and the checkpoint engine (which
+    restores a warm snapshot at the trigger point and applies the flip
+    immediately) — one implementation, so both paths produce identical
+    mutants.  A memory flip into translated code flushes the translation
+    cache, so the flipped instruction runs as it now reads.
     """
     if fault.target == TARGET_GPR:
         cpu.regs.raw_write(fault.index,
@@ -126,59 +128,45 @@ def apply_transient_flip(cpu, fault: Fault) -> bool:
         ram.store(offset, 1, byte ^ fault.mask)
         if cpu.translation_covers(fault.index):
             cpu.flush_translation_cache()
-            return True
     else:
         raise InjectionError(
             f"transient fault target {fault.target} unsupported"
         )
-    return False
 
 
-class TransientInjectorPlugin(Plugin):
-    """Flips the target bit once, after ``trigger`` retired instructions.
+def run_transient(machine: Machine, fault: Fault, max_instructions: int
+                  ) -> Tuple[RunResult, bool]:
+    """Run a transient mutant on a loaded ``machine``: retire
+    ``fault.trigger`` instructions (counted from reset), flip the bit,
+    and resume until ``max_instructions`` in all.
 
-    A flip that rewrites translated code raises :class:`StopRun` before
-    the current instruction executes, so the rest of its block is not run
-    from stale decoded instructions: the run ends ``stop_requested`` and
-    the caller resumes it (``Machine.run(resume=True)``).
+    Returns ``(result, fired)``.  ``fired`` is false when the run ended
+    (an exit, a trap, WFI) or the budget ran out before the trigger;
+    ``result`` is then that run's.  Raises :class:`InjectionError`,
+    before anything runs, when the flip could never apply.
     """
-
-    name = "fault-injector"
-
-    def __init__(self, fault: Fault) -> None:
-        if fault.kind != TRANSIENT:
-            raise InjectionError("plugin only handles transient faults")
-        self.fault = fault
-        self._remaining = fault.trigger
-        self.fired = False
-
-    def on_insn_exec(self, cpu, decoded, pc) -> None:
-        if self.fired:
-            return
-        if self._remaining > 0:
-            self._remaining -= 1
-            return
-        self.fired = True
-        if apply_transient_flip(cpu, self.fault):
-            raise StopRun
+    if fault.kind != TRANSIENT:
+        raise ValueError("run_transient takes transient faults only")
+    check_transient(machine, fault)
+    result = machine.run(max_instructions=min(fault.trigger,
+                                              max_instructions),
+                         resume=True)
+    if (result.stop_reason != STOP_MAX_INSNS
+            or fault.trigger >= max_instructions):
+        return result, False
+    apply_transient_flip(machine.cpu, fault)
+    return machine.run(max_instructions=max_instructions, resume=True), True
 
 
-def inject(machine: Machine, fault: Fault) -> Optional[Plugin]:
-    """Apply ``fault`` to a loaded machine (before :meth:`Machine.run`).
-
-    Returns the transient-injector plugin when one was installed (callers
-    can check ``plugin.fired``), ``None`` for permanent faults.  A
-    transient flip into translated code ends the run ``stop_requested``
-    before the next instruction; resume it with
-    ``Machine.run(resume=True)``.  Callers that keep the machine for
-    another mutant undo the fault with :func:`remove_fault`.
+def inject(machine: Machine, fault: Fault) -> None:
+    """Apply a permanent ``fault`` to a loaded machine (before
+    :meth:`Machine.run`).  Transient faults run through
+    :func:`run_transient`.  Callers that keep the machine for another
+    mutant undo the fault with :func:`remove_fault`.
     """
     if fault.kind == TRANSIENT:
-        check_transient(machine, fault)
-        plugin = TransientInjectorPlugin(fault)
-        machine.add_plugin(plugin)
-        return plugin
-
+        raise ValueError("inject() takes permanent faults only; run "
+                         "transient faults with run_transient()")
     stuck_one = fault.kind == STUCK_AT_1
     if fault.target == TARGET_CODE or fault.target == TARGET_MEMORY:
         offset = _ram_offset(machine.ram.size, fault.index)
@@ -220,20 +208,16 @@ def inject(machine: Machine, fault: Fault) -> Optional[Plugin]:
     raise InjectionError(f"unsupported fault: {fault}")
 
 
-def remove_fault(machine: Machine, plugin: Optional[Plugin],
-                 files: Tuple) -> None:
+def remove_fault(machine: Machine, files: Tuple) -> None:
     """Undo :func:`inject` so ``machine`` can run another mutant.
 
-    ``plugin`` is what :func:`inject` returned and ``files`` the CPU's
-    ``(regs, fregs, csrs)`` from before it, which stuck-at register and
-    CSR faults replaced.  A RAM stuck bit is released.  The bytes a fault
-    changed (a code patch, a flip, a stuck byte) stay as they are, in
-    pages marked dirty, for the caller's next snapshot restore.  So do
-    the CSR values; ``mtime``, which follows the CSR file's cycle count,
-    keeps its value across the swap.
+    ``files`` is the CPU's ``(regs, fregs, csrs)`` from before it, which
+    stuck-at register and CSR faults replaced.  A RAM stuck bit is
+    released.  The bytes a fault changed (a code patch, a flip, a stuck
+    byte) stay as they are, in pages marked dirty, for the caller's next
+    snapshot restore.  So do the CSR values; ``mtime``, which follows the
+    CSR file's cycle count, keeps its value across the swap.
     """
-    if plugin is not None:
-        machine.remove_plugin(plugin)
     cpu = machine.cpu
     mtime = machine.clint.mtime
     cpu.regs, cpu.fregs, cpu.csrs = files

@@ -135,7 +135,11 @@ class CsrFile:
             MHARTID: hart_id,
         }
         self.cycle = 0
+        #: Instructions retired since reset, which run budgets read.  A
+        #: guest write to ``minstret``/``minstreth`` moves the offset
+        #: instead (as ``mtime`` is an offset over the cycle count).
         self.instret = 0
+        self.instret_offset = 0
         self._time_source = time_source or (lambda: self.cycle)
         #: Optional live source for mip: platforms wire this to the device
         #: interrupt poll so reads reflect the *current* pending lines
@@ -172,9 +176,9 @@ class CsrFile:
         if addr in (MCYCLEH, CYCLEH):
             return (self.cycle >> 32) & WORD_MASK
         if addr in (MINSTRET, INSTRET):
-            return self.instret & WORD_MASK
+            return (self.instret + self.instret_offset) & WORD_MASK
         if addr in (MINSTRETH, INSTRETH):
-            return (self.instret >> 32) & WORD_MASK
+            return ((self.instret + self.instret_offset) >> 32) & WORD_MASK
         if addr == TIME:
             return self._time_source() & WORD_MASK
         if addr == TIMEH:
@@ -201,11 +205,11 @@ class CsrFile:
                 self._cycle_moved(cycle - self.cycle)
             self.cycle = cycle
             return
-        if addr == MINSTRET:
-            self.instret = (self.instret & ~WORD_MASK) | value
-            return
-        if addr == MINSTRETH:
-            self.instret = (self.instret & WORD_MASK) | (value << 32)
+        if addr == MINSTRET or addr == MINSTRETH:
+            count = self.instret + self.instret_offset
+            count = ((count & ~WORD_MASK) | value if addr == MINSTRET
+                     else (count & WORD_MASK) | (value << 32))
+            self.instret_offset = count - self.instret
             return
         if addr not in self._regs:
             raise IllegalCsrError(addr, f"write to unimplemented CSR {addr:#05x}")
@@ -230,11 +234,13 @@ class CsrFile:
         state = dict(self._regs)
         state["cycle"] = self.cycle  # type: ignore[index]
         state["instret"] = self.instret  # type: ignore[index]
+        state["instret_offset"] = self.instret_offset  # type: ignore[index]
         return state
 
     def restore(self, state: Dict) -> None:
         self.cycle = state["cycle"]
         self.instret = state["instret"]
+        self.instret_offset = state["instret_offset"]
         for addr, value in state.items():
             if isinstance(addr, int):
                 self._regs[addr] = value

@@ -21,12 +21,15 @@ import hashlib
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
+from ..isa import csr as csrdef
+
 __all__ = ["StateDigest", "capture_state", "compare_digests"]
 
 
 @dataclass(frozen=True)
 class StateDigest:
-    """Complete post-run architectural state, hash-compressed memory."""
+    """Complete post-run architectural state, hash-compressed memory.
+    ``csrs`` ends with ``minstret``'s offset (see ``CsrFile``)."""
 
     stop_reason: str
     exit_code: Optional[int]
@@ -85,7 +88,8 @@ def capture_state(machine, result, pages: Iterable[int]) -> StateDigest:
         pc=cpu.pc,
         regs=cpu.regs.snapshot(),
         fregs=cpu.fregs.snapshot(),
-        csrs=tuple(sorted(csrs._regs.items())),
+        csrs=(*sorted(csrs._regs.items()),
+              (csrdef.MINSTRET, csrs.instret_offset)),
         uart_tx=bytes(machine.uart.tx_log),
         gpio=(machine.gpio.out, machine.gpio.inputs,
               tuple(machine.gpio.out_history)),

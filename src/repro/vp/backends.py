@@ -9,14 +9,16 @@ only it sees: the start of a run, a hook-table change and the return of
 a watch callback make the next block boundary poll (host code may have
 changed devices or CSRs there).  The strategies:
 
-* ``interp``    — :meth:`~repro.vp.cpu.Cpu.step_block` for every block,
-  instruction hooks honoured,
+* ``interp``    — :meth:`~repro.vp.cpu.Cpu._execute_block` for every
+  block, instruction hooks honoured,
 * ``compiled``  — the template JIT tier (:mod:`repro.vp.jit`): interpret
   a block with the same loop until its ``exec_count`` crosses a
   threshold, then execute a specialized compiled function cached on the
   block.
 
-Both produce bit-identical architectural results; the backend choice
+Both produce bit-identical architectural results, and a run that ends
+``max_insns`` has retired exactly its budget in both: the block the
+budget ends in runs only its prefix, interpreted.  The backend choice
 only moves the speed/observability trade-off.  ``create_backend`` is the
 single factory the machine layer, CLI, and tests go through, and
 :func:`canonical_backend` the single place a backend name is checked.
@@ -44,9 +46,10 @@ class ExecutionBackend:
     (or take one interrupt/trap), returning the number of instructions
     retired, and may override :meth:`_refresh` (called at run start and
     whenever the hook table version changes mid-run) to re-specialize.
-    ``remaining`` is the outstanding instruction budget — the compiled
-    tier's fused loops use it to stay within one block of the budget,
-    matching the interpreter's block-boundary overshoot contract.
+    ``remaining`` is the budget left, and exact: a step runs only the
+    prefix that fits of a longer block.  ``pause`` is the watch key: a
+    step that runs several blocks (fused loops, traces) starts none once
+    ``csrs.instret`` has reached it.
     """
 
     name = "base"
@@ -61,11 +64,12 @@ class ExecutionBackend:
         """Install an instruction-count watch, or remove it (no callback).
 
         :meth:`run` pauses at the first block boundary where
-        ``csrs.instret >= key`` and calls ``callback(key)`` there.  It
-        caps the budget it hands each step at the key, so fused loops
-        and traces, which run several blocks per step, stop at that
-        boundary too.  The callback raises :class:`StopRun` to end the
-        run (``stop_requested``) or returns the next key, which must lie
+        ``csrs.instret >= key`` and calls ``callback(key)`` there; it
+        never splits a block to pause, and a run whose budget ends first
+        returns without calling it.  Fused loops and traces, which run
+        several blocks per step, pause at that boundary too.  The
+        callback raises :class:`StopRun` to end the run
+        (``stop_requested``) or returns the next key, which must lie
         beyond the current count (infinity: none).  The watch stays
         installed across runs until removed.  It is not a plugin: setting
         it neither bumps the hook table version nor flushes translations,
@@ -77,8 +81,11 @@ class ExecutionBackend:
     def _refresh(self) -> None:
         pass
 
-    def _step(self, remaining) -> int:
+    def _step(self, remaining, pause) -> int:
         raise NotImplementedError
+
+    def _unwound(self, retired: int) -> None:
+        """Account the ``retired`` instructions of a step that raised."""
 
     def run(self, max_instructions: Optional[int] = None) -> RunResult:
         cpu = self.cpu
@@ -92,11 +99,10 @@ class ExecutionBackend:
         cpu._poll_at = 0
         start_instret = cpu.csrs.instret
         watch = self._watch
-        # Steps run up to ``limit``: the budget, or the watch key when it
-        # comes first.  Without a watch the loop is the plain budget loop.
-        limit = budget
-        if watch is not None:
-            limit = min(budget, self._watch_key - start_instret)
+        # Steps run while below ``limit``: the budget, or the watch key
+        # (``pause``) when it comes first.
+        pause = self._watch_key if watch is not None else _NEVER
+        limit = min(budget, pause - start_instret)
         try:
             while True:
                 while executed < limit:
@@ -104,7 +110,7 @@ class ExecutionBackend:
                         hook_version = hooks.version
                         self._refresh()
                         cpu._poll_at = 0
-                    retired = self._step(limit - executed)
+                    retired = self._step(budget - executed, pause)
                     executed += retired
                     if retired:
                         zero_steps = 0
@@ -127,14 +133,16 @@ class ExecutionBackend:
                         cpu.csrs.cycle += skip
                 if executed >= budget:
                     break
-                key = self._watch_key = watch(self._watch_key)
+                pause = self._watch_key = watch(self._watch_key)
                 cpu._poll_at = 0
-                limit = min(budget, executed + key - cpu.csrs.instret)
-        except StopRun:
-            # A hook stopped mid-block (step_block's finally already
-            # flushed the partial block's accounting to the CSRs) or the
-            # watch stopped between steps: either way the retired count
-            # is the instret delta rather than `executed`.
+                limit = min(budget, executed + pause - cpu.csrs.instret)
+        except BaseException as stop:
+            # An exit, a trap or a hook stopped mid-block (the partial
+            # block's accounting is already flushed to the CSRs), or the
+            # watch stopped between steps.
+            self._unwound(cpu.csrs.instret - start_instret - executed)
+            if not isinstance(stop, StopRun):
+                raise
             return RunResult(STOP_REQUESTED,
                              cpu.csrs.instret - start_instret,
                              cpu.csrs.cycle)
@@ -142,12 +150,15 @@ class ExecutionBackend:
 
 
 class InterpBackend(ExecutionBackend):
-    """The interpreter: :meth:`~repro.vp.cpu.Cpu.step_block` per block."""
+    """The interpreter: :meth:`~repro.vp.cpu.Cpu._execute_block` per
+    block."""
 
     name = "interp"
 
-    def _step(self, remaining) -> int:
-        return self.cpu.step_block()
+    def _step(self, remaining, pause) -> int:
+        cpu = self.cpu
+        block = cpu._enter_block()
+        return 0 if block is None else cpu._execute_block(block, remaining)
 
 
 def _make_compiled(cpu: Cpu, **options) -> ExecutionBackend:

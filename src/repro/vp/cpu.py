@@ -36,14 +36,14 @@ STOP_REQUESTED = "stop_requested"
 
 
 class StopRun(Exception):
-    """Raised by a plugin hook to stop :meth:`Cpu.run` at an exact point.
+    """Raised by a plugin hook or a run-loop watch to end :meth:`Cpu.run`
+    with ``stop_requested``.
 
-    Unlike the ``max_instructions`` budget (which is checked at block
-    boundaries and can overshoot by up to a block), raising this from an
-    ``on_insn_exec`` hook halts *before* the current instruction executes,
-    with the pc parked on it and all retired-instruction/cycle accounting
-    for the partial block already flushed.  The checkpoint engine uses it
-    to fast-forward a golden machine to a fault trigger point exactly.
+    From an ``on_insn_exec`` hook it halts *before* the current
+    instruction executes, with the pc parked on it and the partial
+    block's accounting flushed.  The checkpoint engine's re-convergence
+    check raises it from the watch, between blocks.  An exact
+    instruction count needs neither: ``max_instructions`` is exact.
     """
 
 #: Consecutive zero-progress block steps (trap -> trap -> ...) after which
@@ -582,19 +582,6 @@ class Cpu:
     # Execution
     # ------------------------------------------------------------------
 
-    def step_block(self) -> int:
-        """Run one translation block (or take one interrupt/trap).
-
-        Returns the number of instructions retired.  The ``interp``
-        backend calls this per block; the ``compiled`` backend calls its
-        two halves, :meth:`_enter_block` and :meth:`_execute_block`, so
-        a cold block runs this same loop.
-        """
-        block = self._enter_block()
-        if block is None:
-            return 0
-        return self._execute_block(block)
-
     def _enter_block(self) -> Optional[TranslationBlock]:
         """Poll interrupts if the deadline has passed, then find the
         block at ``pc``: the chain link of the block that just completed
@@ -634,9 +621,14 @@ class Cpu:
             prev.next = block
         return block
 
-    def _execute_block(self, block: TranslationBlock) -> int:
+    def _execute_block(self, block: TranslationBlock,
+                       budget=_NEVER) -> int:
         """Interpret ``block`` with every hook honoured; returns the
-        number of instructions retired."""
+        number of instructions retired.  The one interpreter loop: both
+        backends run cold blocks here.  A ``budget`` shorter than the
+        block runs only its first ``budget`` instructions and parks the
+        pc on the next one, as QEMU's icount mode does, which makes
+        ``max_instructions`` exact in every tier."""
         block.exec_count += 1
         if self.hooks.block_exec:
             for hook in self.hooks.block_exec:
@@ -646,10 +638,13 @@ class Cpu:
         cycles = 0
         if self.icache is not None:
             cycles += self.icache.penalty_for_lines(block.icache_lines)
+        ops = block.ops
+        if budget < MAX_BLOCK_INSNS and budget < len(ops):
+            ops = ops[:budget]
         pending_trap: Optional[Trap] = None
         try:
             for decoded, execute, pc, fallthrough, base_cost, taken_cost \
-                    in block.ops:
+                    in ops:
                 self.pc = pc
                 self._current = decoded
                 self.next_pc = fallthrough
@@ -690,7 +685,9 @@ class Cpu:
     def run(self, max_instructions: Optional[int] = None) -> RunResult:
         """Execute until WFI-with-no-event or the instruction budget ends.
 
-        The run loop itself lives in the active
+        A run that ends ``max_insns`` has retired exactly
+        ``max_instructions``, in every tier.  The run loop itself lives
+        in the active
         :class:`~repro.vp.backends.ExecutionBackend` (``interp`` or the
         JIT's ``compiled`` tier); without an explicit backend ``interp``
         is used.

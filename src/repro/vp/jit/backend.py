@@ -1,7 +1,7 @@
 """The ``compiled`` execution backend: hot-block tiering over the JIT.
 
 Blocks start life interpreted by the same loop as the ``interp``
-backend (:meth:`~repro.vp.cpu.Cpu.step_block`); once a block's ``exec_count`` crosses the
+backend (:meth:`~repro.vp.cpu.Cpu._execute_block`); once a block's ``exec_count`` crosses the
 tier threshold it is compiled by :class:`~repro.vp.jit.compiler.BlockCompiler`
 and the compiled function is cached on the block together with the
 specialization token it was generated for.  The token captures
@@ -36,6 +36,7 @@ from typing import List, Optional
 from ...isa import semantics as sem
 from ...isa.registers import RegisterFile, StuckRegisterFile
 from ..backends import ExecutionBackend
+from ..cpu import MAX_BLOCK_INSNS
 from .compiler import (TRACE_MAX_BLOCKS, BlockCompiler, CompileError,
                        _trap_exit, _TrapExit)
 from .templates import BRANCH_CONDS, EMITTERS
@@ -138,6 +139,8 @@ class CompiledBackend(ExecutionBackend):
         self._trace_ok = False
         self._no_compile: set = set()
         self._no_trace: set = set()
+        #: The :class:`JitStats` counter of the step that raised last.
+        self._unwinding = "interp_retired"
 
     # ------------------------------------------------------------------
 
@@ -183,49 +186,64 @@ class CompiledBackend(ExecutionBackend):
         self._trace_ok = (self._compile_ok and self._compiler.direct
                           and not self._compiler.hb)
 
-    def _step(self, remaining) -> int:
+    def _step(self, remaining, pause) -> int:
         """One block step: its trace, its compiled function or the
-        interpreter.  Generated code leaves through :class:`_TrapExit`
+        interpreter, which also runs the prefix of a block longer than
+        the budget left.  Generated code leaves through :class:`_TrapExit`
         to take a trap (a bus fault, or a trap site of a fused loop or
         trace, after it wrote its register locals back); the trap is
-        taken here."""
+        taken here.  A step that raises names its tier for
+        :meth:`_unwound`."""
         cpu = self.cpu
         block = cpu._enter_block()
         if block is None:
             return 0
-        fn = block.compiled
-        if fn is not None and block.compiled_version == self._token:
-            trace = block.trace
-            if trace is None:
-                if (self._trace_ok and block.chain_pc is not None
-                        and block.start_pc not in self._no_trace):
-                    block.trace_heat += 1
-                    if block.trace_heat >= self.trace_threshold:
-                        trace = self._compile_trace(block)
-            elif block.trace_token != self._token:
-                trace = block.trace = None  # stale; allow rebuild
-            if trace is not None:
-                try:
-                    retired = trace(cpu, remaining)
-                except _TrapExit as leave:
-                    retired = _trap_exit(cpu, *leave.args)
-                self.stats.trace_retired += retired
-                return retired
-        elif (self._compile_ok and block.exec_count + 1 >= self.threshold
-                and block.start_pc not in self._no_compile):
-            fn = self._compile(block)
-        else:
-            fn = None
-        if fn is None:
-            retired = cpu._execute_block(block)
-            self.stats.interp_retired += retired
-            return retired
+        tier = "interp_retired"
         try:
-            retired = fn(cpu, remaining)
-        except _TrapExit as leave:
-            retired = _trap_exit(cpu, *leave.args)
-        self.stats.compiled_retired += retired
-        return retired
+            fn = block.compiled
+            if remaining < MAX_BLOCK_INSNS and len(block.ops) > remaining:
+                fn = None
+            elif fn is not None and block.compiled_version == self._token:
+                trace = block.trace
+                if trace is None:
+                    if (self._trace_ok and block.chain_pc is not None
+                            and block.start_pc not in self._no_trace):
+                        block.trace_heat += 1
+                        if block.trace_heat >= self.trace_threshold:
+                            trace = self._compile_trace(block)
+                elif block.trace_token != self._token:
+                    trace = block.trace = None  # stale; allow rebuild
+                if trace is not None:
+                    tier = "trace_retired"
+                    try:
+                        retired = trace(cpu, remaining, pause)
+                    except _TrapExit as leave:
+                        retired = _trap_exit(cpu, *leave.args)
+                    self.stats.trace_retired += retired
+                    return retired
+            elif (self._compile_ok and block.exec_count + 1 >= self.threshold
+                    and block.start_pc not in self._no_compile):
+                fn = self._compile(block)
+            else:
+                fn = None
+            if fn is None:
+                retired = cpu._execute_block(block, remaining)
+                self.stats.interp_retired += retired
+                return retired
+            tier = "compiled_retired"
+            try:
+                retired = fn(cpu, remaining, pause)
+            except _TrapExit as leave:
+                retired = _trap_exit(cpu, *leave.args)
+            self.stats.compiled_retired += retired
+            return retired
+        except BaseException:
+            self._unwinding = tier
+            raise
+
+    def _unwound(self, retired: int) -> None:
+        tier = self._unwinding
+        setattr(self.stats, tier, getattr(self.stats, tier) + retired)
 
     def _compile(self, block):
         try:

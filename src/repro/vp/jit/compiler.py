@@ -2,8 +2,9 @@
 
 :class:`BlockCompiler` turns a finalized
 :class:`~repro.vp.cpu.TranslationBlock` into one specialized Python
-function ``_tb(cpu, remaining) -> retired`` compiled with
-:func:`compile`/``exec``.  Four shapes:
+function ``_tb(cpu, remaining, pause) -> retired`` compiled with
+:func:`compile`/``exec`` (the run loop's two limits, see
+:class:`~repro.vp.backends.ExecutionBackend`).  Four shapes:
 
 * **direct**  — no instruction/memory hooks and an untraced plain or
   stuck-at register file: registers are raw-list accesses ``R[n]`` (a
@@ -16,7 +17,8 @@ function ``_tb(cpu, remaining) -> retired`` compiled with
   conditional branch back to its own start (a single-block spin loop):
   the whole block becomes a native ``while`` loop that re-checks the
   instruction budget and the interrupt deadline between iterations,
-  exactly where the interpreter's run loop would.  It holds every
+  exactly where the interpreter's run loop would, and leaves at the
+  last boundary from which another iteration fits the budget.  It holds every
   register it touches, and the RAM fast-path access counters, in Python
   locals, written back in one ``finally`` that every way out passes.
 * **trace**   — a chain of direct-shape blocks (:meth:`compile_trace`),
@@ -24,8 +26,8 @@ function ``_tb(cpu, remaining) -> retired`` compiled with
 * **method**  — instruction or memory hooks attached, or a traced or
   otherwise subclassed register file: an unrolled interpreter
   preserving the per-instruction hook ordering, pc/next_pc visibility,
-  and redirect checks of :meth:`~repro.vp.cpu.Cpu.step_block` bit for
-  bit.
+  and redirect checks of :meth:`~repro.vp.cpu.Cpu._execute_block` bit
+  for bit.
 
 Every exit path replicates the interpreter's accounting contract: CSR
 ``instret``/``cycle`` updated before any trap is taken or
@@ -93,12 +95,7 @@ def _trap_exit(cpu, cause, tval, retired, cycles, pc, fallthrough,
     take the trap — the compiled equivalent of the interpreter's
     ``finally`` flush followed by ``_take_trap``.  Returns ``retired``
     so call sites can ``return`` it directly."""
-    csrs = cpu.csrs
-    csrs.instret += retired
-    csrs.cycle += cycles
-    cpu.pc = pc
-    cpu.next_pc = fallthrough
-    cpu._current = decoded
+    _exit_flush(cpu, retired, cycles, pc, fallthrough, decoded)
     cpu._take_trap(cause, tval)
     return retired
 
@@ -149,21 +146,22 @@ def _bus_store(cpu, addr, width, value, retired, cycles, pc, fallthrough,
     cpu.mem_bus_stores += 1
 
 
-def _horizon(cpu, budget_left, insns, taken):
+def _horizon(cpu, room, insns, taken):
     """Iterations a pure fused loop runs before its next boundary check.
 
-    A pure (no memory access, no CSR access, no hooks) self-loop raises
-    no interrupt event, so the only boundary inside it that must poll is
-    the first one at or past the CPU's deadline.  With ``wait`` cycles to
-    the deadline and ``taken`` cycles per iteration, that is the boundary
-    after ``ceil(wait / taken)`` iterations, exactly where the
-    interpreter polls; the batch ends there or at the budget, whichever
-    comes first.
+    ``room // insns`` iterations after the current one fit the loop's
+    limit (``Locals.limit``).  A pure (no memory access, no CSR access,
+    no hooks) self-loop raises no interrupt event, so the only boundary
+    inside it that must poll is the first one at or past the CPU's
+    deadline.  With ``wait`` cycles to the deadline and ``taken`` cycles
+    per iteration, that is the boundary after ``ceil(wait / taken)``
+    iterations, exactly where the interpreter polls; the batch ends there
+    or at the limit, whichever comes first.
     """
-    if budget_left == _NEVER:
+    if room == _NEVER:
         n = _BATCH_MAX
     else:
-        n = -(-budget_left // insns)
+        n = room // insns + 1
     wait = cpu._poll_at - cpu.csrs.cycle
     if wait < n * taken:
         n = -(-wait // taken) if wait > 0 else 1
@@ -510,7 +508,7 @@ class BlockCompiler:
 
         body_text = "\n".join(body.lines)
         src = _Src()
-        src.add(0, "def _tb(cpu, remaining):")
+        src.add(0, "def _tb(cpu, remaining, pause):")
         src.add(1, "block.exec_count += 1")
         if self.hb:
             src.add(1, "for _h in HB:")
@@ -530,7 +528,7 @@ class BlockCompiler:
         and ``MachineExit``.  The bus slow path and the interrupt poll
         read neither."""
         src = _Src()
-        src.add(0, "def _tb(cpu, remaining):")
+        src.add(0, "def _tb(cpu, remaining, pause):")
         src.extend(1, self._bindings("\n".join(body.lines), direct=True))
         src.add(1, "_c = cpu.csrs")
         src.add(1, "ret = 0")
@@ -560,12 +558,13 @@ class BlockCompiler:
         for i in range(n - 1):
             body += EMITTERS[ops[i][1]](ctx, i)
         cond = BRANCH_CONDS[ops[-1][1]](ctx, last_d)
+        limit = local.limit(n)
         if any("_bus_" in line for line in body):
             loop = self._fused_polling(block, body, cond, n, taken_total,
-                                       base_total, last_ft)
+                                       base_total, last_ft, limit)
         else:
             loop = self._fused_batched(block, body, cond, n, taken_total,
-                                       base_total, last_ft)
+                                       base_total, last_ft, limit)
         return self._emit_loop(loop, local)
 
     def _loop_exit(self, src: _Src, indent: int, pc: int,
@@ -582,17 +581,19 @@ class BlockCompiler:
         src.add(indent, "return ret")
 
     def _boundary_checks(self, src: _Src, indent: int, pc: int,
-                         chain_m: Optional[int] = None) -> None:
+                         limit: str, chain_m: Optional[int] = None) -> None:
         """The run loop's block-boundary order, exiting to ``pc``: the
-        budget check, then the interrupt poll, which runs only once the
-        cycle count reaches the CPU's deadline (an event inside the loop,
-        a device access, sets it to 0)."""
-        src.add(indent, "if ret >= remaining or (_c.cycle >= cpu._poll_at"
+        limit check (``Locals.limit`` of the block at ``pc``; the run
+        loop runs the prefix of one that does not fit), then the
+        interrupt poll, which runs only once the cycle count reaches the
+        CPU's deadline (an event inside the loop, a device access, sets
+        it to 0)."""
+        src.add(indent, f"if ret > {limit} or (_c.cycle >= cpu._poll_at"
                         " and cpu._pending_interrupt() is not None):")
         self._loop_exit(src, indent + 1, pc, chain_m)
 
     def _fused_polling(self, block, body_lines, cond, n,
-                       taken_total, base_total, last_ft) -> _Src:
+                       taken_total, base_total, last_ft, limit) -> _Src:
         """One iteration per boundary check — blocks touching memory
         (loads may read device time, stores may arm interrupts).  The
         iteration counts itself first, as the interpreter's block entry
@@ -604,7 +605,7 @@ class BlockCompiler:
         src.add(1, f"if {cond}:")
         src.add(2, f"ret += {n}")
         src.add(2, f"_c.cycle += {taken_total}")
-        self._boundary_checks(src, 2, block.start_pc)
+        self._boundary_checks(src, 2, block.start_pc, limit)
         src.add(2, "continue")
         src.add(1, f"ret += {n}")
         src.add(1, f"_c.cycle += {base_total}")
@@ -612,7 +613,7 @@ class BlockCompiler:
         return src
 
     def _fused_batched(self, block, body_lines, cond, n,
-                       taken_total, base_total, last_ft) -> _Src:
+                       taken_total, base_total, last_ft, limit) -> _Src:
         """Pure-ALU self-loop: batch iterations up to the deadline.
 
         With no memory or CSR access in the body, nothing inside the
@@ -624,7 +625,7 @@ class BlockCompiler:
         """
         src = _Src()
         src.add(0, "while True:")
-        src.add(1, f"_n = _horizon(cpu, remaining - ret, {n}, "
+        src.add(1, f"_n = _horizon(cpu, {limit} - ret, {n}, "
                    f"{taken_total})")
         src.add(1, "_it = 0")
         src.add(1, "while _it < _n:")
@@ -641,7 +642,7 @@ class BlockCompiler:
         src.add(1, f"ret += _n * {n}")
         src.add(1, f"_c.cycle += _n * {taken_total}")
         src.add(1, "block.exec_count += _n")
-        self._boundary_checks(src, 1, block.start_pc)
+        self._boundary_checks(src, 1, block.start_pc, limit)
         return src
 
     # -- multi-block trace shape ----------------------------------------
@@ -744,7 +745,8 @@ class BlockCompiler:
             body.add(0, "while True:")
         for m, block in enumerate(blocks[:-1]):
             self._emit_trace_body(body, indent, ctxs[m], m, block)
-            self._boundary_checks(body, indent, block.chain_pc, m)
+            self._boundary_checks(body, indent, block.chain_pc,
+                                  local.limit(len(blocks[m + 1].ops)), m)
         m = len(blocks) - 1
         if branch_final:
             ctx = ctxs[m]
@@ -761,7 +763,8 @@ class BlockCompiler:
             body.add(indent + 1, f"ret += {n}")
             body.add(indent + 1, f"_c.cycle += {taken_cycles}")
             if looped:
-                self._boundary_checks(body, indent + 1, head.start_pc)
+                self._boundary_checks(body, indent + 1, head.start_pc,
+                                      local.limit(len(head.ops)))
                 body.add(indent + 1, "continue")
             else:
                 self._loop_exit(body, indent + 1, target)
@@ -815,7 +818,7 @@ class BlockCompiler:
 
         body_text = "\n".join(body.lines)
         src = _Src()
-        src.add(0, "def _tb(cpu, remaining):")
+        src.add(0, "def _tb(cpu, remaining, pause):")
         src.add(1, "block.exec_count += 1")
         if self.hb:
             src.add(1, "for _h in HB:")

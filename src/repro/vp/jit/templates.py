@@ -55,8 +55,8 @@ def _sb(expr: str) -> str:
 
 
 class Locals:
-    """The guest registers and RAM access counters one fused or trace
-    function holds in Python locals.
+    """The guest registers, RAM access counters and block-boundary
+    limits one fused or trace function holds in Python locals.
 
     Shared by the :class:`Ctx` of every member of the function, which
     records each register it names; the compiler then loads every
@@ -71,10 +71,25 @@ class Locals:
         self.used: set = set()
         self.written: set = set()
         self.counters: set = set()
+        self.limits: set = set()
+
+    def limit(self, length: int) -> str:
+        """The local a block boundary tests before it starts a block of
+        ``length`` instructions: the largest ``ret`` from which that block
+        fits the budget and starts before the watch key (``pause``)."""
+        self.limits.add(length)
+        return f"_l{length}"
 
     def loads(self) -> List[str]:
-        return ([f"r{n} = R[{n}]" for n in sorted(self.used)]
-                + [f"{name} = 0" for name in sorted(self.counters)])
+        lines = [f"r{n} = R[{n}]" for n in sorted(self.used)]
+        lines += [f"{name} = 0" for name in sorted(self.counters)]
+        if self.limits:
+            lines.append("_p = pause - _c.instret - 1")
+        for n in sorted(self.limits):
+            lines += [f"_l{n} = remaining - {n}",
+                      f"if _l{n} > _p:",
+                      f"    _l{n} = _p"]
+        return lines
 
     def stores(self) -> List[str]:
         return ([f"R[{n}] = r{n}" for n in sorted(self.written)]

@@ -96,6 +96,11 @@ class TestBasics:
     def test_char_literal_markers_in_data(self):
         assert assemble(".data\n.byte '#', ';' ; c").segments[-1][1] == b"#;"
 
+    def test_li_of_a_char_literal_is_one_instruction(self):
+        assert (assemble("li a0, '#'").text_segment
+                == assemble("li a0, 35").text_segment)
+        assert len(assemble("li a0, '#'").text_segment[1]) == 4
+
     def test_label_on_own_line(self):
         prog = assemble("""
         start:

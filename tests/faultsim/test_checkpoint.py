@@ -407,8 +407,8 @@ class TestCompiledShape:
                   for k in (1, 3, 5)
                   for reg, bit in ((5, 4), (8, 1), (9, 30))]
         engine.prepare([fault.trigger for fault in faults], budget)
-        # The golden sweep counts attempts with an instruction hook, so
-        # its blocks compile in the method shape; the mutants' must not.
+        # No campaign run attaches an instruction hook, so no block
+        # compiles in the method shape, before or after the mutants.
         before = machine.jit_stats()
         outcomes = []
         for fault in faults:
@@ -469,6 +469,20 @@ class TestCompiledShape:
         assert 0 < stats["early_exits"] < len(faults)
         assert results == [make_campaign(TRACE_LOOP, checkpoints=False)
                            .run_one(fault) for fault in faults]
+
+    @pytest.mark.parametrize("checkpoints", [True, False])
+    def test_campaigns_compile_no_method_shape_blocks(self, checkpoints):
+        """No campaign run (golden, sweep or mutant) attaches a plugin,
+        so transient campaigns never compile the method shape."""
+        campaign = make_campaign(TRACE_LOOP, checkpoints=checkpoints)
+        golden = campaign.golden()
+        faults = [Fault(TARGET_GPR, reg, 2, TRANSIENT,
+                        trigger=golden.instructions * k // 6)
+                  for k in (1, 3, 5) for reg in (5, 8)]
+        campaign.run(faults)
+        stats = campaign._shared_machine.jit_stats()
+        assert stats["blocks_compiled"] > 0
+        assert stats["method_blocks"] == 0
 
     @pytest.mark.parametrize("timer", [700, 1100])
     def test_timer_program_checks_match_interp(self, timer):

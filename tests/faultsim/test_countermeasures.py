@@ -43,7 +43,7 @@ class TestVariants:
         assert tmr < 4 * plain
 
     def test_dwc_detects_a_seeded_corruption(self):
-        from repro.faultsim import Fault, TARGET_GPR, TRANSIENT, inject
+        from repro.faultsim import Fault, TARGET_GPR, TRANSIENT, run_transient
 
         machine = Machine(MachineConfig(isa=RV32IMC_ZICSR))
         program = assemble(VARIANTS["dwc"], isa=RV32IMC_ZICSR)
@@ -51,20 +51,20 @@ class TestVariants:
         # Corrupt copy 0's accumulator (s2) late, after it holds state but
         # before the comparison.
         golden_insns = run_variant("dwc").instructions
-        inject(machine, Fault(TARGET_GPR, 18, 9, TRANSIENT,
-                              trigger=golden_insns // 2))
-        result = machine.run(max_instructions=1_000_000)
+        result, _fired = run_transient(
+            machine, Fault(TARGET_GPR, 18, 9, TRANSIENT,
+                           trigger=golden_insns // 2), 1_000_000)
         assert result.exit_code == DETECT_EXIT
 
     def test_tmr_corrects_a_seeded_corruption(self):
-        from repro.faultsim import Fault, TARGET_GPR, TRANSIENT, inject
+        from repro.faultsim import Fault, TARGET_GPR, TRANSIENT, run_transient
 
         golden = run_variant("tmr")
         machine = Machine(MachineConfig(isa=RV32IMC_ZICSR))
         machine.load(assemble(VARIANTS["tmr"], isa=RV32IMC_ZICSR))
-        inject(machine, Fault(TARGET_GPR, 18, 9, TRANSIENT,
-                              trigger=golden.instructions // 3))
-        result = machine.run(max_instructions=1_000_000)
+        result, _fired = run_transient(
+            machine, Fault(TARGET_GPR, 18, 9, TRANSIENT,
+                           trigger=golden.instructions // 3), 1_000_000)
         assert result.exit_code == golden.exit_code  # corrected
 
 

@@ -14,6 +14,7 @@ from repro.faultsim import (
     TARGET_MEMORY,
     TRANSIENT,
     inject,
+    run_transient,
 )
 from repro.isa import RV32IMC_ZICSR
 from repro.vp import Machine, MachineConfig, RAM_BASE
@@ -111,10 +112,9 @@ class TestTransient:
             nop
             nop
         """ + EXIT)
-        plugin = inject(machine, Fault(TARGET_GPR, 10, 6, TRANSIENT,
-                                       trigger=2))
-        result = machine.run(max_instructions=100)
-        assert plugin.fired
+        result, fired = run_transient(
+            machine, Fault(TARGET_GPR, 10, 6, TRANSIENT, trigger=2), 100)
+        assert fired
         assert result.exit_code == 64
 
     def test_flip_before_overwrite_is_masked(self):
@@ -124,8 +124,8 @@ class TestTransient:
             nop
             li a0, 7
         """ + EXIT)
-        inject(machine, Fault(TARGET_GPR, 10, 3, TRANSIENT, trigger=0))
-        result = machine.run(max_instructions=100)
+        result, _fired = run_transient(
+            machine, Fault(TARGET_GPR, 10, 3, TRANSIENT, trigger=0), 100)
         assert result.exit_code == 7  # overwritten: fault masked
 
     def test_memory_transient_flips_data_before_load(self):
@@ -140,10 +140,10 @@ class TestTransient:
         machine = Machine(MachineConfig(isa=RV32IMC_ZICSR))
         machine.load(program)
         value_addr = program.symbols["value"]
-        plugin = inject(machine, Fault(TARGET_MEMORY, value_addr + 1, 2,
-                                       TRANSIENT, trigger=2))
-        result = machine.run(max_instructions=100)
-        assert plugin.fired
+        result, fired = run_transient(
+            machine, Fault(TARGET_MEMORY, value_addr + 1, 2, TRANSIENT,
+                           trigger=2), 100)
+        assert fired
         assert result.exit_code == 0x400  # bit 2 of byte 1 -> word bit 10
 
 

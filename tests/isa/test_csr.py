@@ -130,6 +130,18 @@ class TestTraceAndSnapshot:
         assert csrs.read(c.MSCRATCH) == 5
         assert csrs.cycle == 10
 
+    def test_minstret_write_moves_an_offset_that_snapshots_carry(self):
+        csrs = make_csrs()
+        csrs.instret = 10
+        csrs.write(c.MINSTRET, 3)
+        csrs.write(c.MINSTRETH, 1)
+        assert csrs.instret == 10
+        csrs.instret += 5
+        assert (csrs.read(c.MINSTRET), csrs.read(c.MINSTRETH)) == (8, 1)
+        copy = make_csrs()
+        copy.restore(csrs.snapshot())
+        assert (copy.read(c.INSTRET), copy.read(c.INSTRETH)) == (8, 1)
+
     def test_known_addresses_include_counters(self):
         known = make_csrs().known_addresses()
         assert c.CYCLE in known

@@ -254,7 +254,7 @@ _start:
         machine.run(max_instructions=10)
         mtime = machine.clint.mtime
         assert mtime > machine.cpu.csrs.cycle
-        remove_fault(machine, None, files)
+        remove_fault(machine, files)
         assert machine.cpu.csrs is files[2]
         assert machine.clint.mtime == mtime
 

@@ -468,10 +468,15 @@ def _write_fixture():
     hashes = {case_id(*case): case_hash(*case) for case in CASES}
     note = ("blake2b-128 of the state sequence of each case, as computed "
             "by case_hash() in test_interrupt_events.py.  Generated by "
-            "running that module as a script with --write, with "
-            "PYTHONPATH set to the src/ of commit f57d00a, the last "
-            "commit whose CPU polled the devices and ticked the bus at "
-            "every block boundary.")
+            "running that module as a script with --write.  Every case "
+            "that ends by exit or WFI hashes as it did at commit f57d00a, "
+            "the last commit whose CPU polled the devices and ticked the "
+            "bus at every block boundary.  The cases with a split (97, "
+            "1000), and msip-wfi/compiled-mie-flip/one-run, which ends "
+            "by the budget, were re-pinned when run budgets became "
+            "exact: a run now stops after exactly its budget instead of "
+            "at the first block boundary past it, so the state after "
+            "each run moved.")
     with open(FIXTURE, "w") as handle:
         json.dump({"note": note, "hashes": hashes}, handle, indent=1,
                   sort_keys=True)

@@ -504,7 +504,8 @@ def test_timer_interrupt_lands_identically_in_batched_loop(delta):
 
 def test_budget_split_parity():
     """Identical run-call split patterns retire identically across
-    backends (budget overshoot is per-call, at block granularity)."""
+    backends, and every run that ends ``max_insns`` retires exactly its
+    budget."""
     splits = (7, 93, 1000, 900, 50_000)
 
     def run(backend):
@@ -516,6 +517,8 @@ def test_budget_split_parity():
         outcomes = []
         for budget in splits:
             result = machine.run(max_instructions=budget)
+            if result.stop_reason == "max_insns":
+                assert result.instructions == budget
             outcomes.append((result.stop_reason, result.instructions,
                              result.cycles, machine.cpu.pc))
         return outcomes
@@ -709,8 +712,9 @@ def test_hook_attach_prevents_tracing():
 
 
 def test_trace_budget_split_parity():
-    """Budget exhaustion exits a trace at a member boundary — the same
-    block-granular overshoot the interpreter's run loop has."""
+    """Budget exhaustion exits a trace at the last member boundary that
+    fits, and the run loop runs the prefix of the next member that does:
+    every run that ends ``max_insns`` retires exactly its budget."""
     splits = (7, 93, 1000, 900, 17, 50_000)
 
     def run(backend):
@@ -724,6 +728,8 @@ def test_trace_budget_split_parity():
         outcomes = []
         for budget in splits:
             result = machine.run(max_instructions=budget)
+            if result.stop_reason == "max_insns":
+                assert result.instructions == budget
             outcomes.append((result.stop_reason, result.instructions,
                              result.cycles, machine.cpu.pc))
         return outcomes, machine.jit_stats()

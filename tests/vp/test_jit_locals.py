@@ -19,7 +19,7 @@ from repro.asm import assemble
 from repro.faultsim import (STUCK_AT_0, STUCK_AT_1, TARGET_GPR,
                             TARGET_MEMORY, Fault, inject)
 from repro.isa import RV32IMC_ZICSR
-from repro.vp import Machine, MachineConfig, Plugin
+from repro.vp import Machine, MachineConfig, Plugin, StopRun
 from repro.vp.jit import code_cache_stats
 
 SHAPES = ("fused", "trace")
@@ -120,8 +120,7 @@ def assert_parity(source, shape, split=None, faults=()):
     expected, _ = run_case(source, "interp", split, faults)
     states, machine = run_case(source, "compiled", split, faults)
     assert states == expected
-    # The loop ran in the shape under test.  (A call that ends in
-    # MachineExit never returns its retired count to jit_stats.)
+    # The loop ran in the shape under test.
     blocks = machine.cpu._tb_cache.values()
     if shape == "trace":
         assert any(block.trace is not None for block in blocks)
@@ -259,6 +258,62 @@ def test_budget_and_timer_stops(shape, split):
     assert len(states) > 1
     assert states[-1][2][19] > 0  # s3: timer interrupts taken
     assert states[-1][0].stop_reason == "exit"
+
+
+# -- every retired instruction counts in the tier that ran it -------------
+
+class StopAt(Plugin):
+    """Raises StopRun before the ``n``-th instruction attempt."""
+
+    name = "stop-at"
+
+    def __init__(self, n):
+        self.n = n
+        self.count = 0
+
+    def on_insn_exec(self, cpu, decoded, pc):
+        self.count += 1
+        if self.count == self.n:
+            raise StopRun
+
+
+#: case -> (loop body a, prologue, epilogue, plugin, budget, stop reason)
+ENDINGS = {
+    "exit": ("    lw t2, 0(s0)\n    add a0, a0, t2\n"
+             f"    addi t5, t0, -{K}\n    seqz t5, t5\n    sw t5, 0(s2)",
+             "    li s2, 0x00100000", "", None, 200_000, "exit"),
+    "unhandled-trap": (f"    addi t5, t0, -{K}\n    seqz t5, t5\n"
+                       "    add t6, s0, t5\n    lw t2, 0(t6)",
+                       "    csrw mtvec, zero", "", None, 200_000,
+                       "unhandled_trap"),
+    "budget": ("    lw t2, 0(s0)\n    add a0, a0, t2", "", "", None, 777,
+               "max_insns"),
+    "wfi": ("    lw t2, 0(s0)\n    add a0, a0, t2", "", "    wfi", None,
+            200_000, "wfi"),
+    "stop-requested": ("    lw t2, 0(s0)\n    add a0, a0, t2", "", "",
+                       lambda: StopAt(555), 200_000, "stop_requested"),
+}
+
+
+@pytest.mark.parametrize("ending", sorted(ENDINGS))
+@pytest.mark.parametrize("shape", SHAPES)
+def test_tier_counters_add_up_to_the_run(shape, ending):
+    """interp + compiled + trace instructions equal the instructions the
+    run retired, also when the step that ends it raises."""
+    body_a, prologue, epilogue, plugin, budget, stop = ENDINGS[ending]
+    machine = Machine(MachineConfig(isa=RV32IMC_ZICSR, backend="compiled",
+                                    jit_threshold=1, jit_trace_threshold=1))
+    machine.load(assemble(loop_program(shape, body_a, "    xor a1, a1, a0",
+                                       prologue=prologue, epilogue=epilogue),
+                          isa=RV32IMC_ZICSR))
+    if plugin is not None:
+        machine.add_plugin(plugin())
+    result = machine.run(max_instructions=budget)
+    assert result.stop_reason == stop
+    stats = machine.jit_stats()
+    assert (stats["interp_instructions"] + stats["compiled_instructions"]
+            + stats["trace_instructions"]) == result.instructions
+    assert stats["compiled_instructions"] + stats["trace_instructions"]
 
 
 # -- structure -------------------------------------------------------------
