@@ -45,8 +45,9 @@ cluster-smoke:
 	$(PYTHON) examples/cluster_smoke.py
 
 # Differential verification smoke: clean interp~compiled matrix over a
-# seeded corpus, then a seeded-bug canary must be caught, lockstep-
-# pinpointed, and minimized.
+# seeded corpus, then two seeded-bug canaries (a perturbed execute
+# function, a compiled-only branch comparison) must each be caught,
+# lockstep-pinpointed, and minimized.
 verify-smoke:
 	$(PYTHON) examples/verify_smoke.py
 

@@ -2,7 +2,7 @@
 """Bounded end-to-end smoke test for the differential verification
 subsystem — the CI gate behind ``make verify-smoke``.
 
-Two phases, both required:
+Four phases, all required:
 
 1. **Clean matrix** — a seeded 20-program Torture corpus runs under the
    ``interp~compiled`` pair (the tier boundary where semantics drift
@@ -16,6 +16,12 @@ Two phases, both required:
    perturbed instruction), and *minimize* the witness while preserving
    the divergence signature.  A verification subsystem whose failure
    mode is silence needs its own canary.
+3. **Branch canary** — the mirror image: ``bge``'s comparison is off by
+   one (``>=`` rendered as ``>``) in compiled code only, a bug that
+   lives in the direct, fused and trace shapes.  Every divergence must
+   be pinpointed at the ``bge`` (lockstep replays the diverging block
+   in the shape the compiled side ran it in) and minimized.
+4. **Clean recheck** — neither perturbation leaks past its context.
 
 Runs in well under a minute; CI wraps it in ``timeout`` as a backstop.
 
@@ -35,7 +41,7 @@ MAX_INSTRUCTIONS = 3000
 def main() -> int:
     from repro.isa import RV32IMC_ZICSR
     from repro.verify import DiffCampaign, VerifyCampaignConfig
-    from repro.verify.canary import perturbed_semantics
+    from repro.verify.canary import perturbed_branch, perturbed_semantics
 
     config = VerifyCampaignConfig(
         corpus=f"torture:{PROGRAMS}", matrix="interp:compiled",
@@ -78,7 +84,27 @@ def main() -> int:
           f"{finding['pc']:#x} ({finding['disasm']}), witness minimized "
           f"{finding['minimized_from']} -> {minimized} words")
 
-    # -- 3. the perturbation did not leak ---------------------------------
+    # -- 3. branch canary: every divergence pinpointed at the branch -----
+    with perturbed_branch(RV32IMC_ZICSR, mnemonic="bge"):
+        branch = DiffCampaign(RV32IMC_ZICSR, config).run()
+    print()
+    print(branch.table())
+    print()
+    assert branch.divergences > 0, \
+        "branch canary NOT caught: a compiled-only branch bug went undetected"
+    for record in branch.escalations:
+        assert record["lockstep_clean"] is False, \
+            f"{record['program']}: lockstep did not pinpoint the branch bug"
+        assert record["signature"] == "control-flow:bge", record["signature"]
+        assert record["disasm"].split()[0] == "bge", record["disasm"]
+    finding = branch.to_dict()["findings"][0]
+    assert 0 < finding["words"] < finding["minimized_from"], \
+        "branch witness was not minimized"
+    print(f"branch canary: {branch.divergences} divergences, every one "
+          f"pinpointed as 'control-flow:bge', witness minimized "
+          f"{finding['minimized_from']} -> {finding['words']} words")
+
+    # -- 4. the perturbations did not leak --------------------------------
     recheck = DiffCampaign(RV32IMC_ZICSR, VerifyCampaignConfig(
         corpus="torture:3", matrix="interp:compiled", seed=SEED,
         max_instructions=MAX_INSTRUCTIONS)).run()

@@ -104,14 +104,15 @@ def cmd_run(args) -> int:
                  + jit["trace_instructions"])
         compiled = jit["compiled_instructions"] + jit["trace_instructions"]
         share = compiled / total if total else 0.0
-        print(f"jit: {jit['blocks_compiled']} blocks compiled "
-              f"({jit['method_blocks']} in the method shape), "
+        reason = machine.cpu.backend.interpreted
+        print(f"jit: {jit['blocks_compiled']} blocks compiled, "
               f"{jit['traces_compiled']} traces, "
               f"{share:.1%} of instructions in the compiled tiers"
               + (f", {jit['compile_failures']} compile failures"
                  if jit["compile_failures"] else "")
               + (f", {jit['trace_failures']} trace failures"
-                 if jit["trace_failures"] else ""),
+                 if jit["trace_failures"] else "")
+              + (f" (every block interpreted: {reason})" if reason else ""),
               file=sys.stderr)
     mem = machine.mem_stats()
     fast = mem["fastpath_loads"] + mem["fastpath_stores"]

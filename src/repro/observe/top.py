@@ -158,7 +158,6 @@ def render_top(status: ServiceStatus, url: str = "",
         lines.append(
             f"jit    blocks:"
             f"{_metric(metrics, 'repro_vp_jit_blocks_compiled'):.0f}"
-            f" (method:{_metric(metrics, 'repro_vp_jit_method_blocks'):.0f})"
             f"  traces:"
             f"{_metric(metrics, 'repro_vp_jit_traces_compiled'):.0f}"
             f"  trace-tier:{traced:.0f}"

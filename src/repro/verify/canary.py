@@ -15,6 +15,9 @@ Pairs that never reach the JIT tier (``interp~nocache``) agree on the
 perturbed semantics and stay silent: the canary specifically exercises
 the tier boundary, which is where this bug class lives.
 
+:func:`perturbed_branch` is the mirror image: a branch comparison off by
+one in compiled code only, with faithful semantics.
+
 Used by the CI ``verify-smoke`` job and the escalation tests; never
 imported by production campaign code.
 """
@@ -25,7 +28,11 @@ from contextlib import contextmanager
 
 from ..isa.decoder import Decoder, IsaConfig
 
-__all__ = ["perturbed_semantics"]
+__all__ = ["perturbed_semantics", "perturbed_branch"]
+
+#: Branch mnemonic -> (comparison operator, its off-by-one replacement).
+_BRANCH_SLIPS = {"bge": (">=", ">"), "bgeu": (">=", ">"),
+                 "blt": ("<", "<="), "bltu": ("<", "<=")}
 
 
 @contextmanager
@@ -61,3 +68,29 @@ def perturbed_semantics(isa: IsaConfig, mnemonic: str = "add",
     finally:
         object.__setattr__(spec, "execute", original)
         del templates.EMITTERS[buggy]
+
+
+@contextmanager
+def perturbed_branch(isa: IsaConfig, mnemonic: str = "bge"):
+    """Render ``mnemonic``'s comparison in compiled code off by one
+    (``>=`` as ``>``, ``<`` as ``<=``).  The JIT gets a fresh code cache
+    on entry and on exit: the cache keys on execute functions, not on the
+    conditions that render them.  Strictly a test/CI context manager."""
+    from ..vp.jit import compiler, templates
+
+    if mnemonic not in _BRANCH_SLIPS:
+        raise ValueError(f"{mnemonic!r} is not one of {sorted(_BRANCH_SLIPS)}")
+    spec = Decoder(isa).spec_by_name[mnemonic]
+    original = templates.BRANCH_CONDS[spec.execute]
+    old, new = _BRANCH_SLIPS[mnemonic]
+
+    def slipped(ctx, d):
+        return original(ctx, d).replace(f" {old} ", f" {new} ", 1)
+
+    templates.BRANCH_CONDS[spec.execute] = slipped
+    compiler._CODE_CACHE = compiler.CodeCache()
+    try:
+        yield spec
+    finally:
+        templates.BRANCH_CONDS[spec.execute] = original
+        compiler._CODE_CACHE = compiler.CodeCache()

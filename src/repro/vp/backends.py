@@ -13,8 +13,8 @@ changed devices or CSRs there).  The strategies:
   block, instruction hooks honoured,
 * ``compiled``  — the template JIT tier (:mod:`repro.vp.jit`): interpret
   a block with the same loop until its ``exec_count`` crosses a
-  threshold, then execute a specialized compiled function cached on the
-  block.
+  threshold (or for good, with instruction or memory hooks or traced
+  registers), then execute a compiled function cached on the block.
 
 Both produce bit-identical architectural results, and a run that ends
 ``max_insns`` has retired exactly its budget in both: the block the
@@ -40,11 +40,12 @@ _NEVER = float("inf")
 
 
 class ExecutionBackend:
-    """Base class: the shared run loop over an abstract per-block step.
+    """Base class: the shared run loop over a per-block step.
 
-    Subclasses implement :meth:`_step` to execute one translation block
-    (or take one interrupt/trap), returning the number of instructions
-    retired, and may override :meth:`_refresh` (called at run start and
+    :meth:`_step` executes one translation block (or takes one
+    interrupt/trap) and returns the number of instructions retired; the
+    base step interprets it.  Subclasses may replace it with their tiers
+    and override :meth:`_refresh` (called at run start and
     whenever the hook table version changes mid-run) to re-specialize.
     ``remaining`` is the budget left, and exact: a step runs only the
     prefix that fits of a longer block.  ``pause`` is the watch key: a
@@ -82,10 +83,18 @@ class ExecutionBackend:
         pass
 
     def _step(self, remaining, pause) -> int:
-        raise NotImplementedError
+        cpu = self.cpu
+        block = cpu._enter_block()
+        return 0 if block is None else cpu._execute_block(block, remaining)
 
     def _unwound(self, retired: int) -> None:
         """Account the ``retired`` instructions of a step that raised."""
+
+    def run_prefix(self, block, count: int) -> int:
+        """Run the first ``count`` instructions of ``block`` as this
+        backend runs code (lockstep replays a diverging block this way);
+        returns the instructions retired."""
+        return self.cpu._execute_block(block, count)
 
     def run(self, max_instructions: Optional[int] = None) -> RunResult:
         cpu = self.cpu
@@ -154,11 +163,6 @@ class InterpBackend(ExecutionBackend):
     block."""
 
     name = "interp"
-
-    def _step(self, remaining, pause) -> int:
-        cpu = self.cpu
-        block = cpu._enter_block()
-        return 0 if block is None else cpu._execute_block(block, remaining)
 
 
 def _make_compiled(cpu: Cpu, **options) -> ExecutionBackend:

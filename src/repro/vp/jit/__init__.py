@@ -4,8 +4,9 @@ At translate time each hot :class:`~repro.vp.cpu.TranslationBlock` is
 turned into one specialized straight-line Python function — registers as
 list indexing on the raw register array, immediates and PCs folded into
 the source as constants, memory accesses inlined to direct bus calls,
-hook invocations compiled in only when the hook table is non-empty —
-compiled with :func:`compile`/``exec`` and cached on the block.
+block hooks called only when attached (instruction or memory hooks and
+traced registers keep every block interpreted) — compiled with
+:func:`compile`/``exec`` and cached on the block.
 
 Layout:
 
@@ -14,9 +15,8 @@ Layout:
   instructions reuse the base execute callbacks, so RVC is covered for
   free),
 * :mod:`~repro.vp.jit.compiler`  — assembles whole-block functions in
-  three shapes: a direct-register fast shape, a bookkeeping shape that
-  preserves per-instruction hook ordering, and a fused self-loop
-  superblock for single-block spin loops,
+  three shapes: a direct-register shape, a fused self-loop superblock
+  for single-block spin loops, and multi-block traces,
 * :mod:`~repro.vp.jit.backend`   — the ``compiled``
   :class:`~repro.vp.backends.ExecutionBackend` with hot-block tiering.
 

@@ -21,12 +21,12 @@ are keyed on the same specialization token; a TB flush (fence.i, SMC,
 clear-on-full) discards the member blocks wholesale, so stale trace
 code can never run.
 
-Fallback rules (documented in ``docs/performance.md``): an instruction
-cache or a disabled translation-block cache turns compilation off
-entirely and every block stays interpreted; a codegen failure blacklists
-just that block (or trace head).  The tier split is observable through
-:class:`JitStats` (``repro profile``'s tier report and ``repro run``'s
-``jit:`` line read it).
+Fallback rules (documented in ``docs/performance.md``): an icache, a
+disabled block cache, an instruction or memory hook, or a traced or
+subclassed register file keeps every block interpreted (``interpreted``
+says which); a codegen failure blacklists just that block (or trace
+head).  The tier split is observable through :class:`JitStats`
+(``repro profile``'s tier report and ``repro run``'s ``jit:`` line).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import List, Optional
 from ...isa import semantics as sem
 from ...isa.registers import RegisterFile, StuckRegisterFile
 from ..backends import ExecutionBackend
-from ..cpu import MAX_BLOCK_INSNS
+from ..cpu import MAX_BLOCK_INSNS, TranslationBlock
 from .compiler import (TRACE_MAX_BLOCKS, BlockCompiler, CompileError,
                        _trap_exit, _TrapExit)
 from .templates import BRANCH_CONDS, EMITTERS
@@ -58,7 +58,7 @@ DEFAULT_TRACE_THRESHOLD = 16
 class JitStats:
     """Tier observability counters maintained by :class:`CompiledBackend`."""
 
-    __slots__ = ("blocks_compiled", "method_blocks", "compiled_retired",
+    __slots__ = ("blocks_compiled", "compiled_retired",
                  "interp_retired", "compile_failures", "traces_compiled",
                  "trace_retired", "trace_failures")
 
@@ -68,10 +68,6 @@ class JitStats:
         #: Cache counters stay out of this class: they depend on what the
         #: process ran before (see ``code_cache_stats``).
         self.blocks_compiled = 0
-        #: Of those, blocks compiled in the method shape because
-        #: instruction/memory hooks or a traced or subclassed register
-        #: file ruled out the direct one.
-        self.method_blocks = 0
         #: Instructions retired by compiled functions / the interp tier.
         self.compiled_retired = 0
         self.interp_retired = 0
@@ -84,7 +80,6 @@ class JitStats:
 
     def as_dict(self) -> dict:
         return {"blocks_compiled": self.blocks_compiled,
-                "method_blocks": self.method_blocks,
                 "compiled_instructions": self.compiled_retired,
                 "interp_instructions": self.interp_retired,
                 "compile_failures": self.compile_failures,
@@ -135,7 +130,9 @@ class CompiledBackend(ExecutionBackend):
         self.stats = JitStats()
         self._token: Optional[tuple] = None
         self._compiler: Optional[BlockCompiler] = None
-        self._compile_ok = False
+        #: Why every block runs interpreted, or ``None`` when blocks may
+        #: compile (set at run start and on hook changes).
+        self.interpreted: Optional[str] = None
         self._trace_ok = False
         self._no_compile: set = set()
         self._no_trace: set = set()
@@ -145,19 +142,28 @@ class CompiledBackend(ExecutionBackend):
     # ------------------------------------------------------------------
 
     def _refresh(self) -> None:
-        """Recompute the specialization token (run start / hook change)."""
+        """Recompute whether blocks may compile, the specialization token
+        and the step (run start / hook change)."""
         cpu = self.cpu
         regs = cpu.regs
         kind = type(regs)
+        hooks = cpu.hooks
+        # Generated code retires whole blocks on the raw register list,
+        # so anything that observes single instructions, accesses or
+        # fetches keeps every block in the interpreter.
+        reason = self.interpreted = next((why for why, applies in (
+            ("an instruction cache is modelled", cpu.icache is not None),
+            ("the block cache is off", not cpu.block_cache_enabled),
+            ("an instruction hook is attached", hooks.insn_exec),
+            ("a memory hook is attached", hooks.mem_access),
+            ("registers are traced", regs.trace),
+            ("the register file is subclassed",
+             kind not in (RegisterFile, StuckRegisterFile))) if applies),
+            None)
         # A stuck-at register file keeps the direct shape: its forced bit
         # is folded into the generated reads, and its (reg, mask,
         # stuck_one) stands for the register-file shape in the token.
-        stuck = None
-        if kind is StuckRegisterFile and not regs.trace:
-            stuck = regs.stuck
-        direct_ok = (kind is RegisterFile and not regs.trace
-                     or stuck is not None)
-        shape = stuck or direct_ok
+        shape = stuck = regs.stuck if kind is StuckRegisterFile else None
         # A RAM stuck bit switches the Ram's dirty-page set, which
         # generated stores bind at compile time (``_DIRTY``): whether one
         # is installed joins the token so code bound to the other set
@@ -169,24 +175,34 @@ class CompiledBackend(ExecutionBackend):
         ram = cpu._ram
         if ram is not None and ram.stuck is not None:
             shape = (shape, True)
-        # An icache charges per-fetch penalties the generated code does
-        # not model, and a disabled block cache never re-executes the
-        # same TranslationBlock object — both force the interp tier.
-        self._compile_ok = cpu.icache is None and cpu.block_cache_enabled
-        token = (cpu.hooks.version, shape, cpu.block_cache_enabled)
+        token = (hooks.version, shape, reason)
         if token != self._token:
             self._token = token
-            self._compiler = BlockCompiler(
-                cpu, chain_enabled=cpu.block_cache_enabled,
-                direct_ok=direct_ok, stuck=stuck)
+            self._compiler = BlockCompiler(cpu, stuck=stuck)
             self._no_compile.clear()
             self._no_trace.clear()
-        # Traces are direct-shape only (no hooks of any kind: interior
-        # side exits cannot replay per-block hook ordering).
-        self._trace_ok = (self._compile_ok and self._compiler.direct
-                          and not self._compiler.hb)
+        # Block hooks rule out traces: interior side exits cannot replay
+        # per-block hook ordering.
+        self._trace_ok = reason is None and not hooks.block_exec
+        # With nothing to compile, a step is the interpreter's alone, so
+        # a hooked run costs what it costs on the interp backend.
+        if reason is None:
+            self._step = self._step_compiled
+        else:
+            self._step = self._step_interpreted
+            self._unwinding = "interp_retired"
 
-    def _step(self, remaining, pause) -> int:
+    def _step_interpreted(self, remaining, pause) -> int:
+        # The base step inlined: calling it cost a hooked run 3%.
+        cpu = self.cpu
+        block = cpu._enter_block()
+        if block is None:
+            return 0
+        retired = cpu._execute_block(block, remaining)
+        self.stats.interp_retired += retired
+        return retired
+
+    def _step_compiled(self, remaining, pause) -> int:
         """One block step: its trace, its compiled function or the
         interpreter, which also runs the prefix of a block longer than
         the budget left.  Generated code leaves through :class:`_TrapExit`
@@ -221,7 +237,7 @@ class CompiledBackend(ExecutionBackend):
                         retired = _trap_exit(cpu, *leave.args)
                     self.stats.trace_retired += retired
                     return retired
-            elif (self._compile_ok and block.exec_count + 1 >= self.threshold
+            elif (block.exec_count + 1 >= self.threshold
                     and block.start_pc not in self._no_compile):
                 fn = self._compile(block)
             else:
@@ -255,9 +271,26 @@ class CompiledBackend(ExecutionBackend):
         block.compiled = fn
         block.compiled_version = self._token
         self.stats.blocks_compiled += 1
-        if not self._compiler.direct:
-            self.stats.method_blocks += 1
         return fn
+
+    def run_prefix(self, block, count: int) -> int:
+        """Compile the prefix as a block of its own, in the shape
+        :meth:`BlockCompiler.compile` gives it (a whole fused loop runs
+        one iteration), and run it; interpret it where nothing compiles."""
+        if self.interpreted is not None:
+            return super().run_prefix(block, count)
+        cpu = self.cpu
+        prefix = TranslationBlock(block.start_pc, block.insns[:count],
+                                  block.pcs[:count])
+        prefix.finalize(cpu.timing, cpu.icache)
+        try:
+            fn = self._compiler.compile(prefix)
+        except (CompileError, SyntaxError, ValueError):
+            return cpu._execute_block(prefix)
+        try:
+            return fn(cpu, count, float("inf"))
+        except _TrapExit as leave:
+            return _trap_exit(cpu, *leave.args)
 
     # -- trace formation -----------------------------------------------
 

@@ -4,15 +4,16 @@
 :class:`~repro.vp.cpu.TranslationBlock` into one specialized Python
 function ``_tb(cpu, remaining, pause) -> retired`` compiled with
 :func:`compile`/``exec`` (the run loop's two limits, see
-:class:`~repro.vp.backends.ExecutionBackend`).  Four shapes:
+:class:`~repro.vp.backends.ExecutionBackend`).  Three shapes, all on
+an untraced plain or stuck-at register file with no instruction or
+memory hook attached (otherwise the backend compiles nothing and every
+block runs in :meth:`~repro.vp.cpu.Cpu._execute_block`):
 
-* **direct**  — no instruction/memory hooks and an untraced plain or
-  stuck-at register file: registers are raw-list accesses ``R[n]`` (a
-  stuck bit folded into reads of its register), per-instruction
-  pc/next_pc bookkeeping disappears, retired/cycle accounting is
-  constant-folded into each exit path.  Block hooks keep this shape
-  but rule out the fused and trace shapes, which run several block
-  executions per call.
+* **direct**  — registers are raw-list accesses ``R[n]`` (a stuck bit
+  folded into reads of its register), per-instruction pc/next_pc
+  bookkeeping disappears, retired/cycle accounting is constant-folded
+  into each exit path.  Block hooks keep this shape but rule out the
+  fused and trace shapes, which run several block executions per call.
 * **fused**   — a direct-shape block whose final instruction is a
   conditional branch back to its own start (a single-block spin loop):
   the whole block becomes a native ``while`` loop that re-checks the
@@ -23,11 +24,6 @@ function ``_tb(cpu, remaining, pause) -> retired`` compiled with
   locals, written back in one ``finally`` that every way out passes.
 * **trace**   — a chain of direct-shape blocks (:meth:`compile_trace`),
   with the same locals and write-back as the fused shape.
-* **method**  — instruction or memory hooks attached, or a traced or
-  otherwise subclassed register file: an unrolled interpreter
-  preserving the per-instruction hook ordering, pc/next_pc visibility,
-  and redirect checks of :meth:`~repro.vp.cpu.Cpu._execute_block` bit
-  for bit.
 
 Every exit path replicates the interpreter's accounting contract: CSR
 ``instret``/``cycle`` updated before any trap is taken or
@@ -53,8 +49,7 @@ from ...isa import csr as csrdef
 from ...isa import semantics as sem
 from ..memory import PACK_HALF, PACK_WORD, UNPACK_HALF, UNPACK_WORD
 from ..trap import BusError, MachineExit, Trap
-from .templates import (BRANCH_CONDS, CONTROL_EMITTERS, EMITTERS, MASK,
-                        Ctx, Locals)
+from .templates import BRANCH_CONDS, EMITTERS, MASK, Ctx, Locals
 
 __all__ = ["BlockCompiler", "CompileError", "TRACE_MAX_BLOCKS",
            "CODE_CACHE_MAX_ENTRIES", "CodeCache", "code_cache_stats"]
@@ -277,28 +272,20 @@ class BlockCompiler:
     register-file shape; the backend rebuilds it whenever either
     changes (keyed by the specialization token)."""
 
-    def __init__(self, cpu, chain_enabled: bool, direct_ok: bool,
-                 stuck=None) -> None:
+    def __init__(self, cpu, stuck=None) -> None:
         self.cpu = cpu
-        hooks = cpu.hooks
-        self.hb = tuple(hooks.block_exec)
-        self.hi = tuple(hooks.insn_exec)
-        self.hm = tuple(hooks.mem_access)
-        #: Direct raw-register shape is only sound when nothing needs to
-        #: observe individual accesses or instruction boundaries.
-        self.direct = direct_ok and not self.hi and not self.hm
+        self.hb = tuple(cpu.hooks.block_exec)
         #: ``(reg, mask, stuck_one)`` of a stuck-at register file, folded
-        #: into direct-shape reads of that register (``None``: plain).
-        #: The code depends on ``(reg, stuck_one)`` only (``stuck_fold``);
-        #: the mask is the namespace constant ``_SK``, so every bit of one
-        #: register shares one code object.
-        self.stuck = stuck if self.direct else None
+        #: into reads of that register (``None``: plain).  The code
+        #: depends on ``(reg, stuck_one)`` only (``stuck_fold``); the mask
+        #: is the namespace constant ``_SK``, so every bit of one register
+        #: shares one code object.
+        self.stuck = stuck
         self.stuck_fold = None
         if self.stuck is not None:
             self.stuck_fold = (self.stuck[0], self.stuck[2])
-        self.chain_enabled = chain_enabled
-        # Capture the CPU's RAM fast-path window so direct-mode memory
-        # templates can fold the bounds in as constants.  Generated code
+        # Capture the CPU's RAM fast-path window so memory templates can
+        # fold the bounds in as constants.  Generated code
         # re-validates at entry (``_ramok`` binding): the captured buffer
         # must still be the CPU's current window, otherwise every access
         # takes the bus-dispatch fallback — so a device swapped in front
@@ -315,9 +302,7 @@ class BlockCompiler:
             self.win = None
         #: The compiler half of every code-cache key: all of this
         #: snapshot the emitters read.
-        self.shape = (self.direct, bool(self.hb), bool(self.hi),
-                      bool(self.hm), self.stuck_fold, chain_enabled,
-                      self.win)
+        self.shape = (bool(self.hb), self.stuck_fold, self.win)
 
     # ------------------------------------------------------------------
 
@@ -335,20 +320,18 @@ class BlockCompiler:
         return fn
 
     def _emit(self, block) -> str:
-        """The generated source for ``block`` in this compiler's shape."""
-        if self.direct and self._fusable(block):
+        """The generated source for ``block``: a fused loop when it is a
+        single-block spin loop, else the direct shape."""
+        if self._fusable(block):
             return self._emit_fused(block)
-        if self.direct:
-            return self._emit_direct(block)
-        return self._emit_method(block)
+        return self._emit_direct(block)
 
     def _base_namespace(self) -> dict:
         namespace = {
-            "Trap": Trap, "MachineExit": MachineExit,
-            "BusError": BusError, "_trap_exit": _trap_exit,
+            "Trap": Trap, "MachineExit": MachineExit, "_trap_exit": _trap_exit,
             "_TrapExit": _TrapExit, "_exit_flush": _exit_flush,
             "_bus_load": _bus_load, "_bus_store": _bus_store,
-            "_horizon": _horizon, "HB": self.hb, "HI": self.hi,
+            "_horizon": _horizon, "HB": self.hb,
             "_u4": UNPACK_WORD, "_u2": UNPACK_HALF,
             "_p4": PACK_WORD, "_p2": PACK_HALF,
             "_MEM": self.mem, "_DIRTY": self.dirty,
@@ -382,26 +365,19 @@ class BlockCompiler:
     # -- shared rendering ----------------------------------------------
 
     @staticmethod
-    def _bindings(body_text: str, direct: bool) -> List[str]:
-        lines = []
-        if direct:
-            lines.append("R = cpu.regs._regs")
-            if "_ramok" in body_text:
-                # The fast path is armed only while the CPU's current
-                # window buffer is the one this code was specialized
-                # against; a bus mutation (device swap, remap) makes
-                # every access take the bus fallback until recompiled.
-                lines += ["if cpu._ram_version != cpu.bus.version:",
-                          "    cpu._refresh_ram_window()",
-                          "_mem = _MEM",
-                          "_ramok = cpu._ram_data is _MEM"]
-            if "_dirty.add" in body_text:
-                lines.append("_dirty = _DIRTY")
-        else:
-            if "_rd(" in body_text:
-                lines.append("_rd = cpu.regs.read")
-            if "_wr(" in body_text:
-                lines.append("_wr = cpu.regs.write")
+    def _bindings(body_text: str) -> List[str]:
+        lines = ["R = cpu.regs._regs"]
+        if "_ramok" in body_text:
+            # The fast path is armed only while the CPU's current window
+            # buffer is the one this code was specialized against; a bus
+            # mutation (device swap, remap) makes every access take the
+            # bus fallback until recompiled.
+            lines += ["if cpu._ram_version != cpu.bus.version:",
+                      "    cpu._refresh_ram_window()",
+                      "_mem = _MEM",
+                      "_ramok = cpu._ram_data is _MEM"]
+        if "_dirty.add" in body_text:
+            lines.append("_dirty = _DIRTY")
         return lines
 
     def _flush_lines(self, retired, cycles, pc_expr) -> List[str]:
@@ -412,8 +388,9 @@ class BlockCompiler:
                 f"cpu.next_pc = {pc_expr}"]
 
     def _chain_line(self, block, pc_expr) -> List[str]:
-        """Plant the chain link when this exit lands on ``chain_pc``."""
-        if not self.chain_enabled or block.chain_pc is None:
+        """Plant the chain link when this exit lands on ``chain_pc``
+        (blocks compile only while the block cache is on)."""
+        if block.chain_pc is None:
             return []
         if pc_expr == f"{block.chain_pc:#x}":
             return ["cpu._chain_from = block"]
@@ -454,7 +431,7 @@ class BlockCompiler:
         src.add(indent + 1, f"return {i + 1}")
 
     def _emit_direct(self, block) -> str:
-        ctx = Ctx(block, direct=True, win=self.win, stuck=self.stuck_fold)
+        ctx = Ctx(block, win=self.win, stuck=self.stuck_fold)
         ops = block.ops
         n = len(ops)
         last_d, last_exec = ops[-1][0], ops[-1][1]
@@ -513,7 +490,7 @@ class BlockCompiler:
         if self.hb:
             src.add(1, "for _h in HB:")
             src.add(2, "_h(cpu, block)")
-        src.extend(1, self._bindings(body_text, direct=True))
+        src.extend(1, self._bindings(body_text))
         src.lines.append(body_text)
         return src.text()
 
@@ -529,7 +506,7 @@ class BlockCompiler:
         read neither."""
         src = _Src()
         src.add(0, "def _tb(cpu, remaining, pause):")
-        src.extend(1, self._bindings("\n".join(body.lines), direct=True))
+        src.extend(1, self._bindings("\n".join(body.lines)))
         src.add(1, "_c = cpu.csrs")
         src.add(1, "ret = 0")
         src.extend(1, local.loads())
@@ -545,8 +522,7 @@ class BlockCompiler:
 
     def _emit_fused(self, block) -> str:
         local = Locals()
-        ctx = Ctx(block, direct=True, win=self.win, stuck=self.stuck_fold,
-                  local=local)
+        ctx = Ctx(block, win=self.win, stuck=self.stuck_fold, local=local)
         ops = block.ops
         n = len(ops)
         last_d = ops[-1][0]
@@ -576,7 +552,7 @@ class BlockCompiler:
         src.add(indent, "_c.instret += ret")
         src.add(indent, f"cpu.pc = {pc:#x}")
         src.add(indent, f"cpu.next_pc = {pc:#x}")
-        if chain_m is not None and self.chain_enabled:
+        if chain_m is not None:
             src.add(indent, f"cpu._chain_from = b_{chain_m}")
         src.add(indent, "return ret")
 
@@ -665,9 +641,8 @@ class BlockCompiler:
         them, exiting with the pc parked on the next member's start so
         the run loop can take over.
         """
-        if not self.direct or self.hb:
-            raise CompileError(
-                "trace shape requires direct mode without block hooks")
+        if self.hb:
+            raise CompileError("trace shape requires no block hooks")
         if len(blocks) < 2 or len(blocks) > TRACE_MAX_BLOCKS:
             raise CompileError(f"unsupported trace length {len(blocks)}")
         # A tuple of member keys never equals a block key (whose first
@@ -726,7 +701,7 @@ class BlockCompiler:
         ctxs = []
         offset = 0
         for block in blocks:
-            ctxs.append(Ctx(block, direct=True, base=offset, win=self.win,
+            ctxs.append(Ctx(block, base=offset, win=self.win,
                             stuck=self.stuck_fold, local=local))
             offset += len(block.ops)
         last = blocks[-1]
@@ -778,70 +753,3 @@ class BlockCompiler:
             self._emit_trace_body(body, indent, ctxs[m], m, blocks[m])
             self._loop_exit(body, indent, blocks[m].chain_pc, m)
         return self._emit_loop(body, local)
-
-    # -- method (bookkeeping) shape -------------------------------------
-
-    def _emit_method(self, block) -> str:
-        ctx = Ctx(block, direct=False)
-        ops = block.ops
-        n = len(ops)
-        body = _Src()
-        for i in range(n):
-            d, execute, pc, ft, base, taken = ops[i]
-            body.add(2, f"cpu.pc = {pc:#x}")
-            body.add(2, f"cpu._current = d_{i}")
-            body.add(2, f"cpu.next_pc = {ft:#x}")
-            if self.hi:
-                body.add(2, "for _h in HI:")
-                body.add(3, f"_h(cpu, d_{i}, {pc:#x})")
-            emitter = EMITTERS.get(execute) or CONTROL_EMITTERS.get(execute)
-            body.add(2, "try:")
-            if emitter is not None:
-                body.extend(3, emitter(ctx, i))
-            else:
-                body.add(3, f"x_{i}(cpu, d_{i})")
-            body.add(2, "except Trap as _t:")
-            body.add(3, f"cyc += {base}")
-            body.add(3, "_pend = _t")
-            body.add(3, "break")
-            body.add(2, "except MachineExit:")
-            body.add(3, f"cyc += {base}")
-            body.add(3, "raise")
-            body.add(2, "ret += 1")
-            body.add(2, "_np = cpu.next_pc")
-            body.add(2, "cpu.pc = _np")
-            body.add(2, f"if _np != {ft:#x}:")
-            body.add(3, f"cyc += {taken}")
-            body.add(3, "break")
-            body.add(2, f"cyc += {base}")
-        body.add(2, "break")
-
-        body_text = "\n".join(body.lines)
-        src = _Src()
-        src.add(0, "def _tb(cpu, remaining, pause):")
-        src.add(1, "block.exec_count += 1")
-        if self.hb:
-            src.add(1, "for _h in HB:")
-            src.add(2, "_h(cpu, block)")
-        src.extend(1, self._bindings(body_text, direct=False))
-        src.add(1, "ret = 0")
-        src.add(1, "cyc = 0")
-        src.add(1, "_pend = None")
-        src.add(1, "try:")
-        src.add(2, "while True:")
-        # body lines are already indented for the while loop; shift one
-        # more level for the enclosing try.
-        src.lines.extend("    " + line for line in body.lines)
-        src.add(1, "finally:")
-        src.add(2, "_c = cpu.csrs")
-        src.add(2, "_c.instret += ret")
-        src.add(2, "_c.cycle += cyc")
-        src.add(1, "if _pend is not None:")
-        src.add(2, "cpu._take_trap(_pend.cause, _pend.tval)")
-        if block.ends_system:
-            src.add(1, "cpu._poll_at = 0")
-        elif self.chain_enabled and block.chain_pc is not None:
-            src.add(1, f"elif cpu.pc == {block.chain_pc:#x}:")
-            src.add(2, "cpu._chain_from = block")
-        src.add(1, "return ret")
-        return src.text()

@@ -6,11 +6,11 @@ decoded operands folded in as constants.  The table is keyed by the
 execute *function object*, so every spec that reuses a base callback
 (all of RV32C does) is covered automatically.
 
-Three register renderings, chosen per block by the compiler; :class:`Ctx`
+Two register renderings, chosen per block by the compiler; :class:`Ctx`
 is the one place a register is named:
 
 * **direct** — registers are accessed as ``R[n]`` on the raw backing
-  list (only legal when the register file is an untraced plain
+  list (the compiled backend compiles only for an untraced plain
   :class:`~repro.isa.registers.RegisterFile` or
   :class:`~repro.isa.registers.StuckRegisterFile`, whose stuck bit every
   read of that register folds in through the namespace constant
@@ -21,8 +21,10 @@ is the one place a register is named:
   each register the function touches is the Python local ``r{n}``, and
   the RAM fast-path access counters are the locals ``_fl``/``_fs``;
   :class:`Locals` renders their loads and write-back.
-* **method** — registers go through the bound ``read``/``write``
-  methods, preserving access tracing and other register-file subclasses.
+
+Control flow (branches, ``jal``, ``jalr``) ends a block, so the compiler
+renders it in each shape's epilogue, with the conditions in
+:data:`BRANCH_CONDS`.
 
 Semantics corner cases (division toward zero, ``INT_MIN / -1``,
 ``jalr``'s read-before-link ordering, sign extension after the bus
@@ -100,17 +102,15 @@ class Locals:
 class Ctx:
     """Per-block codegen context handed to every emitter.
 
-    Carries the register-access mode, per-instruction accounting
+    Carries the register rendering, per-instruction accounting
     constants (retired count, optionally offset by the fused loop's
     running ``ret``, and cycle prefix sums), and the trap/exit epilogue
     renderers shared by all memory emitters.
     """
 
-    def __init__(self, block, direct: bool, base: int = 0, win=None,
-                 stuck=None, local: Optional[Locals] = None) -> None:
-        self.block = block
-        self.direct = direct
-        #: Direct-mode reads of the stuck register (``stuck`` is
+    def __init__(self, block, base: int = 0, win=None, stuck=None,
+                 local: Optional[Locals] = None) -> None:
+        #: Reads of the stuck register (``stuck`` is
         #: ``(reg, stuck_one)`` of a StuckRegisterFile) render with the
         #: bit forced through the namespace constant ``_SK`` (the mask, or
         #: its complement for stuck-at-0), the value its ``read``
@@ -130,8 +130,8 @@ class Ctx:
         #: members, whose blocks share one function namespace.
         self.base = base
         #: RAM fast-path window ``(base, end, page_shift)`` captured at
-        #: compile time, or ``None`` — direct-mode memory emitters guard
-        #: on it and fall back to bus dispatch outside it.
+        #: compile time, or ``None`` — memory emitters guard on it and
+        #: fall back to bus dispatch outside it.
         self.win = win
         self.ops = block.ops
         prefix = [0]
@@ -150,23 +150,19 @@ class Ctx:
 
     def r(self, num: int) -> str:
         """Read of GPR ``num`` (x0 reads the raw slot, like the file)."""
-        if not self.direct:
-            return f"_rd({num})"
         if num == self._stuck_reg:
             return f"({self._name(num)} {self._stuck_op} _SK)"
         return self._name(num)
 
     def w(self, num: int, expr: str, canonical: bool = False) -> List[str]:
         """Write ``expr`` to GPR ``num``; ``canonical`` skips the mask."""
-        if self.direct:
-            if num == 0:
-                return []
-            if self.local is not None:
-                self.local.written.add(num)
-            if canonical:
-                return [f"{self._name(num)} = {expr}"]
-            return [f"{self._name(num)} = ({expr}) & 0xFFFFFFFF"]
-        return [f"_wr({num}, {expr})"]
+        if num == 0:
+            return []
+        if self.local is not None:
+            self.local.written.add(num)
+        if canonical:
+            return [f"{self._name(num)} = {expr}"]
+        return [f"{self._name(num)} = ({expr}) & 0xFFFFFFFF"]
 
     def count(self, name: str) -> str:
         """Count one RAM fast-path access: ``name`` is ``_fl`` (a load)
@@ -225,7 +221,7 @@ def _rr_emitter(render) -> Emitter:
     def emit(ctx: Ctx, i: int) -> List[str]:
         d = ctx.ops[i][0]
         expr, canonical = render(ctx, d)
-        if ctx.direct and d.rd == 0:
+        if d.rd == 0:
             return []  # pure computation into x0: no effect
         return ctx.w(d.rd, expr, canonical)
     return emit
@@ -285,7 +281,7 @@ emit_mulhu = _rr_emitter(
 
 def emit_div(ctx: Ctx, i: int) -> List[str]:
     d = ctx.ops[i][0]
-    if ctx.direct and d.rd == 0:
+    if d.rd == 0:
         return []
     lines = [f"_a = {_s(ctx.r(d.rs1))}",
              f"_b = {_s(ctx.r(d.rs2))}",
@@ -302,7 +298,7 @@ def emit_div(ctx: Ctx, i: int) -> List[str]:
 
 def emit_divu(ctx: Ctx, i: int) -> List[str]:
     d = ctx.ops[i][0]
-    if ctx.direct and d.rd == 0:
+    if d.rd == 0:
         return []
     return ctx.w(d.rd,
                  f"0xFFFFFFFF if {ctx.r(d.rs2)} == 0 "
@@ -311,7 +307,7 @@ def emit_divu(ctx: Ctx, i: int) -> List[str]:
 
 def emit_rem(ctx: Ctx, i: int) -> List[str]:
     d = ctx.ops[i][0]
-    if ctx.direct and d.rd == 0:
+    if d.rd == 0:
         return []
     lines = [f"_a = {_s(ctx.r(d.rs1))}",
              f"_b = {_s(ctx.r(d.rs2))}",
@@ -328,7 +324,7 @@ def emit_rem(ctx: Ctx, i: int) -> List[str]:
 
 def emit_remu(ctx: Ctx, i: int) -> List[str]:
     d = ctx.ops[i][0]
-    if ctx.direct and d.rd == 0:
+    if d.rd == 0:
         return []
     return ctx.w(d.rd,
                  f"{ctx.r(d.rs1)} if {ctx.r(d.rs2)} == 0 "
@@ -339,7 +335,7 @@ def emit_remu(ctx: Ctx, i: int) -> List[str]:
 # Memory
 # ---------------------------------------------------------------------------
 #
-# Direct-mode loads/stores emit a softmmu-style RAM fast path when the
+# Loads and stores emit a softmmu-style RAM fast path when the
 # compiler captured a window: a ``base <= addr <= end - width`` guard
 # (alignment already checked) selects a direct struct read/write on the
 # captured buffer — with the page-dirty update inlined on stores so
@@ -378,10 +374,6 @@ def _load_emitter(width: int, signed: bool) -> Emitter:
 
     def emit(ctx: Ctx, i: int) -> List[str]:
         d = ctx.ops[i][0]
-        if not ctx.direct:
-            kwargs = ", signed=True" if signed else ""
-            addr = f"({ctx.r(d.rs1)} + {d.imm}) & 0xFFFFFFFF"
-            return ctx.w(d.rd, f"cpu.load({addr}, {width}{kwargs})")
         lines = _addr_lines(ctx, d)
         if width > 1:
             lines += [f"if _a % {width}:",
@@ -422,9 +414,6 @@ def _load_emitter(width: int, signed: bool) -> Emitter:
 def _store_emitter(width: int) -> Emitter:
     def emit(ctx: Ctx, i: int) -> List[str]:
         d = ctx.ops[i][0]
-        if not ctx.direct:
-            addr = f"({ctx.r(d.rs1)} + {d.imm}) & 0xFFFFFFFF"
-            return [f"cpu.store({addr}, {width}, {ctx.r(d.rs2)})"]
         lines = _addr_lines(ctx, d)
         if width > 1:
             lines += [f"if _a % {width}:",
@@ -466,12 +455,13 @@ emit_sw = _store_emitter(4)
 
 
 # ---------------------------------------------------------------------------
-# Control flow (method mode only — the direct shape renders block-final
-# control flow itself in the compiler's epilogues)
+# Branch conditions (rendered by the compiler's block-final epilogues)
 # ---------------------------------------------------------------------------
 
-#: exec function -> rendered comparison, used by both the method-mode
-#: branch emitter and the compiler's direct-mode branch epilogue.
+#: exec function -> rendered comparison of a conditional branch, used by
+#: the compiler's direct, fused and trace epilogues.  As for
+#: :data:`EMITTERS`, the code cache keys on the execute function: code
+#: that rebinds a condition must start a fresh ``compiler.CodeCache``.
 BRANCH_CONDS = {
     sem.exec_beq: lambda c, d: f"{c.r(d.rs1)} == {c.r(d.rs2)}",
     sem.exec_bne: lambda c, d: f"{c.r(d.rs1)} != {c.r(d.rs2)}",
@@ -480,32 +470,6 @@ BRANCH_CONDS = {
     sem.exec_bltu: lambda c, d: f"{c.r(d.rs1)} < {c.r(d.rs2)}",
     sem.exec_bgeu: lambda c, d: f"{c.r(d.rs1)} >= {c.r(d.rs2)}",
 }
-
-
-def _branch_emitter(execute) -> Emitter:
-    cond = BRANCH_CONDS[execute]
-
-    def emit(ctx: Ctx, i: int) -> List[str]:
-        d = ctx.ops[i][0]
-        target = (ctx.pc_at(i) + d.imm) & MASK
-        return [f"if {cond(ctx, d)}:",
-                f"    cpu.next_pc = {target:#x}"]
-    return emit
-
-
-def emit_jal(ctx: Ctx, i: int) -> List[str]:
-    d = ctx.ops[i][0]
-    target = (ctx.pc_at(i) + d.imm) & MASK
-    return (ctx.w(d.rd, f"{ctx.ft_at(i):#x}", canonical=True)
-            + [f"cpu.next_pc = {target:#x}"])
-
-
-def emit_jalr(ctx: Ctx, i: int) -> List[str]:
-    d = ctx.ops[i][0]
-    # rs1 is read before rd is linked (rd may alias rs1).
-    return ([f"_t = ({ctx.r(d.rs1)} + {d.imm}) & 0xFFFFFFFE"]
-            + ctx.w(d.rd, f"{ctx.ft_at(i):#x}", canonical=True)
-            + ["cpu.next_pc = _t"])
 
 
 # ---------------------------------------------------------------------------
@@ -534,12 +498,3 @@ EMITTERS: Dict[Callable, Emitter] = {
     sem.exec_lbu: emit_lbu, sem.exec_lhu: emit_lhu,
     sem.exec_sb: emit_sb, sem.exec_sh: emit_sh, sem.exec_sw: emit_sw,
 }
-
-#: Control-flow emitters (method mode renders these inline; direct mode
-#: uses them only through the compiler's block-final epilogues).
-CONTROL_EMITTERS: Dict[Callable, Emitter] = {
-    sem.exec_jal: emit_jal,
-    sem.exec_jalr: emit_jalr,
-}
-CONTROL_EMITTERS.update(
-    {execute: _branch_emitter(execute) for execute in BRANCH_CONDS})

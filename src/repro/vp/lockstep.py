@@ -1,12 +1,19 @@
 """Lockstep differential execution of two machines.
 
-Runs the same program on two differently configured machines (e.g. block
-cache on vs. off, or two ISA-compatible timing models) and compares the
-architectural state after every executed instruction.  Divergence is
-reported with the instruction index, pc, and the differing state — the
-software analogue of the dual-core lockstep operation of safety MCUs, and
-the tool this repo uses to prove that the translation-block cache is
-behaviour-preserving.
+Runs the same program on two differently configured machines (block
+cache on vs. off, interpreter vs. JIT, ...) and pinpoints the first
+instruction after which their architectural state differs — the
+software analogue of the dual-core lockstep operation of safety MCUs,
+and how verify escalates a digest divergence.
+
+Each side runs in the tiers and shapes it uses without lockstep: the
+run-loop watch (:meth:`~repro.vp.backends.ExecutionBackend.set_watch`,
+not a plugin, so nothing is flushed) records ``(instret, pc, GPRs)`` at
+every block boundary.  Only the first block whose end state differs is
+replayed, from its start, with one more instruction each time, by
+:meth:`~repro.vp.backends.ExecutionBackend.run_prefix`: interpreted on
+an ``interp`` side, and compiled as a prefix block of its own on a
+``compiled`` side.
 """
 
 from __future__ import annotations
@@ -15,8 +22,13 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..asm import Program
+from .cpu import LIVELOCK_LIMIT, TranslationBlock
 from .machine import Machine
-from .plugins import Plugin
+from .trap import MachineExit, UnhandledTrap
+
+#: The state compared at a block boundary: instructions retired since
+#: the program was loaded, pc and the GPRs.
+State = Tuple[int, int, Tuple[int, ...]]
 
 
 class LockstepDivergence(Exception):
@@ -25,7 +37,7 @@ class LockstepDivergence(Exception):
     Beyond the instruction index / pc / detail string, the report carries
     the *culprit* instruction — the one whose execution produced the
     differing state — as ``disasm`` (via :mod:`repro.isa.disasm`) plus the
-    ``reg_delta`` of the first diverging snapshot: ``(reg, primary,
+    ``reg_delta`` of the first diverging state: ``(reg, primary,
     secondary)`` triples for every GPR the two machines disagree on.
     ``kind`` classifies the mismatch (``registers``, ``control-flow``,
     ``count``, ``exit``) so downstream triage can key on the divergence
@@ -59,24 +71,70 @@ class LockstepResult:
     secondary_exit: Optional[int] = None
 
 
-class _StepRecorder(Plugin):
-    """Captures (pc, registers, decoded insn) before every instruction."""
+class _Side:
+    """One machine of the pair: its run, recorded at every block
+    boundary, and replays of one block of it."""
 
-    def __init__(self) -> None:
-        self.steps: List[Tuple[int, Tuple[int, ...], object]] = []
+    def __init__(self, machine: Machine, program: Program,
+                 max_instructions: int) -> None:
+        self.machine = machine
+        machine.load(program)
+        self.start = machine.snapshot()
+        #: The state after every step that retired an instruction, then
+        #: the final state (unless the run ended on a boundary).
+        self.records: List[State] = []
+        self.result = self._run(max_instructions, self.records)
+        if not self.records or self.records[-1] != self._state():
+            self.records.append(self._state())
 
-    def on_insn_exec(self, cpu, decoded, pc) -> None:
-        self.steps.append((pc, cpu.regs.snapshot(), decoded))
+    def _state(self) -> State:
+        cpu = self.machine.cpu
+        return (cpu.csrs.instret, cpu.pc, cpu.regs.snapshot())
 
+    def _run(self, budget: int, records: List[State]):
+        """Run from the load snapshot's state with the watch pausing at
+        every block boundary, so that a re-run takes the recorded steps."""
+        cpu = self.machine.cpu
 
-def _run_with_recorder(machine: Machine, program: Program,
-                       max_instructions: int):
-    machine.load(program)
-    recorder = _StepRecorder()
-    machine.add_plugin(recorder)
-    result = machine.run(max_instructions=max_instructions)
-    machine.remove_plugin(recorder)
-    return recorder.steps, result
+        def boundary(_key):
+            records.append(self._state())
+            return cpu.csrs.instret + 1
+
+        cpu.backend.set_watch(boundary, cpu.csrs.instret + 1)
+        try:
+            return self.machine.run(max_instructions=budget)
+        finally:
+            cpu.backend.set_watch()
+
+    def enter(self, start: int) -> Optional[TranslationBlock]:
+        """Re-run to ``start`` retired instructions, poll as the watch's
+        return made the recorded run poll there, and enter the next
+        block (after any interrupt or fetch trap it takes first).
+        :meth:`step` restarts from the snapshot taken here."""
+        machine = self.machine
+        machine.restore(self.start)
+        if start:
+            self._run(start, [])
+        cpu = machine.cpu
+        cpu._poll_at = 0
+        try:
+            for _ in range(LIVELOCK_LIMIT):
+                block = cpu._enter_block()
+                if block is not None:
+                    self.entered = machine.snapshot()
+                    return block
+        except (MachineExit, UnhandledTrap):
+            pass
+        return None
+
+    def step(self, block: TranslationBlock, count: int) -> State:
+        """The state after ``block``'s first ``count`` instructions."""
+        self.machine.restore(self.entered)
+        try:
+            self.machine.cpu.backend.run_prefix(block, count)
+        except (MachineExit, UnhandledTrap):
+            pass
+        return self._state()
 
 
 def run_lockstep(
@@ -86,7 +144,8 @@ def run_lockstep(
     max_instructions: int = 1_000_000,
     raise_on_divergence: bool = True,
 ) -> LockstepResult:
-    """Run ``program`` on both machines and compare per-instruction state.
+    """Run ``program`` on both machines and pinpoint the first
+    instruction after which their state differs.
 
     Machines must share the ISA configuration.  Returns a
     :class:`LockstepResult`; raises :class:`LockstepDivergence` on mismatch
@@ -94,19 +153,14 @@ def run_lockstep(
     """
     if primary.config.isa != secondary.config.isa:
         raise ValueError("lockstep machines must share an ISA configuration")
-    primary_steps, primary_result = _run_with_recorder(
-        primary, program, max_instructions)
-    secondary_steps, secondary_result = _run_with_recorder(
-        secondary, program, max_instructions)
-
+    a = _Side(primary, program, max_instructions)
+    b = _Side(secondary, program, max_instructions)
     result = LockstepResult(
-        instructions=min(len(primary_steps), len(secondary_steps)),
-        primary_exit=primary_result.exit_code,
-        secondary_exit=secondary_result.exit_code,
+        instructions=min(a.records[-1][0], b.records[-1][0]),
+        primary_exit=a.result.exit_code,
+        secondary_exit=b.result.exit_code,
     )
-    divergence = _compare(primary_steps, secondary_steps,
-                          primary_result.exit_code,
-                          secondary_result.exit_code)
+    divergence = _compare(a, b)
     if divergence is not None:
         result.diverged = True
         result.divergence = divergence
@@ -115,64 +169,77 @@ def run_lockstep(
     return result
 
 
-def _step_disasm(steps, index: int) -> Optional[str]:
-    """Disassemble the recorded instruction at ``index``, if any.
+def _compare(a: _Side, b: _Side) -> Optional[LockstepDivergence]:
+    for index in range(max(len(a.records), len(b.records))):
+        if a.records[index:index + 1] != b.records[index:index + 1]:
+            return _pinpoint(a, b, index)
+    if a.result.exit_code != b.result.exit_code:
+        instret, pc, _regs = a.records[-1]
+        return LockstepDivergence(
+            instret, pc,
+            f"exit codes differ ({a.result.exit_code} vs "
+            f"{b.result.exit_code})",
+            kind="exit")
+    return None
 
-    The recorder snapshots state *before* each instruction executes, so a
-    mismatch first visible at snapshot ``index`` was produced by the
-    instruction recorded at ``index - 1`` — callers pass that culprit
-    index here.
-    """
+
+def _pinpoint(a: _Side, b: _Side, index: int) -> LockstepDivergence:
+    """Replay the block of record ``index`` on both sides, one more
+    instruction per replay, and report the first prefix after which they
+    differ.  When none does (one side stopped there, or an interrupt or
+    a trace member's own code told them apart), report the records
+    without a culprit."""
+    start = a.records[index - 1][0] if index else 0
+    blocks = (a.enter(start), b.enter(start))
+    if None not in blocks:
+        for count in range(1, max(len(block) for block in blocks) + 1):
+            state_a = a.step(blocks[0], count)
+            state_b = b.step(blocks[1], count)
+            divergence = _differ(state_a, state_b,
+                                 _disasm(blocks, count - 1))
+            if divergence is not None:
+                return divergence
+            if state_a[0] - start < count and state_b[0] - start < count:
+                break  # both blocks ended early: a trap or an exit
+    # A side without record ``index`` stopped at its last one, which
+    # differs from the other side's record ``index`` (instret grows).
+    return _differ(*(side.records[min(index, len(side.records) - 1)]
+                     for side in (a, b)), None)
+
+
+def _differ(state_a: State, state_b: State,
+            disasm: Optional[str]) -> Optional[LockstepDivergence]:
+    instret_a, pc_a, regs_a = state_a
+    instret_b, pc_b, regs_b = state_b
+    if pc_a != pc_b:
+        return LockstepDivergence(
+            instret_a, pc_a,
+            f"control flow differs (secondary at {pc_b:#010x})",
+            kind="control-flow", disasm=disasm)
+    if regs_a != regs_b:
+        delta = tuple((i, x, y) for i, (x, y)
+                      in enumerate(zip(regs_a, regs_b)) if x != y)
+        diffs = [f"x{i}: {x:#x} vs {y:#x}" for i, x, y in delta]
+        return LockstepDivergence(
+            instret_a, pc_a, "registers differ: " + "; ".join(diffs),
+            kind="registers", disasm=disasm, reg_delta=delta)
+    if instret_a != instret_b:
+        return LockstepDivergence(
+            instret_a, pc_a,
+            f"instruction counts differ ({instret_a} vs {instret_b})",
+            kind="count", disasm=disasm)
+    return None
+
+
+def _disasm(blocks, index: int) -> Optional[str]:
+    """Disassemble instruction ``index`` of the primary's block (the
+    secondary's when the primary's is shorter)."""
     from ..isa.disasm import disassemble
 
-    if not 0 <= index < len(steps):
-        return None
-    pc, _regs, decoded = steps[index]
-    if decoded is None:
-        return None
-    try:
-        return disassemble(decoded, pc)
-    except Exception:  # noqa: BLE001 — diagnostics must not mask the report
-        return None
-
-
-def _compare(primary_steps, secondary_steps, primary_exit, secondary_exit
-             ) -> Optional[LockstepDivergence]:
-    for index, ((pc_a, regs_a, _dec_a), (pc_b, regs_b, _dec_b)) in enumerate(
-            zip(primary_steps, secondary_steps)):
-        if pc_a != pc_b:
-            return LockstepDivergence(
-                index, pc_a,
-                f"control flow differs (secondary at {pc_b:#010x})",
-                kind="control-flow",
-                disasm=_step_disasm(primary_steps, index - 1))
-        if regs_a != regs_b:
-            delta = tuple(
-                (i, a, b)
-                for i, (a, b) in enumerate(zip(regs_a, regs_b)) if a != b
-            )
-            diffs = [f"x{i}: {a:#x} vs {b:#x}" for i, a, b in delta]
-            return LockstepDivergence(
-                index, pc_a,
-                "registers differ: " + "; ".join(diffs),
-                kind="registers",
-                disasm=_step_disasm(primary_steps, index - 1),
-                reg_delta=delta)
-    if len(primary_steps) != len(secondary_steps):
-        short = min(len(primary_steps), len(secondary_steps))
-        longer_steps = (primary_steps if len(primary_steps) > short
-                        else secondary_steps)
-        pc = longer_steps[short][0]
-        return LockstepDivergence(
-            short, pc,
-            f"instruction counts differ ({len(primary_steps)} vs "
-            f"{len(secondary_steps)})",
-            kind="count",
-            disasm=_step_disasm(longer_steps, short))
-    if primary_exit != secondary_exit:
-        return LockstepDivergence(
-            len(primary_steps), 0,
-            f"exit codes differ ({primary_exit} vs {secondary_exit})",
-            kind="exit",
-            disasm=_step_disasm(primary_steps, len(primary_steps) - 1))
+    for block in blocks:
+        if index < len(block):
+            try:
+                return disassemble(block.insns[index], block.pcs[index])
+            except Exception:  # noqa: BLE001 — diagnostics must not mask the report
+                return None
     return None

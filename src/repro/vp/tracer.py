@@ -2,8 +2,7 @@
 
 Produces an instruction-level trace (pc, disassembly, register writes,
 memory effects) with an optional bounded ring buffer — the VP equivalent
-of ``qemu -d in_asm,exec``.  Used interactively for debugging and by the
-lockstep comparator's divergence reports.
+of ``qemu -d in_asm,exec``.  Used interactively for debugging.
 """
 
 from __future__ import annotations

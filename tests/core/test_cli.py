@@ -56,18 +56,32 @@ class TestRunCommand:
         assert "stop: exit" in out
         assert "exit: 55" in out
 
-    def test_run_reports_method_shape_blocks(self, program_file, capsys):
+    def test_run_says_why_every_block_is_interpreted(self, program_file,
+                                                    capsys):
         main(["run", program_file, "--backend", "compiled",
               "--jit-threshold", "1"])
         err = capsys.readouterr().err
-        assert "(0 in the method shape)" in err
+        jit = next(line for line in err.splitlines()
+                   if line.startswith("jit: "))
+        assert "method" not in jit
+        assert "interpreted" not in jit
+        assert not jit.startswith("jit: 0 blocks compiled")
         main(["run", program_file, "--backend", "compiled",
               "--jit-threshold", "1", "--trace", "5"])
         err = capsys.readouterr().err
-        # The execution tracer is an instruction hook: every block
-        # compiles in the method shape.
-        assert "in the method shape" in err
-        assert "(0 in the method shape)" not in err
+        # The execution tracer is an instruction hook: nothing compiles,
+        # and the jit line names the reason.
+        jit = next(line for line in err.splitlines()
+                   if line.startswith("jit: "))
+        assert jit.startswith("jit: 0 blocks compiled")
+        assert jit.endswith("(every block interpreted: an instruction "
+                            "hook is attached)")
+
+    def test_run_stats_says_the_memory_hook_keeps_blocks_interpreted(
+            self, program_file, capsys):
+        main(["run", program_file, "--backend", "compiled", "--stats"])
+        err = capsys.readouterr().err
+        assert "(every block interpreted: a memory hook is attached)" in err
 
     def test_run_with_trace(self, program_file, capsys):
         main(["run", program_file, "--trace", "5"])

@@ -407,18 +407,20 @@ class TestCompiledShape:
                   for k in (1, 3, 5)
                   for reg, bit in ((5, 4), (8, 1), (9, 30))]
         engine.prepare([fault.trigger for fault in faults], budget)
-        # No campaign run attaches an instruction hook, so no block
-        # compiles in the method shape, before or after the mutants.
+        # No campaign run attaches a hook, which would keep every block
+        # interpreted: the mutants run mostly compiled code.
         before = machine.jit_stats()
         outcomes = []
         for fault in faults:
             result, early = engine.run_transient(fault, budget)
             outcomes.append(early or result.stop_reason)
         after = machine.jit_stats()
-        assert after["method_blocks"] == before["method_blocks"]
+        assert machine.cpu.backend.interpreted is None
         assert after["blocks_compiled"] > before["blocks_compiled"]
-        assert after["compiled_instructions"] > before[
-            "compiled_instructions"]
+        compiled, interp = (
+            after[key] - before[key]
+            for key in ("compiled_instructions", "interp_instructions"))
+        assert compiled > 10 * interp
         assert True in outcomes  # the t0 flips re-converge
         assert outcomes != [True] * len(faults)
 
@@ -464,7 +466,7 @@ class TestCompiledShape:
         results = [campaign.run_one(fault) for fault in faults]
         after = machine.jit_stats()
         assert after["trace_instructions"] > before["trace_instructions"]
-        assert after["method_blocks"] == before["method_blocks"]
+        assert machine.cpu.backend.interpreted is None
         stats = campaign.checkpoint_stats()
         assert 0 < stats["early_exits"] < len(faults)
         assert results == [make_campaign(TRACE_LOOP, checkpoints=False)
@@ -473,16 +475,21 @@ class TestCompiledShape:
     @pytest.mark.parametrize("checkpoints", [True, False])
     def test_campaigns_compile_no_method_shape_blocks(self, checkpoints):
         """No campaign run (golden, sweep or mutant) attaches a plugin,
-        so transient campaigns never compile the method shape."""
+        which would keep every block interpreted: transient campaigns
+        retire most instructions in traces and compiled blocks."""
         campaign = make_campaign(TRACE_LOOP, checkpoints=checkpoints)
         golden = campaign.golden()
         faults = [Fault(TARGET_GPR, reg, 2, TRANSIENT,
                         trigger=golden.instructions * k // 6)
                   for k in (1, 3, 5) for reg in (5, 8)]
         campaign.run(faults)
-        stats = campaign._shared_machine.jit_stats()
+        machine = campaign._shared_machine
+        stats = machine.jit_stats()
+        assert machine.cpu.backend.interpreted is None
         assert stats["blocks_compiled"] > 0
-        assert stats["method_blocks"] == 0
+        assert stats["traces_compiled"] > 0
+        assert (stats["trace_instructions"] + stats["compiled_instructions"]
+                > 10 * stats["interp_instructions"])
 
     @pytest.mark.parametrize("timer", [700, 1100])
     def test_timer_program_checks_match_interp(self, timer):

@@ -6,7 +6,7 @@ import pytest
 from repro.isa import RV32IMC_ZICSR
 from repro.isa.decoder import Decoder
 from repro.verify import DiffCampaign, VerifyCampaignConfig
-from repro.verify.canary import perturbed_semantics
+from repro.verify.canary import perturbed_branch, perturbed_semantics
 
 CONFIG = VerifyCampaignConfig(corpus="torture:2", matrix="interp:compiled",
                               max_instructions=3000)
@@ -84,3 +84,41 @@ class TestCanaryHygiene:
                 corpus="torture:1", matrix="interp:nocache",
                 max_instructions=2000)).run()
         assert result.divergences == 0
+
+
+class TestBranchCanary:
+    """A compiled branch comparison off by one: code only the direct,
+    fused and trace shapes render, so lockstep must replay the block in
+    the shape the compiled side ran it in to pinpoint it."""
+
+    @pytest.mark.parametrize("mnemonic", ["bge", "bltu"])
+    def test_caught_pinpointed_and_minimized(self, mnemonic):
+        with perturbed_branch(RV32IMC_ZICSR, mnemonic=mnemonic):
+            result = DiffCampaign(RV32IMC_ZICSR, CONFIG).run()
+        assert result.divergences > 0
+        for record in result.escalations:
+            assert record["lockstep_clean"] is False
+            assert record["kind"] == "control-flow"
+            assert record["signature"] == f"control-flow:{mnemonic}"
+            assert record["disasm"].split()[0] == mnemonic
+            assert 0 < len(record["words"]) < record["minimized_from"]
+
+    def test_code_cache_is_fresh_on_both_sides(self):
+        from repro.vp.jit import compiler
+
+        before = compiler._CODE_CACHE
+        with perturbed_branch(RV32IMC_ZICSR):
+            inside = compiler._CODE_CACHE
+            assert inside is not before
+        assert compiler._CODE_CACHE is not inside
+        assert compiler._CODE_CACHE is not before
+
+    def test_clean_after_branch_canary(self):
+        with perturbed_branch(RV32IMC_ZICSR, mnemonic="bge"):
+            DiffCampaign(RV32IMC_ZICSR, CONFIG).run()
+        assert DiffCampaign(RV32IMC_ZICSR, CONFIG).run().divergences == 0
+
+    def test_unordered_branch_rejected(self):
+        with pytest.raises(ValueError, match="is not one of"):
+            with perturbed_branch(RV32IMC_ZICSR, mnemonic="beq"):
+                pass

@@ -5,7 +5,10 @@ Every program from the three testgen suites plus a 200-program fuzz
 corpus runs under both execution backends — with and without
 per-instruction hooks attached for the directed suites — and the suite
 asserts byte-identical :class:`RunResult`, final register file, raw CSR
-file (the ``mip`` shadow included), counters, ``mtime`` and pc.
+file (the ``mip`` shadow included), counters, ``mtime`` and pc.  With an
+instruction or memory hook, or traced registers, the compiled backend
+compiles nothing: its blocks run in the interpreter's loop, which keeps
+hook order exact.
 """
 
 import random
@@ -25,7 +28,8 @@ from repro.vp import (BACKEND_NAMES, Machine, MachineConfig, Plugin,
 JIT_THRESHOLD = 2
 
 class _CountingHooks(Plugin):
-    """Per-instruction + per-block hooks; forces the JIT's method shape."""
+    """Per-instruction + per-block hooks; the compiled backend runs every
+    block interpreted."""
 
     name = "parity-counter"
 
@@ -93,9 +97,11 @@ def test_suite_program_parity(name, program, hooks):
         result, digest, hook_counts, machine = run_one(
             program, backend, hooks=hooks)
         results[backend] = (result, digest, hook_counts)
-        if backend == "compiled" and not hooks:
+        if backend == "compiled":
             stats = machine.jit_stats()
             assert stats is not None
+            if hooks:
+                assert stats["blocks_compiled"] == 0
     assert results["compiled"] == results["interp"], (
         f"{name} diverged under compiled:\n"
         f"  interp:   {results['interp']}\n"
@@ -155,8 +161,80 @@ def test_trace_and_fastpath_parity(hooks):
             assert stats["traces_compiled"] >= 1, stats
             assert stats["trace_instructions"] > \
                 stats["compiled_instructions"], stats
+        elif backend == "compiled":
+            assert machine.jit_stats()["blocks_compiled"] == 0
     assert results["compiled"] == results["interp"]
     assert observables["compiled"] == observables["interp"]
+
+
+class _InsnRecorder(Plugin):
+    """Records every instruction and block hook call, in order."""
+
+    name = "parity-insn-recorder"
+
+    def __init__(self) -> None:
+        self.calls = []
+
+    def on_insn_exec(self, cpu, decoded, pc) -> None:
+        self.calls.append((pc, cpu.csrs.instret, cpu.regs.snapshot()))
+
+    def on_block_exec(self, cpu, block) -> None:
+        self.calls.append((block.start_pc,))
+
+
+class _MemRecorder(Plugin):
+    """Records every memory hook call, in order."""
+
+    name = "parity-mem-recorder"
+
+    def __init__(self) -> None:
+        self.calls = []
+
+    def on_mem_access(self, cpu, addr, width, value, is_store) -> None:
+        self.calls.append((cpu.pc, addr, width, value, is_store))
+
+
+def _observed_corpus():
+    from repro.verify.campaign import RepeatBuilder, build_corpus
+
+    builder = RepeatBuilder(RV32IMC_ZICSR)
+    return [(name, builder.build(words))
+            for spec in ("suites", "torture:20")
+            for name, words in build_corpus(RV32IMC_ZICSR, spec, 0)]
+
+
+@pytest.mark.parametrize("observer", ["insn-hook", "mem-hook",
+                                      "traced-registers"])
+def test_observed_runs_compile_nothing(observer):
+    """An instruction hook, a memory hook or traced registers keep every
+    block of a compiled run interpreted: the run, the hook calls, the
+    GPRs, the CSRs and the dirty pages equal the interpreter's over
+    ``suites`` and ``torture:20`` (each body looped four times, so its
+    blocks would get hot)."""
+    corpus = _observed_corpus()
+    assert len(corpus) > 20
+    for name, program in corpus:
+        outcomes = {}
+        for backend in BACKEND_NAMES:
+            machine = Machine(MachineConfig(
+                isa=RV32IMC_ZICSR, backend=backend, jit_threshold=1,
+                trace_registers=observer == "traced-registers"))
+            machine.load(program)
+            plugin = None
+            if observer == "insn-hook":
+                plugin = machine.add_plugin(_InsnRecorder())
+            elif observer == "mem-hook":
+                plugin = machine.add_plugin(_MemRecorder())
+            result = machine.run(max_instructions=20_000)
+            regs = machine.cpu.regs
+            outcomes[backend] = (
+                result, plugin.calls if plugin else None,
+                regs.snapshot(), (regs.reads, regs.writes),
+                machine.cpu.csrs.snapshot(),
+                sorted(machine.ram.dirty_pages()))
+            if backend == "compiled":
+                assert machine.jit_stats()["blocks_compiled"] == 0, name
+        assert outcomes["compiled"] == outcomes["interp"], name
 
 
 def lockstep(pair, program):

@@ -12,7 +12,7 @@ import pytest
 from repro.asm import assemble
 from repro.isa import RV32IMC_ZICSR
 from repro.isa import csr as csrdef
-from repro.vp import Machine, MachineConfig
+from repro.vp import Machine, MachineConfig, Plugin
 from repro.vp.jit import CompiledBackend, DEFAULT_THRESHOLD, code_cache_stats
 from repro.vp.jit import compiler as jit_compiler
 from repro.vp.jit.compiler import CompileError
@@ -129,40 +129,58 @@ def test_fused_polling_shape_for_memory_self_loop():
         assert "_horizon(" not in src
 
 
-def test_method_shape_when_hooks_attached():
-    from repro.vp import Plugin
+class _InsnHook(Plugin):
+    name = "jit-insn-hook"
 
-    class Hook(Plugin):
-        name = "jit-hook"
+    def __init__(self):
+        self.calls = []
 
-        def __init__(self):
-            self.count = 0
+    def on_insn_exec(self, cpu, decoded, pc):
+        self.calls.append((pc, cpu.regs.snapshot()))
 
-        def on_insn_exec(self, cpu, decoded, pc):
-            self.count += 1
 
-    machine = compiled_machine()
-    program = assemble(HOT_LOOP, isa=RV32IMC_ZICSR)
-    machine.load(program)
-    hook = machine.add_plugin(Hook())
-    result = machine.run(max_instructions=100_000)
-    assert result.stop_reason == "exit"
-    # The exiting ecall fires its hook but does not retire — same as the
-    # interpreter (see test_backend_parity for the cross-backend proof).
-    assert hook.count == result.instructions + 1
-    # Hooked code still compiles (method shape), and every compiled
-    # source carries the hook dispatch.
+class _MemHook(Plugin):
+    name = "jit-mem-hook"
+
+    def __init__(self):
+        self.calls = []
+
+    def on_mem_access(self, cpu, addr, width, value, is_store):
+        self.calls.append((cpu.pc, addr, width, value, is_store))
+
+
+@pytest.mark.parametrize("hook,source", [
+    (_InsnHook, HOT_LOOP), (_InsnHook, MEM_LOOP), (_MemHook, MEM_LOOP)],
+    ids=["insn-hook-hot-loop", "insn-hook-mem-loop", "mem-hook-mem-loop"])
+def test_hooked_machine_compiles_nothing(hook, source):
+    """An instruction or memory hook keeps every block in the
+    interpreter, which calls it exactly as the interp backend does."""
+    def run(backend):
+        machine = Machine(MachineConfig(isa=RV32IMC_ZICSR, backend=backend,
+                                        jit_threshold=1))
+        machine.load(assemble(source, isa=RV32IMC_ZICSR))
+        plugin = machine.add_plugin(hook())
+        result = machine.run(max_instructions=100_000)
+        return machine, _outcome(machine, result) + (plugin.calls,)
+
+    machine, compiled = run("compiled")
+    assert compiled == run("interp")[1]
+    assert compiled[-1]
     stats = machine.jit_stats()
-    assert stats["blocks_compiled"] >= 1
-    assert stats["method_blocks"] == stats["blocks_compiled"]
-    assert all("HI" in src or "hook" in src for src in _sources(machine))
+    assert stats["blocks_compiled"] == stats["traces_compiled"] == 0
+    assert stats["interp_instructions"] == compiled[3]
+    assert machine.cpu.backend.interpreted in (
+        "an instruction hook is attached", "a memory hook is attached")
 
 
 def test_plain_machine_compiles_no_method_shape_blocks():
+    """Without hooks nothing keeps a block interpreted: the loop runs
+    compiled."""
     machine, _ = run_asm(MEM_LOOP, backend="compiled", jit_threshold=1)
     stats = machine.jit_stats()
     assert stats["blocks_compiled"] >= 1
-    assert stats["method_blocks"] == 0
+    assert stats["compiled_instructions"] > stats["interp_instructions"]
+    assert machine.cpu.backend.interpreted is None
 
 
 def test_block_hook_keeps_direct_shape_without_traces():
@@ -188,13 +206,15 @@ def test_block_hook_keeps_direct_shape_without_traces():
                                                      backend="interp")))
     stats = machine.jit_stats()
     assert stats["blocks_compiled"] >= 1
-    assert stats["method_blocks"] == 0
+    assert stats["compiled_instructions"] > stats["interp_instructions"]
+    assert machine.cpu.backend.interpreted is None
     # Fused loops and traces would run several blocks per hook call.
     assert stats["traces_compiled"] == 0
     assert not any("while True" in src for src in _sources(machine))
+    assert all("for _h in HB:" in src for src in _sources(machine))
 
 
-def test_method_blocks_published_as_gauge():
+def test_jit_counters_published_as_gauges():
     from repro.telemetry import Telemetry
 
     telemetry = Telemetry()
@@ -202,7 +222,9 @@ def test_method_blocks_published_as_gauge():
     machine.telemetry = telemetry
     machine.run(max_instructions=10)
     gauges = telemetry.metrics.to_dict()
-    assert gauges["vp.jit.method_blocks"]["value"] == 0
+    for key, value in machine.jit_stats().items():
+        assert gauges[f"vp.jit.{key}"]["value"] == value
+    assert "vp.jit.method_blocks" not in gauges
 
 
 def test_jit_source_attached_for_introspection():
@@ -258,7 +280,7 @@ def test_stuck_register_matches_interpreter_on_direct_shape(reg, stuck_one):
     assert compiled == interpreted
     stats = machine.jit_stats()
     assert stats["blocks_compiled"] >= 1
-    assert stats["method_blocks"] == 0
+    assert machine.cpu.backend.interpreted is None
 
 
 def test_stuck_bit_is_folded_into_generated_reads():
@@ -280,7 +302,7 @@ def test_stuck_bit_is_folded_into_generated_reads():
     assert not any("_rd(" in fn.__jit_source__ for fn in fns)
 
 
-def test_traced_stuck_register_file_keeps_method_shape():
+def test_traced_stuck_register_file_is_interpreted():
     from repro.faultsim import STUCK_AT_1, TARGET_GPR, Fault, inject
 
     def run(backend):
@@ -295,7 +317,8 @@ def test_traced_stuck_register_file_keeps_method_shape():
     machine, compiled = run("compiled")
     assert compiled == run("interp")[1]
     stats = machine.jit_stats()
-    assert stats["method_blocks"] == stats["blocks_compiled"] >= 1
+    assert stats["blocks_compiled"] == 0
+    assert machine.cpu.backend.interpreted == "registers are traced"
 
 
 # ----------------------------------------------------------------------
@@ -401,11 +424,54 @@ def test_hook_attach_invalidates_compiled_code():
         machine = Machine(MachineConfig(isa=RV32IMC_ZICSR, **kwargs))
         machine.load(assemble(HOT_LOOP, isa=RV32IMC_ZICSR))
         first = machine.run(max_instructions=300)
+        stats = machine.jit_stats()
         hook = machine.add_plugin(Hook())
         second = machine.run(max_instructions=100_000)
-        return first.instructions, second.instructions, hook.count
+        return (first.instructions, second.instructions, hook.count), \
+            stats, machine.jit_stats()
 
-    assert run("compiled") == run("interp")
+    compiled, before, after = run("compiled")
+    assert compiled == run("interp")[0]
+    # The compiled loop runs interpreted once the hook is attached.
+    assert before["compiled_instructions"] > 0
+    assert after["compiled_instructions"] == before["compiled_instructions"]
+    assert after["blocks_compiled"] == before["blocks_compiled"]
+
+
+def test_hook_attached_mid_run_turns_compilation_off():
+    """A hook attached inside one run (here by the run-loop watch)
+    leaves compiled code at the next block boundary: the rest of the run
+    is interpreted and the hook sees every instruction the interpreter
+    would show it."""
+    class Hook(Plugin):
+        name = "mid-run-hook"
+
+        def __init__(self):
+            self.calls = []
+
+        def on_insn_exec(self, cpu, decoded, pc):
+            self.calls.append((pc, cpu.csrs.instret))
+
+    def run(backend):
+        machine = Machine(MachineConfig(isa=RV32IMC_ZICSR, backend=backend,
+                                        jit_threshold=1))
+        machine.load(assemble(HOT_LOOP, isa=RV32IMC_ZICSR))
+        hook = Hook()
+
+        def attach(_key):
+            machine.add_plugin(hook)
+            return float("inf")
+
+        machine.cpu.backend.set_watch(attach, 500)
+        result = machine.run(max_instructions=100_000)
+        return machine, (_outcome(machine, result), hook.calls)
+
+    machine, compiled = run("compiled")
+    assert compiled == run("interp")[1]
+    stats = machine.jit_stats()
+    assert stats["compiled_instructions"] > 0
+    # Every instruction after the attach retired in the interpreter.
+    assert stats["interp_instructions"] >= len(compiled[1]) - 1 > 0
 
 
 def test_compile_failure_blacklists_block():
@@ -416,9 +482,6 @@ def test_compile_failure_blacklists_block():
     backend = machine.cpu.backend
 
     class Broken:
-        direct = True  # _refresh reads the trace-eligibility shape
-        hb = False
-
         def compile(self, block):
             raise CompileError("forced failure")
 
@@ -693,8 +756,8 @@ def test_untraceable_chain_blacklists_head():
 
 
 def test_hook_attach_prevents_tracing():
-    """Instruction hooks force the method shape; traces (whose interior
-    exits cannot replay per-block hook ordering) must not form."""
+    """Instruction hooks keep every block interpreted, so no trace (whose
+    interior exits could not replay per-instruction hook order) forms."""
     machine = trace_machine()
 
     from repro.vp import Plugin
@@ -916,12 +979,15 @@ def test_hooked_machine_misses(code_cache):
 
     plain, plain_result = _run_multi_block()
     before = len(code_cache.compile_calls)
+    lookups = code_cache.stats()
     hooked = trace_machine()
     hooked.add_plugin(Hook())
     result = hooked.run(max_instructions=1_000_000)
-    assert len(code_cache.compile_calls) - before == \
-        hooked.jit_stats()["blocks_compiled"] > 0
-    assert all("HI" in src for src in _sources(hooked))
+    # A hooked machine compiles nothing, so it neither compiles nor
+    # looks up code.
+    assert len(code_cache.compile_calls) == before
+    assert code_cache.stats() == lookups
+    assert hooked.jit_stats()["blocks_compiled"] == 0
     assert (result.instructions, result.cycles, hooked.cpu.regs.snapshot()) \
         == (plain_result.instructions, plain_result.cycles,
             plain.cpu.regs.snapshot())
@@ -1166,8 +1232,8 @@ def test_verify_corpus_keys_carry_one_source(checking_cache):
 
 
 def test_hooked_and_traced_keys_carry_one_source(checking_cache):
-    """The method shape (an instruction hook, a traced register file)
-    next to the direct, fused and trace shapes of the same programs."""
+    """Hooked and traced machines (which compile nothing) next to the
+    direct, fused and trace shapes of the same programs."""
     from repro.vp import Plugin
 
     class Hook(Plugin):
@@ -1186,14 +1252,12 @@ def test_hooked_and_traced_keys_carry_one_source(checking_cache):
                                 jit_threshold=1, trace_registers=True)
             plain, _ = run_asm(source, backend="compiled", jit_threshold=1)
             for machine in (hooked, traced):
-                stats = machine.jit_stats()
-                assert stats["method_blocks"] == stats["blocks_compiled"] > 0
-                _assert_sources_agree(checking_cache, machine)
+                assert machine.jit_stats()["blocks_compiled"] == 0
+                assert not compiled_blocks(machine)
             _assert_sources_agree(checking_cache, plain)
     assert checking_cache.hits > 0
     sources = list(checking_cache.sources.values())
-    assert any("HI" in src for src in sources)
-    assert any("_rd(" in src and "HI" not in src for src in sources)
+    assert not any("HI" in src or "_rd(" in src for src in sources)
     assert any("while True" in src and "b_1" not in src for src in sources)
     assert any("b_1.exec_count" in src for src in sources)
 

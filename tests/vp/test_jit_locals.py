@@ -263,7 +263,9 @@ def test_budget_and_timer_stops(shape, split):
 # -- every retired instruction counts in the tier that ran it -------------
 
 class StopAt(Plugin):
-    """Raises StopRun before the ``n``-th instruction attempt."""
+    """Raises StopRun before the ``n``-th block execution: a block hook,
+    which compiled blocks call (an instruction hook would keep every
+    block interpreted)."""
 
     name = "stop-at"
 
@@ -271,7 +273,7 @@ class StopAt(Plugin):
         self.n = n
         self.count = 0
 
-    def on_insn_exec(self, cpu, decoded, pc):
+    def on_block_exec(self, cpu, block):
         self.count += 1
         if self.count == self.n:
             raise StopRun
@@ -291,7 +293,7 @@ ENDINGS = {
     "wfi": ("    lw t2, 0(s0)\n    add a0, a0, t2", "", "    wfi", None,
             200_000, "wfi"),
     "stop-requested": ("    lw t2, 0(s0)\n    add a0, a0, t2", "", "",
-                       lambda: StopAt(555), 200_000, "stop_requested"),
+                       lambda: StopAt(111), 200_000, "stop_requested"),
 }
 
 

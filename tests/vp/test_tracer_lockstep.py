@@ -131,6 +131,35 @@ class TestLockstep:
         assert "registers differ" in str(info.value) or \
             "control flow" in str(info.value)
 
+    @pytest.mark.parametrize("backends", [("interp", "compiled"),
+                                          ("compiled", "interp"),
+                                          ("compiled", "compiled")],
+                             ids=lambda pair: "-vs-".join(pair))
+    def test_injected_fault_pinpointed_on_compiled_sides(self, backends):
+        """The faulty machine runs its blocks compiled (the stuck bit is
+        folded into generated reads), and the replay of the diverging
+        block names the add that first reads the stuck a0."""
+        from repro.faultsim import Fault, STUCK_AT_1, TARGET_GPR, inject
+
+        program = assemble(self.LOOP, isa=RV32IMC_ZICSR)
+        primary, secondary = (
+            Machine(MachineConfig(isa=RV32IMC_ZICSR, backend=backend,
+                                  jit_threshold=1))
+            for backend in backends)
+        secondary.load(program)
+        inject(secondary, Fault(TARGET_GPR, 10, 7, STUCK_AT_1))
+        result = run_lockstep(primary, secondary, program,
+                              raise_on_divergence=False)
+        divergence = result.divergence
+        assert result.diverged
+        assert divergence.kind == "registers"
+        assert divergence.index == 3
+        assert divergence.disasm.startswith("add a0, a0, t0")
+        assert divergence.reg_delta == ((10, 0, 0x80),)
+        for machine in (primary, secondary):
+            stats = machine.jit_stats()
+            assert stats is None or stats["compiled_instructions"] > 0
+
     def test_divergence_report_mode(self):
         from repro.faultsim import Fault, STUCK_AT_1, TARGET_GPR, inject
 
