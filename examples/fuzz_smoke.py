@@ -8,7 +8,11 @@ Runs a ~15-second time-budgeted fuzzing session from the *minimal* seed
   (in practice: dozens within the first second);
 * the triage output is machine-parsable JSON with consistent counts;
 * a second, iteration-bounded session with the same ``--seed``
-  reproduces the exact corpus signatures (the determinism guarantee).
+  reproduces the exact corpus signatures (the determinism guarantee);
+* the same bounded session on the ``compiled`` backend reproduces them
+  too, and its evaluator retires instructions in compiled code (the
+  coverage collector works per block, so it must not keep every block
+  interpreted).
 
 Used by the CI ``fuzz-smoke`` job and runnable by hand:
 
@@ -63,18 +67,31 @@ def main() -> int:
           f"{triage['counts']}")
 
     # -- 3. seeded reproducibility (iteration-bounded) ---------------------
-    def bounded_run():
+    def bounded_run(backend="interp"):
         bounded = FuzzEngine(RV32IMC_ZICSR, FuzzConfig(
             iterations=REPRO_ITERATIONS, seed=SEED,
-            max_instructions=2000, minimize_evals=8))
-        return bounded.run(trivial_seed(RV32IMC_ZICSR))
+            max_instructions=2000, minimize_evals=8, backend=backend))
+        return bounded.run(trivial_seed(RV32IMC_ZICSR)), bounded
 
-    first = bounded_run()
-    second = bounded_run()
+    first, _ = bounded_run()
+    second, _ = bounded_run()
     assert first.signature_digests() == second.signature_digests(), \
         "same-seed sessions diverged"
     print(f"determinism holds: {REPRO_ITERATIONS} iterations twice -> "
           f"identical {first.corpus_size}-entry corpus")
+
+    # -- 4. the compiled backend: same corpus, compiled blocks -------------
+    compiled, engine = bounded_run("compiled")
+    assert compiled.signature_digests() == first.signature_digests(), \
+        "the compiled backend grew a different corpus"
+    jit = engine.evaluator.machine.jit_stats()
+    assert jit["compiled_instructions"] > 0, \
+        f"the compiled fuzz session ran no compiled code: {jit}"
+    total = (jit["compiled_instructions"] + jit["trace_instructions"]
+             + jit["interp_instructions"])
+    print(f"compiled backend: identical corpus, {jit['blocks_compiled']} "
+          f"blocks compiled, {jit['compiled_instructions'] / total:.0%} of "
+          "instructions in compiled code")
 
     print(f"\nfuzz smoke OK in {time.monotonic() - started:.1f}s")
     return 0

@@ -346,8 +346,7 @@ def cmd_profile(args) -> int:
         jit_threshold=args.jit_threshold,
         jit_trace_threshold=args.jit_trace_threshold))
     machine.load(program)
-    profiler = machine.add_plugin(
-        SamplingProfiler(interval=args.interval))
+    profiler = machine.add_plugin(SamplingProfiler())
     result = machine.run(max_instructions=args.max_instructions)
     profile = profiler.profile(program, isa=isa)
     print(profile.render(limit=args.limit))
@@ -691,9 +690,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="guest-level sampling profile on the VP")
     common(p)
     backend_flags(p)
-    p.add_argument("--interval", type=int, default=1, metavar="N",
-                   help="sample every N-th block execution (default 1 = "
-                        "exact attribution)")
     p.add_argument("--limit", type=int, default=10, metavar="N",
                    help="rows in the function / hot-block tables")
     p.add_argument("--annotate", type=int, default=0, metavar="N",

@@ -62,11 +62,9 @@ class Ecosystem:
         """Assemble source text into a program image."""
         return self.assembler.assemble(source)
 
-    def machine(self, trace_registers: bool = False,
-                block_cache: bool = True) -> Machine:
+    def machine(self, block_cache: bool = True) -> Machine:
         return Machine(MachineConfig(
             isa=self.isa, timing=self.timing,
-            trace_registers=trace_registers,
             block_cache_enabled=block_cache,
         ))
 

@@ -1,22 +1,43 @@
 """Coverage collection on the virtual prototype.
 
-The collector plugs into the VP twice: a :class:`CoveragePlugin` observes
-executed instruction types and data accesses through the plugin API, while
-register/CSR access sets come from the architectural register files' own
-access tracing — so the metric sees exactly the accesses the instruction
-semantics perform, with no per-instruction bookkeeping duplicated here.
+:class:`CoveragePlugin` works per translation block, as QEMU's TCG
+plugins do, so compiled code keeps running under it.  Per-byte data
+addresses need a memory hook, which keeps every block interpreted; only
+:func:`measure_coverage` attaches one.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..asm import Program
-from ..isa.decoder import IsaConfig, RV32IMC_ZICSR
+from ..isa.csr import INTERRUPT_BIT
+from ..isa.decoder import IsaConfig
 from ..telemetry.session import resolve as _resolve_telemetry
-from ..vp.machine import Machine, MachineConfig
+from ..vp.cpu import STOP_EXIT
+from ..vp.machine import Machine, MachineConfig, STOP_UNHANDLED_TRAP
 from ..vp.plugins import Plugin
+from .access import access_of
 from .report import CoverageReport, empty_report
+
+#: Size of the hashed edge space.  Like AFL's 64 KiB bitmap, hashing
+#: (src, dst) block pairs into a fixed space bounds signature size on
+#: programs with huge dynamic CFGs while keeping collisions rare for the
+#: small programs the fuzzer grows.
+EDGE_MAP_SIZE = 1 << 16
+
+#: Blocks whose folded prefix :class:`CoveragePlugin` remembers before it
+#: forgets them all, which costs a refold, never a result.
+_FOLDED_MAX_BLOCKS = 4096
+
+
+def edge_id(src_pc: int, dst_pc: int) -> int:
+    """Deterministic hash of a translation-block edge into the edge map.
+
+    Uses only the two block start pcs (no process-specific state), so the
+    id is stable across runs, processes, and platforms.
+    """
+    return (((src_pc >> 1) * 33) ^ (dst_pc >> 1)) & (EDGE_MAP_SIZE - 1)
 
 
 def coverage_signature(report: CoverageReport,
@@ -27,7 +48,7 @@ def coverage_signature(report: CoverageReport,
     every executed instruction type, ``("gpr", n)`` / ``("fpr", n)`` /
     ``("csr", addr)`` for every accessed register, and ``("edge", e)`` for
     every translation-block edge id in ``tb_edges`` (see
-    :mod:`repro.fuzz.feedback`).  Two runs with the same signature covered
+    :func:`edge_id`).  Two runs with the same signature covered
     the same instruction types, registers, and control-flow edges, so the
     signature is the unit of deduplication shared by the coverage-guided
     fuzzer's corpus and any future coverage dedup.  Set semantics make it
@@ -48,17 +69,94 @@ def coverage_signature(report: CoverageReport,
 
 
 class CoveragePlugin(Plugin):
-    """Records executed instruction types and touched memory addresses."""
+    """Records executed instruction types, register and CSR accesses and
+    translation-block edges, one block at a time.
+
+    ``on_block_exec`` notes the block, its edge from the previous block
+    and ``csrs.instret``; the next block, a trap or :meth:`finish`
+    closes it.  Each block adds the instruction types and the accesses
+    (:mod:`repro.coverage.access`) of the longest prefix it retired; an
+    instruction that trapped or ended the run adds its type and what it
+    accessed before it stopped.  Call :meth:`finish` with each run's
+    result before reading the sets, and :meth:`reset` between programs.
+    """
 
     name = "coverage"
+    #: The :class:`CoverageReport` sets this plugin collects.
+    _SETS = ("insn_types", "gprs_read", "gprs_written", "fprs_read",
+             "fprs_written", "csrs_accessed")
 
     def __init__(self) -> None:
-        self.insn_types = set()
-        self.mem_read_addrs = set()
-        self.mem_written_addrs = set()
+        self.reset()
 
-    def on_insn_exec(self, cpu, decoded, pc) -> None:
+    def reset(self) -> None:
+        """Forget everything collected."""
+        for name in self._SETS:
+            setattr(self, name, set())
+        #: Translation-block edge ids (:func:`edge_id`).
+        self.edges = set()
+        #: block -> instructions of it already folded into the sets.
+        self._folded: Dict[object, int] = {}
+        self._block = None
+        self._instret = 0
+        self._prev_pc: Optional[int] = None
+
+    def on_block_exec(self, cpu, block) -> None:
+        self._close(cpu, False)
+        pc = block.start_pc
+        if self._prev_pc is not None:
+            self.edges.add(edge_id(self._prev_pc, pc))
+        self._prev_pc = pc
+        self._block = block
+        self._instret = cpu.csrs.instret
+
+    def on_trap(self, cpu, cause, pc) -> None:
+        self._close(cpu, not cause & INTERRUPT_BIT)
+
+    def finish(self, cpu, result) -> None:
+        """Close the block a run ended in; ``result`` is the run's
+        :class:`~repro.vp.cpu.RunResult`.  An exit or an unhandled trap
+        stopped the instruction after the block's retired prefix."""
+        self._close(cpu, result.stop_reason in (STOP_EXIT,
+                                                STOP_UNHANDLED_TRAP))
+
+    def _close(self, cpu, stopped: bool) -> None:
+        """Fold the open block's retired prefix in, plus the instruction
+        after it when a synchronous trap or an exit ``stopped`` it."""
+        block, self._block = self._block, None
+        if block is None:
+            return
+        retired = cpu.csrs.instret - self._instret
+        insns = block.insns
+        folded = self._folded.get(block, 0)
+        if retired > folded:
+            if len(self._folded) >= _FOLDED_MAX_BLOCKS:
+                self._folded.clear()
+            self._folded[block] = retired
+            for decoded in insns[folded:retired]:
+                self._add(decoded, access_of(decoded)[0])
+        if stopped and retired < len(insns):
+            self._add(insns[retired], access_of(insns[retired])[1])
+
+    def _add(self, decoded, access) -> None:
         self.insn_types.add(decoded.spec.name)
+        self.gprs_read |= access.gpr_reads
+        self.gprs_written |= access.gpr_writes
+        self.fprs_read |= access.fpr_reads
+        self.fprs_written |= access.fpr_writes
+        self.csrs_accessed |= access.csr_reads | access.csr_writes
+
+    def fill(self, report: CoverageReport) -> CoverageReport:
+        """Set ``report``'s sets to the ones collected; returns it."""
+        for name in self._SETS:
+            setattr(report, name, getattr(self, name))
+        return report
+
+
+class _AddressCoveragePlugin(CoveragePlugin):
+    """:class:`CoveragePlugin` plus the per-byte data addresses."""
+
+    _SETS = CoveragePlugin._SETS + ("mem_read_addrs", "mem_written_addrs")
 
     def on_mem_access(self, cpu, addr, width, value, is_store) -> None:
         target = self.mem_written_addrs if is_store else self.mem_read_addrs
@@ -75,25 +173,20 @@ def measure_coverage(
 ) -> CoverageReport:
     """Run ``program`` on the VP and return its coverage report.
 
-    A pre-configured ``machine`` may be supplied (it must have register
-    tracing enabled); otherwise one is created from ``isa``.  When the
-    resolved ``telemetry`` session is enabled, the collection cost is
-    recorded under ``coverage.collector.*`` and a ``coverage.collected``
-    event is emitted.
+    A pre-configured ``machine`` may be supplied; otherwise one is
+    created from ``isa``.  When the resolved ``telemetry`` session is
+    enabled, the collection cost is recorded under
+    ``coverage.collector.*`` and a ``coverage.collected`` event is
+    emitted.
     """
     telemetry = _resolve_telemetry(telemetry)
     metrics = telemetry.metrics.namespace("coverage.collector")
     isa = isa or (machine.config.isa if machine else
                   IsaConfig.from_string(program.isa_name))
     if machine is None:
-        machine = Machine(MachineConfig(isa=isa, trace_registers=True))
-    if not machine.cpu.regs.trace:
-        raise ValueError("coverage needs a machine with trace_registers=True")
+        machine = Machine(MachineConfig(isa=isa))
     machine.load(program)
-    machine.cpu.regs.clear_trace()
-    machine.cpu.fregs.clear_trace()
-    machine.cpu.csrs.clear_trace()
-    plugin = CoveragePlugin()
+    plugin = _AddressCoveragePlugin()
     machine.add_plugin(plugin)
     run_result = None
     try:
@@ -105,17 +198,8 @@ def measure_coverage(
         metrics.counter("runs").inc()
         if run_result is not None:
             metrics.counter("instructions").inc(run_result.instructions)
-    report = empty_report(isa)
-    report.insn_types = set(plugin.insn_types)
-    report.gprs_read = set(machine.cpu.regs.reads)
-    report.gprs_written = set(machine.cpu.regs.writes)
-    report.fprs_read = set(machine.cpu.fregs.reads)
-    report.fprs_written = set(machine.cpu.fregs.writes)
-    report.csrs_accessed = set(machine.cpu.csrs.reads) | \
-        set(machine.cpu.csrs.writes)
-    report.mem_read_addrs = set(plugin.mem_read_addrs)
-    report.mem_written_addrs = set(plugin.mem_written_addrs)
-    return report
+    plugin.finish(machine.cpu, run_result)
+    return plugin.fill(empty_report(isa))
 
 
 def measure_suite(

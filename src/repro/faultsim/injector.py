@@ -51,9 +51,8 @@ def _stuck(value: int, mask: int, stuck_one: bool) -> int:
 
 
 class StuckFPRegisterFile(FPRegisterFile):
-    def __init__(self, reg: int, mask: int, stuck_one: bool,
-                 trace: bool = False) -> None:
-        super().__init__(trace=trace)
+    def __init__(self, reg: int, mask: int, stuck_one: bool) -> None:
+        super().__init__()
         self._fault_reg = reg
         self._fault_mask = mask
         self._fault_one = stuck_one
@@ -181,14 +180,12 @@ def inject(machine: Machine, fault: Fault) -> None:
         return None
 
     if fault.target == TARGET_GPR:
-        faulty = StuckRegisterFile(fault.index, fault.mask, stuck_one,
-                                   trace=machine.cpu.regs.trace)
+        faulty = StuckRegisterFile(fault.index, fault.mask, stuck_one)
         faulty.restore(machine.cpu.regs.snapshot())
         machine.cpu.regs = faulty
         return None
     if fault.target == TARGET_FPR:
-        faulty_fpr = StuckFPRegisterFile(fault.index, fault.mask, stuck_one,
-                                         trace=machine.cpu.fregs.trace)
+        faulty_fpr = StuckFPRegisterFile(fault.index, fault.mask, stuck_one)
         faulty_fpr.restore(machine.cpu.fregs.snapshot())
         machine.cpu.fregs = faulty_fpr
         return None
@@ -197,7 +194,6 @@ def inject(machine: Machine, fault: Fault) -> None:
         faulty_csr = StuckCsrFile(
             fault.index, fault.mask, stuck_one,
             modules=set(machine.decoder.config.modules),
-            trace=old.trace,
         )
         faulty_csr.restore(old.snapshot())
         faulty_csr._time_source = old._time_source

@@ -9,6 +9,7 @@ CSRs — extended with a translation-block edge bitmap.  See
 docs/fuzzing.md for the design.
 """
 
+from ..coverage.collector import EDGE_MAP_SIZE, edge_id
 from .corpus import Corpus, CorpusEntry
 from .engine import (
     FuzzConfig,
@@ -29,7 +30,7 @@ from .executor import (
     check_words,
     words_from_program,
 )
-from .feedback import EDGE_MAP_SIZE, FeedbackMap, TBEdgePlugin, edge_id
+from .feedback import FeedbackMap
 from .mutators import IsaMutator, MAX_BODY_WORDS
 from .triage import FuzzFinding, TriageReport
 
@@ -52,7 +53,6 @@ __all__ = [
     "OUTCOME_TRAP",
     "ProgramBuilder",
     "ProgramEvaluator",
-    "TBEdgePlugin",
     "TriageReport",
     "check_words",
     "edge_id",

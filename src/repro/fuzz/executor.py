@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from ..asm import Program
-from ..coverage.collector import coverage_signature
+from ..coverage.collector import CoveragePlugin, coverage_signature
 from ..coverage.report import empty_report
 from ..isa.decoder import Decoder, IsaConfig
 from ..isa.encoder import encode
@@ -30,7 +30,6 @@ from ..vp.cpu import (
     STOP_WFI,
 )
 from ..vp.machine import Machine, MachineConfig, RAM_BASE, STOP_UNHANDLED_TRAP
-from .feedback import InsnTypePlugin, TBEdgePlugin
 
 #: Scratch arena for fuzzed memory instructions: 1 MiB into RAM, far from
 #: the code at RAM_BASE, inside the default 4 MiB RAM.
@@ -198,19 +197,17 @@ class ProgramEvaluator:
     :meth:`evaluate` restores that baseline (O(dirty pages)), loads the
     input, runs it under the instruction budget, and returns the combined
     :func:`~repro.coverage.coverage_signature` (instruction types +
-    registers + TB edges) plus the triage classification.
+    registers + TB edges, from the block-level
+    :class:`~repro.coverage.CoveragePlugin`) plus the triage
+    classification.
     """
 
     def __init__(self, isa: IsaConfig, max_instructions: int = 5000,
                  backend: str = "interp") -> None:
         self.max_instructions = max_instructions
         self.builder = ProgramBuilder(isa)
-        self.machine = Machine(MachineConfig(isa=isa, trace_registers=True,
-                                             backend=backend))
-        self._insns = InsnTypePlugin()
-        self._edges = TBEdgePlugin()
-        self.machine.add_plugin(self._insns)
-        self.machine.add_plugin(self._edges)
+        self.machine = Machine(MachineConfig(isa=isa, backend=backend))
+        self._coverage = self.machine.add_plugin(CoveragePlugin())
         self._baseline = self.machine.snapshot()
         #: Reused report shell: only its hit-sets are rewritten per run.
         self._report = empty_report(isa)
@@ -221,21 +218,12 @@ class ProgramEvaluator:
         machine = self.machine
         machine.restore(self._baseline)
         machine.load(self.builder.build(words))
-        machine.cpu.regs.clear_trace()
-        machine.cpu.fregs.clear_trace()
-        machine.cpu.csrs.clear_trace()
-        self._insns.reset()
-        self._edges.reset()
+        coverage = self._coverage
+        coverage.reset()
         result = machine.run(max_instructions=self.max_instructions)
-        report = self._report
-        report.insn_types = self._insns.insn_types
-        report.gprs_read = set(machine.cpu.regs.reads)
-        report.gprs_written = set(machine.cpu.regs.writes)
-        report.fprs_read = set(machine.cpu.fregs.reads)
-        report.fprs_written = set(machine.cpu.fregs.writes)
-        report.csrs_accessed = (set(machine.cpu.csrs.reads)
-                                | set(machine.cpu.csrs.writes))
-        signature = coverage_signature(report, self._edges.edges)
+        coverage.finish(machine.cpu, result)
+        signature = coverage_signature(coverage.fill(self._report),
+                                       coverage.edges)
         self.executions += 1
         return EvalResult(
             signature=signature,

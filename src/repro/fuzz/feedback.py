@@ -2,9 +2,9 @@
 
 The feedback map combines the coverage metric this repo already measures
 (instruction types, GPR/FPR/CSR accesses — see :mod:`repro.coverage`)
-with a **translation-block edge bitmap** collected by a VP plugin, the
-same non-intrusive observation channel QTA and the coverage collector
-use.  Edges capture *control-flow novelty* that the per-run register and
+with a **translation-block edge bitmap** that the same block-level
+collector (:class:`repro.coverage.CoveragePlugin`) records.  Edges
+capture *control-flow novelty* that the per-run register and
 instruction-type sets cannot: two runs touching the same registers via a
 different branch structure produce different edge sets.
 
@@ -15,70 +15,7 @@ notion of "covered" is byte-for-byte the coverage metric's notion.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional, Set
-
-from ..vp.plugins import Plugin
-
-#: Size of the hashed edge space.  Like AFL's 64 KiB bitmap, hashing
-#: (src, dst) block pairs into a fixed space bounds signature size on
-#: programs with huge dynamic CFGs while keeping collisions rare for the
-#: small programs the fuzzer grows.
-EDGE_MAP_SIZE = 1 << 16
-
-
-def edge_id(src_pc: int, dst_pc: int) -> int:
-    """Deterministic hash of a translation-block edge into the edge map.
-
-    Uses only the two block start pcs (no process-specific state), so the
-    id is stable across runs, processes, and platforms.
-    """
-    return (((src_pc >> 1) * 33) ^ (dst_pc >> 1)) & (EDGE_MAP_SIZE - 1)
-
-
-class TBEdgePlugin(Plugin):
-    """Records executed translation-block edges as hashed edge ids.
-
-    Plugs into ``on_block_exec`` — the hook fires for every block the CPU
-    dispatches, including direct-chained successors, so the edge set is
-    the complete dynamic block-level CFG of the run.
-    """
-
-    name = "fuzz-tb-edges"
-
-    def __init__(self) -> None:
-        self.edges: Set[int] = set()
-        self._prev: Optional[int] = None
-
-    def on_block_exec(self, cpu, block) -> None:
-        pc = block.start_pc
-        if self._prev is not None:
-            self.edges.add(edge_id(self._prev, pc))
-        self._prev = pc
-
-    def reset(self) -> None:
-        """Clear state between program evaluations."""
-        self.edges.clear()
-        self._prev = None
-
-
-class InsnTypePlugin(Plugin):
-    """Records executed instruction types (mnemonic set only).
-
-    A leaner sibling of :class:`repro.coverage.CoveragePlugin`: the fuzzer
-    does not need per-byte memory access sets, and skipping the
-    ``on_mem_access`` hook keeps the per-execution cost down.
-    """
-
-    name = "fuzz-insn-types"
-
-    def __init__(self) -> None:
-        self.insn_types: Set[str] = set()
-
-    def on_insn_exec(self, cpu, decoded, pc) -> None:
-        self.insn_types.add(decoded.spec.name)
-
-    def reset(self) -> None:
-        self.insn_types.clear()
+from typing import Dict, FrozenSet, Set
 
 
 class FeedbackMap:

@@ -105,7 +105,7 @@ class IllegalCsrError(Exception):
 
 
 class CsrFile:
-    """Machine-mode CSR file with access tracing.
+    """Machine-mode CSR file.
 
     ``time_source`` supplies the value of the memory-mapped timer so the
     user-level ``time`` CSR mirrors the CLINT's mtime, as on real platforms.
@@ -116,7 +116,6 @@ class CsrFile:
         modules: Optional[Set[str]] = None,
         hart_id: int = 0,
         time_source: Optional[Callable[[], int]] = None,
-        trace: bool = False,
     ) -> None:
         self._regs: Dict[int, int] = {
             MSTATUS: 0,
@@ -149,9 +148,6 @@ class CsrFile:
         #: moved the cycle count: platforms whose timer derives ``mtime``
         #: from ``cycle`` rebase it there, since such a write is not time.
         self._cycle_moved: Optional[Callable[[int], None]] = None
-        self.trace = trace
-        self.reads: Set[int] = set()
-        self.writes: Set[int] = set()
 
     # -- helpers -------------------------------------------------------------
 
@@ -169,8 +165,6 @@ class CsrFile:
     # -- architectural access ------------------------------------------------
 
     def read(self, addr: int) -> int:
-        if self.trace:
-            self.reads.add(addr)
         if addr in (MCYCLE, CYCLE):
             return self.cycle & WORD_MASK
         if addr in (MCYCLEH, CYCLEH):
@@ -193,8 +187,6 @@ class CsrFile:
     def write(self, addr: int, value: int) -> None:
         if self.is_read_only(addr):
             raise IllegalCsrError(addr, f"write to read-only CSR {addr:#05x}")
-        if self.trace:
-            self.writes.add(addr)
         value &= WORD_MASK
         if addr == MCYCLE or addr == MCYCLEH:
             if addr == MCYCLE:
@@ -244,7 +236,3 @@ class CsrFile:
         for addr, value in state.items():
             if isinstance(addr, int):
                 self._regs[addr] = value
-
-    def clear_trace(self) -> None:
-        self.reads.clear()
-        self.writes.clear()

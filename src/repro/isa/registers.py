@@ -1,14 +1,13 @@
 """Architectural register files: GPRs, FPRs, and ABI naming.
 
-The register files record read/write *access traces* when tracing is enabled;
-the coverage subsystem (``repro.coverage``) builds its GPR/FPR access metric
-on top of that, mirroring the bit-level register model of the Scale4Edge
-coverage analysis.
+The coverage subsystem (``repro.coverage``) derives its GPR/FPR access
+metric from each instruction's encoding (``repro.coverage.access``), so
+the register files here only hold values.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Set, Tuple
+from typing import List, Tuple
 
 from .fields import WORD_MASK
 
@@ -65,32 +64,22 @@ def gpr_name(num: int) -> str:
 class RegisterFile:
     """The 32-entry integer register file with hardwired ``x0``.
 
-    Values are stored in unsigned canonical 32-bit form.  When ``trace`` is
-    set, every read and write records the register number in ``reads`` /
-    ``writes`` so coverage and fault tooling can observe access patterns
-    without modifying instruction semantics.
+    Values are stored in unsigned canonical 32-bit form.
     """
 
-    __slots__ = ("_regs", "trace", "reads", "writes")
+    __slots__ = ("_regs",)
 
-    def __init__(self, trace: bool = False) -> None:
+    def __init__(self) -> None:
         self._regs: List[int] = [0] * NUM_GPRS
-        self.trace = trace
-        self.reads: Set[int] = set()
-        self.writes: Set[int] = set()
 
     def read(self, num: int) -> int:
-        if self.trace:
-            self.reads.add(num)
         return self._regs[num]
 
     def write(self, num: int, value: int) -> None:
-        if self.trace:
-            self.writes.add(num)
         if num:
             self._regs[num] = value & WORD_MASK
 
-    # Raw access bypasses x0 hardwiring and tracing: used by fault injection
+    # Raw access bypasses x0 hardwiring: used by fault injection
     # (a stuck-at fault may legitimately target the x0 read port) and by
     # state snapshotting.
     def raw_read(self, num: int) -> int:
@@ -111,12 +100,6 @@ class RegisterFile:
 
     def reset(self) -> None:
         self._regs = [0] * NUM_GPRS
-        self.reads.clear()
-        self.writes.clear()
-
-    def clear_trace(self) -> None:
-        self.reads.clear()
-        self.writes.clear()
 
     def __getitem__(self, num: int) -> int:
         return self.read(num)
@@ -146,9 +129,8 @@ class StuckRegisterFile(RegisterFile):
     fold the same forcing into its generated register reads.
     """
 
-    def __init__(self, reg: int, mask: int, stuck_one: bool,
-                 trace: bool = False) -> None:
-        super().__init__(trace=trace)
+    def __init__(self, reg: int, mask: int, stuck_one: bool) -> None:
+        super().__init__()
         self.stuck = (reg, mask, stuck_one)
         self._fault_reg = reg
         self._fault_mask = mask
@@ -182,22 +164,15 @@ class FPRegisterFile:
     register model to observe.
     """
 
-    __slots__ = ("_regs", "trace", "reads", "writes")
+    __slots__ = ("_regs",)
 
-    def __init__(self, trace: bool = False) -> None:
+    def __init__(self) -> None:
         self._regs: List[int] = [0] * NUM_FPRS
-        self.trace = trace
-        self.reads: Set[int] = set()
-        self.writes: Set[int] = set()
 
     def read(self, num: int) -> int:
-        if self.trace:
-            self.reads.add(num)
         return self._regs[num]
 
     def write(self, num: int, value: int) -> None:
-        if self.trace:
-            self.writes.add(num)
         self._regs[num] = value & WORD_MASK
 
     def snapshot(self) -> Tuple[int, ...]:
@@ -210,12 +185,6 @@ class FPRegisterFile:
 
     def reset(self) -> None:
         self._regs = [0] * NUM_FPRS
-        self.reads.clear()
-        self.writes.clear()
-
-    def clear_trace(self) -> None:
-        self.reads.clear()
-        self.writes.clear()
 
     def __getitem__(self, num: int) -> int:
         return self.read(num)

@@ -7,7 +7,7 @@ folds any event stream (a live service log, a saved JSONL file) into a
 JSON-friendly snapshot: per fuzz session, the coverage curve (execs →
 coverage elements) plus the latest corpus/finding counts.  The batch
 service serves this on ``GET /v1/fuzz/frontier`` and ``repro top``
-renders it as the live view ROADMAP item 3 asks for.
+renders it live.
 """
 
 from __future__ import annotations

@@ -1,13 +1,13 @@
-"""Guest-level sampling profiler for the virtual prototype.
+"""Guest-level profiler for the virtual prototype.
 
-A :class:`SamplingProfiler` is a VP plugin driven by ``on_block_exec``:
-every ``interval``-th block execution lands one sample on that
-translation block's start pc.  Because a block's instruction list is
-known at translate time, block samples convert directly into estimated
-retired-instruction attribution — a flat PC/TB profile of the *guest*
-program, the moral equivalent of ``perf`` for code running on the VP.
+A :class:`SamplingProfiler` is a VP plugin that attributes every block
+execution to that translation block's start pc.  Because a block's
+instruction list is known at translate time, block counts convert
+directly into retired-instruction attribution — a flat PC/TB profile of
+the *guest* program, the moral equivalent of ``perf`` for code running
+on the VP.
 
-From the raw samples, :meth:`SamplingProfiler.profile` builds a
+From the counts, :meth:`SamplingProfiler.profile` builds a
 :class:`Profile` against the program image:
 
 * **hot-block ranking** — blocks by estimated instructions,
@@ -48,31 +48,21 @@ def _tier_of(block) -> str:
 
 
 class SamplingProfiler(Plugin):
-    """Counts block executions; every ``interval``-th one is a sample.
+    """Counts every block execution, exactly, with no per-block hook.
 
-    ``interval=1`` (the default) profiles every block execution — exact
-    attribution.  Because the interpreter already maintains
-    ``TranslationBlock.exec_count`` on its hot path, the exact case is
-    implemented by harvesting those counters instead of hooking every
-    block execution, so the default profiler adds no per-block cost at
-    all.  Larger intervals run the countdown sampler in
-    ``on_block_exec``; sample weights are scaled back up by the interval
-    so estimates stay unbiased.
+    Every tier already maintains ``TranslationBlock.exec_count`` on its
+    hot path, so the profiler harvests those counters.
+    ``Machine.add_plugin`` flushes the translation cache on attach, so
+    every block this profiler can observe is retranslated through
+    ``on_block_translate``; it tracks the block objects there and folds
+    their ``exec_count`` deltas in on demand, and before a cache flush
+    discards them.  Fused loops and traces keep running under it.
     """
 
     name = "profiler"
 
-    def __new__(cls, interval: int = 1):
-        if cls is SamplingProfiler and interval == 1:
-            cls = _ExactProfiler
-        return super().__new__(cls)
-
-    def __init__(self, interval: int = 1) -> None:
-        if interval < 1:
-            raise ValueError(f"interval must be >= 1, got {interval}")
-        self.interval = interval
-        self._countdown = interval
-        #: start_pc -> sample count.
+    def __init__(self) -> None:
+        #: start_pc -> block executions.
         self.samples: Dict[int, int] = {}
         #: start_pc -> (pcs, decoded list) captured at translate time.
         self._blocks: Dict[int, Tuple[tuple, tuple]] = {}
@@ -81,75 +71,14 @@ class SamplingProfiler(Plugin):
         #: compiled backend's thresholds trip; the final observation
         #: wins.
         self._tiers: Dict[int, str] = {}
+        #: start_pc -> [block, exec_count already folded into samples].
+        self._tracked: Dict[int, list] = {}
 
     # -- hooks ----------------------------------------------------------
 
     def on_block_translate(self, cpu, block) -> None:
         self._blocks[block.start_pc] = (tuple(block.pcs),
                                         tuple(block.insns))
-
-    def on_block_exec(self, cpu, block) -> None:
-        self._countdown -= 1
-        if self._countdown:
-            return
-        self._countdown = self.interval
-        pc = block.start_pc
-        self.samples[pc] = self.samples.get(pc, 0) + 1
-        self._tiers[pc] = _tier_of(block)
-
-    # -- results --------------------------------------------------------
-
-    @property
-    def total_samples(self) -> int:
-        return sum(self.samples.values())
-
-    def reset(self) -> None:
-        self.samples.clear()
-        self._countdown = self.interval
-
-    def profile(self, program=None, isa=None) -> "Profile":
-        """Build the :class:`Profile` for the samples collected so far.
-
-        ``program`` (a :class:`repro.asm.Program`) supplies the symbol
-        table for per-function aggregation; without it, functions fall
-        back to hex block addresses.  ``isa`` enables the annotated
-        disassembly listing.
-        """
-        blocks = []
-        for pc, count in self.samples.items():
-            pcs, insns = self._blocks.get(pc, ((), ()))
-            blocks.append({
-                "start_pc": pc,
-                "samples": count,
-                "block_insns": len(pcs),
-                "est_instructions": count * self.interval * max(len(pcs), 1),
-                "tier": self._tiers.get(pc, "interp"),
-            })
-        return Profile(blocks=blocks, interval=self.interval,
-                       block_details=self._blocks, program=program, isa=isa)
-
-
-class _ExactProfiler(SamplingProfiler):
-    """The ``interval=1`` specialization.
-
-    ``Machine.add_plugin`` flushes the translation cache on attach, so
-    every block this profiler can observe is retranslated through
-    ``on_block_translate`` — tracking block objects there and folding
-    their ``exec_count`` deltas in on demand (and before a cache flush
-    discards them) counts every execution without registering the
-    per-block ``on_block_exec`` hook.
-    """
-
-    # Deliberately un-override the hook so it is never registered.
-    on_block_exec = Plugin.on_block_exec
-
-    def __init__(self, interval: int = 1) -> None:
-        super().__init__(interval)
-        #: start_pc -> [block, exec_count already folded into samples].
-        self._tracked: Dict[int, list] = {}
-
-    def on_block_translate(self, cpu, block) -> None:
-        super().on_block_translate(cpu, block)
         stale = self._tracked.get(block.start_pc)
         if stale is not None:
             self._harvest(stale)
@@ -173,19 +102,39 @@ class _ExactProfiler(SamplingProfiler):
         for entry in self._tracked.values():
             self._harvest(entry)
 
+    # -- results --------------------------------------------------------
+
     @property
     def total_samples(self) -> int:
         self._sync()
         return sum(self.samples.values())
 
     def reset(self) -> None:
-        super().reset()
+        self.samples.clear()
         for entry in self._tracked.values():
             entry[1] = entry[0].exec_count
 
     def profile(self, program=None, isa=None) -> "Profile":
+        """Build the :class:`Profile` for the executions counted so far.
+
+        ``program`` (a :class:`repro.asm.Program`) supplies the symbol
+        table for per-function aggregation; without it, functions fall
+        back to hex block addresses.  ``isa`` enables the annotated
+        disassembly listing.
+        """
         self._sync()
-        return super().profile(program, isa=isa)
+        blocks = []
+        for pc, count in self.samples.items():
+            pcs, insns = self._blocks.get(pc, ((), ()))
+            blocks.append({
+                "start_pc": pc,
+                "samples": count,
+                "block_insns": len(pcs),
+                "est_instructions": count * max(len(pcs), 1),
+                "tier": self._tiers.get(pc, "interp"),
+            })
+        return Profile(blocks=blocks, block_details=self._blocks,
+                       program=program, isa=isa)
 
 
 def _symbol_index(program) -> Tuple[List[int], List[str]]:
@@ -198,10 +147,9 @@ def _symbol_index(program) -> Tuple[List[int], List[str]]:
 class Profile:
     """A finished flat profile: ranked blocks, functions, exports."""
 
-    def __init__(self, blocks: List[Dict], interval: int = 1,
+    def __init__(self, blocks: List[Dict],
                  block_details: Optional[Dict] = None,
                  program=None, isa=None) -> None:
-        self.interval = interval
         self.blocks = sorted(blocks, key=lambda b: (-b["est_instructions"],
                                                     b["start_pc"]))
         self._details = block_details or {}
@@ -271,9 +219,8 @@ class Profile:
 
     def render(self, limit: int = 10) -> str:
         """The ``repro profile`` report: functions, then hot blocks."""
-        lines = [f"samples: {self.total_samples:,}  (interval "
-                 f"{self.interval}, est. {self.total_est_instructions:,} "
-                 "instructions)"]
+        lines = [f"samples: {self.total_samples:,}  (est. "
+                 f"{self.total_est_instructions:,} instructions)"]
         totals = self.tier_totals()
         if totals.get("compiled"):
             grand = self.total_est_instructions or 1
@@ -340,7 +287,6 @@ class Profile:
     def to_dict(self) -> Dict:
         return {
             "format": "repro-profile-v1",
-            "interval": self.interval,
             "total_samples": self.total_samples,
             "total_est_instructions": self.total_est_instructions,
             "tiers": self.tier_totals(),

@@ -6,9 +6,13 @@ another observer and costs nothing when not attached.  Collects:
 
 * retired instructions, cycles, wall time, and MIPS,
 * translation-cache behaviour (hits, misses, flushes, hit rate,
-  blocks translated/executed),
+  blocks translated),
 * trap and interrupt counts (split by the mcause interrupt bit),
-* memory-access counts and an access-width histogram.
+* guest load and store counts.
+
+Counts the CPU keeps (instructions, cycles, TB hits and misses, loads
+and stores) are read as deltas when a run finishes: the plugin hooks no
+block and no memory access, so compiled code keeps running under it.
 
 All instruments live under the ``vp.`` namespace of the session's
 metrics registry; a ``vp.run`` summary event is emitted on machine exit.
@@ -25,6 +29,13 @@ from .session import resolve
 __all__ = ["TelemetryPlugin"]
 
 
+def _counters(cpu) -> tuple:
+    """Retired instructions, cycles, TB hits and misses, loads, stores."""
+    return (cpu.csrs.instret, cpu.csrs.cycle, cpu.tb_hits, cpu.tb_misses,
+            cpu.mem_fast_loads + cpu.mem_bus_loads,
+            cpu.mem_fast_stores + cpu.mem_bus_stores)
+
+
 class TelemetryPlugin(Plugin):
     """Collects emulator throughput and cache statistics into telemetry."""
 
@@ -34,45 +45,27 @@ class TelemetryPlugin(Plugin):
         self.telemetry = resolve(telemetry)
         metrics = self.telemetry.metrics.namespace("vp")
         self._blocks_translated = metrics.counter("tb.translated")
-        self._blocks_executed = metrics.counter("tb.executed")
         self._flushes = metrics.counter("tb.flushes")
         self._traps = metrics.counter("cpu.traps")
         self._interrupts = metrics.counter("cpu.interrupts")
         self._loads = metrics.counter("mem.loads")
         self._stores = metrics.counter("mem.stores")
-        self._width_histogram = metrics.histogram(
-            "mem.access_width", buckets=(1, 2, 4, 8))
         self._metrics = metrics
-        self._machine = None
         self._cpu = None
         self._start_wall = None
-        self._start_instret = 0
-        self._start_cycles = 0
-        self._start_tb_hits = 0
-        self._start_tb_misses = 0
+        self._start: tuple = ()
         self._finished = False
 
     # -- hook implementations ------------------------------------------
 
     def on_attach(self, machine) -> None:
-        self._machine = machine
         self._cpu = machine.cpu
         self._start_wall = time.perf_counter()
-        self._start_instret = machine.cpu.csrs.instret
-        self._start_cycles = machine.cpu.csrs.cycle
-        self._start_tb_hits = machine.cpu.tb_hits
-        self._start_tb_misses = machine.cpu.tb_misses
+        self._start = _counters(machine.cpu)
         self._finished = False
 
     def on_block_translate(self, cpu, block) -> None:
         self._blocks_translated.inc()
-
-    def on_block_exec(self, cpu, block) -> None:
-        self._blocks_executed.inc()
-
-    def on_mem_access(self, cpu, addr, width, value, is_store) -> None:
-        (self._stores if is_store else self._loads).inc()
-        self._width_histogram.observe(width)
 
     def on_trap(self, cpu, cause, pc) -> None:
         if cause & INTERRUPT_BIT:
@@ -99,20 +92,20 @@ class TelemetryPlugin(Plugin):
             return {}
         self._finished = True
         wall = time.perf_counter() - (self._start_wall or time.perf_counter())
-        instructions = cpu.csrs.instret - self._start_instret
-        cycles = cpu.csrs.cycle - self._start_cycles
+        instructions, cycles, tb_hits, tb_misses, loads, stores = (
+            now - start for now, start in zip(_counters(cpu), self._start))
         mips = instructions / wall / 1e6 if wall > 0 else 0.0
         metrics = self._metrics
         metrics.counter("cpu.insns_retired").inc(instructions)
         metrics.counter("cpu.cycles").inc(cycles)
         metrics.gauge("cpu.mips").set(mips)
-        tb_hits = cpu.tb_hits - self._start_tb_hits
-        tb_misses = cpu.tb_misses - self._start_tb_misses
         metrics.counter("tb.hits").inc(tb_hits)
         metrics.counter("tb.misses").inc(tb_misses)
         lookups = tb_hits + tb_misses
         hit_rate = tb_hits / lookups if lookups else 0.0
         metrics.gauge("tb.hit_rate").set(hit_rate)
+        self._loads.inc(loads)
+        self._stores.inc(stores)
         summary = {
             "instructions": instructions,
             "cycles": cycles,

@@ -13,8 +13,8 @@ changed devices or CSRs there).  The strategies:
   block, instruction hooks honoured,
 * ``compiled``  — the template JIT tier (:mod:`repro.vp.jit`): interpret
   a block with the same loop until its ``exec_count`` crosses a
-  threshold (or for good, with instruction or memory hooks or traced
-  registers), then execute a compiled function cached on the block.
+  threshold (or for good, with instruction or memory hooks), then
+  execute a compiled function cached on the block.
 
 Both produce bit-identical architectural results, and a run that ends
 ``max_insns`` has retired exactly its budget in both: the block the

@@ -190,7 +190,6 @@ class Cpu:
         decoder: Decoder,
         bus: SystemBus,
         timing: Optional[TimingModel] = None,
-        trace_registers: bool = False,
         block_cache_enabled: bool = True,
         icache=None,
         max_blocks: Optional[int] = None,
@@ -198,11 +197,9 @@ class Cpu:
         self.decoder = decoder
         self.bus = bus
         self.timing = timing or TimingModel()
-        self.regs = RegisterFile(trace=trace_registers)
-        self.fregs = FPRegisterFile(trace=trace_registers)
-        self.csrs = csrdef.CsrFile(
-            modules=set(decoder.config.modules), trace=trace_registers
-        )
+        self.regs = RegisterFile()
+        self.fregs = FPRegisterFile()
+        self.csrs = csrdef.CsrFile(modules=set(decoder.config.modules))
         self.pc = 0
         self.next_pc = 0
         self.hooks = HookTable()
@@ -280,9 +277,7 @@ class Cpu:
     def reset(self, pc: int = 0) -> None:
         self.regs.reset()
         self.fregs.reset()
-        self.csrs = csrdef.CsrFile(
-            modules=set(self.decoder.config.modules), trace=self.regs.trace
-        )
+        self.csrs = csrdef.CsrFile(modules=set(self.decoder.config.modules))
         self.pc = pc & WORD_MASK
         self.next_pc = self.pc
         self._wfi_pending = False

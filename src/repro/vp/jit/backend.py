@@ -22,9 +22,9 @@ clear-on-full) discards the member blocks wholesale, so stale trace
 code can never run.
 
 Fallback rules (documented in ``docs/performance.md``): an icache, a
-disabled block cache, an instruction or memory hook, or a traced or
-subclassed register file keeps every block interpreted (``interpreted``
-says which); a codegen failure blacklists just that block (or trace
+disabled block cache, an instruction or memory hook, or a subclassed
+register file keeps every block interpreted (``interpreted`` says
+which); a codegen failure blacklists just that block (or trace
 head).  The tier split is observable through :class:`JitStats`
 (``repro profile``'s tier report and ``repro run``'s ``jit:`` line).
 """
@@ -156,7 +156,6 @@ class CompiledBackend(ExecutionBackend):
             ("the block cache is off", not cpu.block_cache_enabled),
             ("an instruction hook is attached", hooks.insn_exec),
             ("a memory hook is attached", hooks.mem_access),
-            ("registers are traced", regs.trace),
             ("the register file is subclassed",
              kind not in (RegisterFile, StuckRegisterFile))) if applies),
             None)

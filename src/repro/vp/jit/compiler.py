@@ -5,8 +5,8 @@
 function ``_tb(cpu, remaining, pause) -> retired`` compiled with
 :func:`compile`/``exec`` (the run loop's two limits, see
 :class:`~repro.vp.backends.ExecutionBackend`).  Three shapes, all on
-an untraced plain or stuck-at register file with no instruction or
-memory hook attached (otherwise the backend compiles nothing and every
+a plain or stuck-at register file with no instruction or memory
+hook attached (otherwise the backend compiles nothing and every
 block runs in :meth:`~repro.vp.cpu.Cpu._execute_block`):
 
 * **direct**  — registers are raw-list accesses ``R[n]`` (a stuck bit

@@ -79,8 +79,8 @@ class MachineSnapshot:
       flushed/cold-reset on restore and rebuilt on demand;
     * registered plugins and their internal state — structural, not
       architectural;
-    * register/CSR access-trace sets and the UART ``access_log`` —
-      measurement state owned by the coverage/analysis tooling;
+    * the UART ``access_log`` — measurement state owned by the
+      analysis tooling;
     * injected permanent faults (stuck-at register files, a RAM stuck
       bit) — a snapshot cannot undo object replacement, and a restore
       keeps an installed stuck bit forced.
@@ -134,14 +134,12 @@ class MachineConfig:
     isa: IsaConfig = field(default_factory=lambda: RV32IMC_ZICSR)
     ram_size: int = DEFAULT_RAM_SIZE
     timing: Optional[TimingModel] = None
-    trace_registers: bool = False
     block_cache_enabled: bool = True
     #: Translation-cache block cap: when the cache holds this many blocks
     #: the next miss flushes it wholesale (clear-on-full eviction), so
     #: long-running campaigns cannot grow it without limit.  ``None``
     #: disables the cap.
     tb_cache_max_blocks: Optional[int] = 4096
-    semihosting: bool = True  # handle exit/write ecalls in the machine
     icache: Optional["ICacheConfig"] = None  # fetch-cache model, off by default
     #: Execution backend: ``interp`` (default) or ``compiled`` (the
     #: tiered template JIT, see docs/performance.md).  The retired name
@@ -187,7 +185,6 @@ class Machine:
             self.decoder,
             self.bus,
             timing=self.config.timing,
-            trace_registers=self.config.trace_registers,
             block_cache_enabled=self.config.block_cache_enabled,
             icache=ICache(self.config.icache) if self.config.icache else None,
             max_blocks=self.config.tb_cache_max_blocks,
@@ -199,8 +196,8 @@ class Machine:
         self.cpu.set_interrupt_sources(self._poll_interrupts,
                                        self.clint.cycles_until_timer)
         self._wire_csrs()
-        if self.config.semihosting:
-            self.cpu.ecall_handler = self._handle_ecall
+        # Semihosting: exit and write ecalls are machine services.
+        self.cpu.ecall_handler = self._handle_ecall
         self.entry = RAM_BASE
         #: Optional telemetry session (see :mod:`repro.telemetry`): when
         #: set, :meth:`run` brackets execution with ``run.started`` /
@@ -356,11 +353,8 @@ class Machine:
         self.cpu.pc = snapshot.pc
         self.cpu.next_pc = snapshot.pc
         self.cpu.regs.restore(snapshot.regs)
-        self.cpu.regs.clear_trace()
         self.cpu.fregs.restore(snapshot.fregs)
-        self.cpu.fregs.clear_trace()
         self.cpu.csrs.restore(snapshot.csrs)
-        self.cpu.csrs.clear_trace()
         pages_copied = self._restore_ram(snapshot)
         # After the CSR file: the mtime write sets the CLINT's offset from
         # the restored cycle count.

@@ -63,26 +63,23 @@ class Plugin:
         pass
 
 
-def _overridden(plugin: Plugin, hook: str) -> bool:
-    return getattr(type(plugin), hook) is not getattr(Plugin, hook)
+#: Hook-table lists, each fed by the plugin method ``on_<name>``.
+_HOOKS = ("block_translate", "block_exec", "insn_exec", "mem_access",
+          "trap", "tb_flush", "exit")
 
 
 class HookTable:
     """Callback lists compiled from a set of plugins.
 
     The CPU consults the per-hook lists directly; empty lists make the
-    corresponding fast path branch-free in practice.
+    corresponding fast path branch-free in practice.  A plugin's hook
+    joins its list only when the plugin's class overrides it.
     """
 
     def __init__(self) -> None:
         self.plugins: List[Plugin] = []
-        self.block_translate = []
-        self.block_exec = []
-        self.insn_exec = []
-        self.mem_access = []
-        self.trap = []
-        self.tb_flush = []
-        self.exit = []
+        for name in _HOOKS:
+            setattr(self, name, [])
         #: Bumped on every register/unregister so the run loop can
         #: re-specialize the backend (the compiled tier's token).
         self.version = 0
@@ -90,37 +87,18 @@ class HookTable:
     def register(self, plugin: Plugin) -> None:
         self.plugins.append(plugin)
         self.version += 1
-        if _overridden(plugin, "on_block_translate"):
-            self.block_translate.append(plugin.on_block_translate)
-        if _overridden(plugin, "on_block_exec"):
-            self.block_exec.append(plugin.on_block_exec)
-        if _overridden(plugin, "on_insn_exec"):
-            self.insn_exec.append(plugin.on_insn_exec)
-        if _overridden(plugin, "on_mem_access"):
-            self.mem_access.append(plugin.on_mem_access)
-        if _overridden(plugin, "on_trap"):
-            self.trap.append(plugin.on_trap)
-        if _overridden(plugin, "on_tb_flush"):
-            self.tb_flush.append(plugin.on_tb_flush)
-        if _overridden(plugin, "on_exit"):
-            self.exit.append(plugin.on_exit)
+        for name in _HOOKS:
+            method = "on_" + name
+            if getattr(type(plugin), method) is not getattr(Plugin, method):
+                getattr(self, name).append(getattr(plugin, method))
 
     def unregister(self, plugin: Plugin) -> None:
         if plugin not in self.plugins:
             raise ValueError(f"plugin {plugin.name!r} is not registered")
         self.plugins.remove(plugin)
         self.version += 1
-        for attr in ("block_translate", "block_exec", "insn_exec",
-                     "mem_access", "trap", "tb_flush", "exit"):
-            hooks = getattr(self, attr)
-            bound = getattr(plugin, {
-                "block_translate": "on_block_translate",
-                "block_exec": "on_block_exec",
-                "insn_exec": "on_insn_exec",
-                "mem_access": "on_mem_access",
-                "trap": "on_trap",
-                "tb_flush": "on_tb_flush",
-                "exit": "on_exit",
-            }[attr])
+        for name in _HOOKS:
+            hooks = getattr(self, name)
+            bound = getattr(plugin, "on_" + name)
             if bound in hooks:
                 hooks.remove(bound)

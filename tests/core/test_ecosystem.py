@@ -67,8 +67,7 @@ class TestEcosystemFacade:
 
     def test_machine_configuration(self):
         eco = Ecosystem()
-        machine = eco.machine(trace_registers=True, block_cache=False)
-        assert machine.cpu.regs.trace
+        machine = eco.machine(block_cache=False)
         assert not machine.cpu.block_cache_enabled
 
 

@@ -84,6 +84,46 @@ class TestRegisterCoverage:
         assert report.fpr_coverage == 0.0
         assert report.missed_fprs() == []
 
+    def test_trapping_load_counts_its_base_but_writes_nothing(self):
+        # No handler: the misaligned lw ends the run as an unhandled trap.
+        report = cov("""
+        _start:
+            li s0, 0x80002001
+            lw a5, 0(s0)
+        """ + EXIT)
+        assert "lw" in report.insn_types
+        assert 8 in report.gprs_read
+        assert 15 not in report.gprs_written
+        assert "ecall" not in report.insn_types
+
+    def test_block_counts_its_longest_retired_prefix(self):
+        # The loop block (csrw ends the block before it) traps at its lw
+        # on the first pass (misaligned address); the handler fixes the
+        # address and resumes after the lw, so only the second pass of
+        # the same block retires the lw.
+        report = cov("""
+        _start:
+            la s0, data
+            addi s0, s0, 1
+            li s1, 2
+            la t0, handler
+            csrw mtvec, t0
+        loop:
+            addi s1, s1, -1
+            lw a5, 0(s0)
+            bnez s1, loop
+        """ + EXIT + """
+        handler:
+            csrr t1, mepc
+            addi t1, t1, 4
+            csrw mepc, t1
+            la s0, data
+            mret
+        .data
+        data: .word 7
+        """)
+        assert 15 in report.gprs_written
+
 
 class TestMemoryCoverage:
     def test_addresses_tracked_per_byte(self):
@@ -201,12 +241,3 @@ class TestDegenerateUniverses:
         report = empty_report(RV32IM)
         report.fprs_read = {1}
         assert report.fpr_coverage == 0.0
-
-
-class TestMachineValidation:
-    def test_untraced_machine_rejected(self):
-        from repro.vp import Machine, MachineConfig
-        machine = Machine(MachineConfig(isa=RV32IMC_ZICSR,
-                                        trace_registers=False))
-        with pytest.raises(ValueError, match="trace_registers"):
-            measure_coverage(assemble("_start: nop" + EXIT), machine=machine)

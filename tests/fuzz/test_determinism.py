@@ -4,7 +4,7 @@ One master seed pins down every random draw in the toolchain:
 
 * ``repro gen torture --seed N`` emits a **byte-identical** program;
 * ``repro fuzz --seed N`` reproduces the exact corpus trajectory,
-  sequentially and with any ``--jobs`` count;
+  sequentially, with any ``--jobs`` count and on either backend;
 * ``default_campaign_mutants(..., seed=N)`` draws the same fault list.
 """
 
@@ -66,10 +66,10 @@ class TestCampaignMutantsSeeded:
 
 
 class TestFuzzTrajectory:
-    def _run(self, jobs=1, seed=42, iterations=200):
+    def _run(self, jobs=1, seed=42, iterations=200, backend="interp"):
         engine = FuzzEngine(RV32IMC_ZICSR, FuzzConfig(
             iterations=iterations, seed=seed, jobs=jobs,
-            minimize_evals=6, max_instructions=1000))
+            minimize_evals=6, max_instructions=1000, backend=backend))
         result = engine.run(trivial_seed(RV32IMC_ZICSR))
         return result, engine
 
@@ -84,6 +84,17 @@ class TestFuzzTrajectory:
             [e.found_at for e in engine_b.corpus]
         assert first.executions == second.executions
         assert first.triage.to_dict() == second.triage.to_dict()
+
+    def test_compiled_backend_reproduces_trajectory(self):
+        interp, interp_engine = self._run()
+        compiled, engine = self._run(backend="compiled")
+        assert compiled.signature_digests() == interp.signature_digests()
+        assert [e.words for e in engine.corpus] == \
+            [e.words for e in interp_engine.corpus]
+        # The block-level collector leaves hot blocks compiled.
+        jit = engine.evaluator.machine.jit_stats()
+        assert jit["blocks_compiled"] > 0
+        assert jit["compiled_instructions"] > 0
 
     def test_different_seed_different_trajectory(self):
         first, _ = self._run(seed=1)

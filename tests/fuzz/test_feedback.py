@@ -3,8 +3,9 @@
 import pytest
 
 from repro.asm import assemble
-from repro.coverage import coverage_signature, measure_coverage
-from repro.fuzz import EDGE_MAP_SIZE, FeedbackMap, TBEdgePlugin, edge_id
+from repro.coverage import (CoveragePlugin, coverage_signature,
+                            measure_coverage)
+from repro.fuzz import EDGE_MAP_SIZE, FeedbackMap, edge_id
 from repro.isa import RV32IMC_ZICSR
 from repro.vp import Machine, MachineConfig
 
@@ -28,9 +29,11 @@ class TestEdgeId:
 
 
 class TestTBEdgePlugin:
+    """The translation-block edges :class:`CoveragePlugin` records."""
+
     def _run(self, source):
         machine = Machine(MachineConfig(isa=RV32IMC_ZICSR))
-        plugin = machine.add_plugin(TBEdgePlugin())
+        plugin = machine.add_plugin(CoveragePlugin())
         machine.load(assemble(source, isa=RV32IMC_ZICSR))
         machine.run(max_instructions=10_000)
         return plugin

@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.coverage.access import access_of
+from repro.isa import RV32IMC_ZICSR, Decoder
 from repro.isa import csr as c
+from repro.isa.encoder import encode
 
 
 def make_csrs(**kwargs):
@@ -113,11 +116,20 @@ class TestCounters:
 
 class TestTraceAndSnapshot:
     def test_trace_records_accesses(self):
-        csrs = c.CsrFile(modules={"I"}, trace=True)
-        csrs.write(c.MSCRATCH, 1)
-        csrs.read(c.MEPC)
-        assert c.MSCRATCH in csrs.writes
-        assert c.MEPC in csrs.reads
+        # Coverage takes CSR accesses from each encoding's access sets,
+        # which record what the CSR file performs: a read before it may
+        # raise, a write once it passed the read-only check.
+        decoder = Decoder(RV32IMC_ZICSR)
+
+        def retired(*operands):
+            return access_of(decoder.decode(encode(decoder, *operands)))[0]
+
+        write = retired("csrrw", 0, c.MSCRATCH, 5)   # csrw mscratch, t0
+        read = retired("csrrs", 5, c.MEPC, 0)        # csrr t0, mepc
+        assert write.csr_writes == {c.MSCRATCH} and not write.csr_reads
+        assert read.csr_reads == {c.MEPC} and not read.csr_writes
+        assert retired("csrrw", 0, c.MHARTID, 5).csr_writes == frozenset()
+        assert retired("csrrs", 5, 0x7C0, 0).csr_reads == {0x7C0}
 
     def test_snapshot_restore(self):
         csrs = make_csrs()

@@ -28,19 +28,6 @@ class TestRegisterFile:
         regs[4] = 99
         assert regs[4] == 99
 
-    def test_trace_records_reads_and_writes(self):
-        regs = RegisterFile(trace=True)
-        regs.write(7, 1)
-        regs.read(8)
-        assert regs.writes == {7}
-        assert regs.reads == {8}
-
-    def test_trace_disabled_records_nothing(self):
-        regs = RegisterFile(trace=False)
-        regs.write(7, 1)
-        regs.read(8)
-        assert not regs.writes and not regs.reads
-
     def test_raw_write_bypasses_x0_hardwiring(self):
         regs = RegisterFile()
         regs.raw_write(0, 5)
@@ -68,11 +55,12 @@ class TestRegisterFile:
         assert regs.read(0) == 0
 
     def test_reset_clears_values_and_trace(self):
-        regs = RegisterFile(trace=True)
+        # Register files keep no access trace (coverage derives accesses
+        # from encodings), so reset has only values to clear.
+        regs = RegisterFile()
         regs.write(9, 1)
         regs.reset()
         assert regs.read(9) == 0
-        assert not regs.writes
 
     def test_dump_contains_abi_names(self):
         dump = RegisterFile().dump()
@@ -124,13 +112,6 @@ class TestFPRegisterFile:
         fregs = FPRegisterFile()
         fregs.write(0, 0x3F800000)
         assert fregs.read(0) == 0x3F800000
-
-    def test_trace(self):
-        fregs = FPRegisterFile(trace=True)
-        fregs.write(1, 2)
-        fregs.read(2)
-        assert fregs.writes == {1}
-        assert fregs.reads == {2}
 
     def test_snapshot_restore(self):
         fregs = FPRegisterFile()

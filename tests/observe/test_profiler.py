@@ -1,4 +1,4 @@
-"""Guest sampling profiler: attribution, ranking, exports."""
+"""Guest profiler: attribution, ranking, exports."""
 
 import json
 
@@ -32,37 +32,25 @@ loop:
 """
 
 
-def run_profiled(source=WORKLOAD, interval=1):
+def run_profiled(source=WORKLOAD):
     program = assemble(source, isa=ISA)
     machine = Machine(MachineConfig(isa=ISA))
     machine.load(program)
-    profiler = machine.add_plugin(SamplingProfiler(interval=interval))
+    profiler = machine.add_plugin(SamplingProfiler())
     result = machine.run(max_instructions=1_000_000)
     assert result.stop_reason == "exit"
     return profiler, program, result
 
 
 class TestSampling:
-    def test_interval_validation(self):
-        with pytest.raises(ValueError):
-            SamplingProfiler(interval=0)
-
     def test_exact_sampling_counts_every_block(self):
-        profiler, _, result = run_profiled(interval=1)
+        profiler, _, result = run_profiled()
         profile = profiler.profile()
-        # interval=1 samples every block execution, so the estimate
-        # matches the true retired count up to the tail of the final
-        # block (the ecall exits before the block's insns all retire).
+        # Every block execution counts, so the estimate matches the true
+        # retired count up to the tail of the final block (the ecall
+        # exits before the block's insns all retire).
         delta = profile.total_est_instructions - result.instructions
         assert 0 <= delta < 32
-
-    def test_interval_scales_estimates(self):
-        exact, _, result = run_profiled(interval=1)
-        sparse, _, _ = run_profiled(interval=10)
-        estimate = sparse.profile().total_est_instructions
-        # Unbiased within sampling error of the true count.
-        assert estimate == pytest.approx(result.instructions, rel=0.15)
-        assert sparse.total_samples < exact.total_samples
 
     def test_reset_clears_samples(self):
         profiler, _, _ = run_profiled()
@@ -141,7 +129,7 @@ class TestExports:
     def test_profile_restores_from_dict_blocks(self):
         profiler, program, _ = run_profiled()
         data = profiler.profile(program, isa=ISA).to_dict()
-        rebuilt = Profile(blocks=data["blocks"], interval=data["interval"])
+        rebuilt = Profile(blocks=data["blocks"])
         assert rebuilt.total_est_instructions == \
             data["total_est_instructions"]
 
@@ -177,7 +165,7 @@ scratch: .word 0, 0, 0, 0, 0, 0, 0, 0
                                         jit_threshold=2,
                                         jit_trace_threshold=4))
         machine.load(program)
-        profiler = machine.add_plugin(SamplingProfiler(interval=1))
+        profiler = machine.add_plugin(SamplingProfiler())
         result = machine.run(max_instructions=1_000_000)
         assert result.stop_reason == "exit"
         assert machine.jit_stats()["traces_compiled"] >= 1

@@ -203,12 +203,11 @@ def _observed_corpus():
             for name, words in build_corpus(RV32IMC_ZICSR, spec, 0)]
 
 
-@pytest.mark.parametrize("observer", ["insn-hook", "mem-hook",
-                                      "traced-registers"])
+@pytest.mark.parametrize("observer", ["insn-hook", "mem-hook"])
 def test_observed_runs_compile_nothing(observer):
-    """An instruction hook, a memory hook or traced registers keep every
-    block of a compiled run interpreted: the run, the hook calls, the
-    GPRs, the CSRs and the dirty pages equal the interpreter's over
+    """An instruction hook or a memory hook keeps every block of a
+    compiled run interpreted: the run, the hook calls, the GPRs, the
+    CSRs and the dirty pages equal the interpreter's over
     ``suites`` and ``torture:20`` (each body looped four times, so its
     blocks would get hot)."""
     corpus = _observed_corpus()
@@ -217,19 +216,14 @@ def test_observed_runs_compile_nothing(observer):
         outcomes = {}
         for backend in BACKEND_NAMES:
             machine = Machine(MachineConfig(
-                isa=RV32IMC_ZICSR, backend=backend, jit_threshold=1,
-                trace_registers=observer == "traced-registers"))
+                isa=RV32IMC_ZICSR, backend=backend, jit_threshold=1))
             machine.load(program)
-            plugin = None
-            if observer == "insn-hook":
-                plugin = machine.add_plugin(_InsnRecorder())
-            elif observer == "mem-hook":
-                plugin = machine.add_plugin(_MemRecorder())
+            recorder = (_InsnRecorder if observer == "insn-hook"
+                        else _MemRecorder)
+            plugin = machine.add_plugin(recorder())
             result = machine.run(max_instructions=20_000)
-            regs = machine.cpu.regs
             outcomes[backend] = (
-                result, plugin.calls if plugin else None,
-                regs.snapshot(), (regs.reads, regs.writes),
+                result, plugin.calls, machine.cpu.regs.snapshot(),
                 machine.cpu.csrs.snapshot(),
                 sorted(machine.ram.dirty_pages()))
             if backend == "compiled":

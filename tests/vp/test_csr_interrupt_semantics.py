@@ -4,22 +4,24 @@ interrupt priority."""
 import pytest
 
 from repro.asm import assemble
-from repro.isa import RV32IMC_ZICSR
+from repro.coverage.access import access_of
+from repro.fuzz import words_from_program
+from repro.isa import RV32IMC_ZICSR, Decoder
 from repro.isa import csr as csrdef
 from repro.vp import Machine, MachineConfig
 
 EXIT = "\n    li a7, 93\n    ecall\n"
 
 
-def run_traced(source, pre=None):
-    machine = Machine(MachineConfig(isa=RV32IMC_ZICSR,
-                                    trace_registers=True))
-    machine.load(assemble(source, isa=RV32IMC_ZICSR))
-    machine.cpu.csrs.clear_trace()
-    if pre:
-        pre(machine)
-    machine.run(max_instructions=1000)
-    return machine
+def csr_access(source):
+    """What the program's one CSR instruction accesses when it retires,
+    as the coverage collector derives it from the encoding."""
+    decoder = Decoder(RV32IMC_ZICSR)
+    program = assemble(source, isa=RV32IMC_ZICSR)
+    (decoded,) = [d for d in map(decoder.decode,
+                                 words_from_program(program, RV32IMC_ZICSR))
+                  if d.spec.module == "Zicsr"]
+    return access_of(decoded)[0]
 
 
 class TestCsrAccessSuppression:
@@ -27,31 +29,31 @@ class TestCsrAccessSuppression:
     rs1=x0 perform no write."""
 
     def test_csrw_does_not_read(self):
-        machine = run_traced("_start:\n    csrw mscratch, a0" + EXIT)
-        assert csrdef.MSCRATCH in machine.cpu.csrs.writes
-        assert csrdef.MSCRATCH not in machine.cpu.csrs.reads
+        access = csr_access("_start:\n    csrw mscratch, a0" + EXIT)
+        assert csrdef.MSCRATCH in access.csr_writes
+        assert csrdef.MSCRATCH not in access.csr_reads
 
     def test_csrr_does_not_write(self):
-        machine = run_traced("_start:\n    csrr a0, mscratch" + EXIT)
-        assert csrdef.MSCRATCH in machine.cpu.csrs.reads
-        assert csrdef.MSCRATCH not in machine.cpu.csrs.writes
+        access = csr_access("_start:\n    csrr a0, mscratch" + EXIT)
+        assert csrdef.MSCRATCH in access.csr_reads
+        assert csrdef.MSCRATCH not in access.csr_writes
 
     def test_csrrs_with_nonzero_rs1_reads_and_writes(self):
-        machine = run_traced("""
+        access = csr_access("""
         _start:
             li a1, 4
             csrrs a0, mscratch, a1
         """ + EXIT)
-        assert csrdef.MSCRATCH in machine.cpu.csrs.reads
-        assert csrdef.MSCRATCH in machine.cpu.csrs.writes
+        assert csrdef.MSCRATCH in access.csr_reads
+        assert csrdef.MSCRATCH in access.csr_writes
 
     def test_csrrsi_zero_imm_does_not_write(self):
-        machine = run_traced("_start:\n    csrrsi a0, mscratch, 0" + EXIT)
-        assert csrdef.MSCRATCH not in machine.cpu.csrs.writes
+        access = csr_access("_start:\n    csrrsi a0, mscratch, 0" + EXIT)
+        assert csrdef.MSCRATCH not in access.csr_writes
 
     def test_csrrci_zero_imm_does_not_write(self):
-        machine = run_traced("_start:\n    csrrci a0, mscratch, 0" + EXIT)
-        assert csrdef.MSCRATCH not in machine.cpu.csrs.writes
+        access = csr_access("_start:\n    csrrci a0, mscratch, 0" + EXIT)
+        assert csrdef.MSCRATCH not in access.csr_writes
 
     def test_csrrw_write_to_readonly_traps_even_with_rd_x0(self):
         machine = Machine(MachineConfig(isa=RV32IMC_ZICSR))

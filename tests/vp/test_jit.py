@@ -302,25 +302,6 @@ def test_stuck_bit_is_folded_into_generated_reads():
     assert not any("_rd(" in fn.__jit_source__ for fn in fns)
 
 
-def test_traced_stuck_register_file_is_interpreted():
-    from repro.faultsim import STUCK_AT_1, TARGET_GPR, Fault, inject
-
-    def run(backend):
-        machine = Machine(MachineConfig(isa=RV32IMC_ZICSR, backend=backend,
-                                        trace_registers=True))
-        machine.load(assemble(EVERY_REGISTER_LOOP, isa=RV32IMC_ZICSR))
-        inject(machine, Fault(TARGET_GPR, 9, 5, STUCK_AT_1))
-        result = machine.run(max_instructions=5_000)
-        return machine, _outcome(machine, result) + (
-            frozenset(machine.cpu.regs.reads),)
-
-    machine, compiled = run("compiled")
-    assert compiled == run("interp")[1]
-    stats = machine.jit_stats()
-    assert stats["blocks_compiled"] == 0
-    assert machine.cpu.backend.interpreted == "registers are traced"
-
-
 # ----------------------------------------------------------------------
 # Cache hygiene
 # ----------------------------------------------------------------------
@@ -1232,8 +1213,10 @@ def test_verify_corpus_keys_carry_one_source(checking_cache):
 
 
 def test_hooked_and_traced_keys_carry_one_source(checking_cache):
-    """Hooked and traced machines (which compile nothing) next to the
-    direct, fused and trace shapes of the same programs."""
+    """Hooked machines (which compile nothing) next to the direct, fused
+    and trace shapes of the same programs.  Register files no longer
+    trace, so the hooked machine is the only one that compiles
+    nothing."""
     from repro.vp import Plugin
 
     class Hook(Plugin):
@@ -1248,12 +1231,9 @@ def test_hooked_and_traced_keys_carry_one_source(checking_cache):
             hooked.load(assemble(source, isa=RV32IMC_ZICSR))
             hooked.add_plugin(Hook())
             hooked.run(max_instructions=100_000)
-            traced, _ = run_asm(source, backend="compiled",
-                                jit_threshold=1, trace_registers=True)
             plain, _ = run_asm(source, backend="compiled", jit_threshold=1)
-            for machine in (hooked, traced):
-                assert machine.jit_stats()["blocks_compiled"] == 0
-                assert not compiled_blocks(machine)
+            assert hooked.jit_stats()["blocks_compiled"] == 0
+            assert not compiled_blocks(hooked)
             _assert_sources_agree(checking_cache, plain)
     assert checking_cache.hits > 0
     sources = list(checking_cache.sources.values())
